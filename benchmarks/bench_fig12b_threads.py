@@ -7,14 +7,6 @@ probe loops, so *absolute* scaling is flat by construction — DESIGN.md
 documents the substitution; the reproduced quantity is the qualitative
 behaviour: inserts have marginal impact on lookup throughput per thread,
 and nothing corrupts (soundness asserted after the storm).
-
-The sharded-scaling section runs the same workload through
-:class:`~repro.shard.ShardedBloomRF`: the batch is partitioned over N
-same-config shards and dispatched through a thread pool whose per-shard
-sweeps are GIL-releasing NumPy kernels — the scale-out path this repo
-offers where the paper uses word-level atomics.  Absolute scaling still
-depends on core count (CI boxes may have one); the asserted quantities are
-soundness and batch/scalar agreement, the reported one is throughput.
 """
 
 import threading
@@ -25,7 +17,6 @@ import pytest
 
 from _common import keyset, print_table, scaled, write_result
 from repro.core.bloomrf import BloomRF
-from repro.shard import ShardedBloomRF
 
 N_KEYS = scaled(30_000)
 OPS_PER_THREAD = scaled(4_000, 1_000)
@@ -94,78 +85,6 @@ def thread_results():
     )
     write_result("fig12b_threads", "\n".join(sink))
     return table
-
-
-SHARD_COUNTS = (1, 2, 4, 8)
-
-
-def run_sharded(num_shards: int):
-    """Batched point+range throughput through N parallel shards."""
-    keys = keyset("uniform", N_KEYS)
-    sharded = ShardedBloomRF.from_keys(
-        keys, num_shards=num_shards, bits_per_key=16, max_range=1 << 20
-    )
-    rng = np.random.default_rng(num_shards)
-    n_ops = scaled(20_000, 4_000)
-    points = rng.integers(0, 1 << 64, n_ops, dtype=np.uint64)
-    lo = rng.integers(0, 1 << 63, n_ops, dtype=np.uint64)
-    bounds = np.stack(
-        [lo, np.minimum(lo + np.uint64(1 << 10), np.uint64(U64))], axis=1
-    )
-    sharded.contains_point_many(points[:64])  # warm the pool
-    start = time.perf_counter()
-    point_ans = sharded.contains_point_many(points)
-    point_tp = n_ops / (time.perf_counter() - start)
-    start = time.perf_counter()
-    range_ans = sharded.contains_range_many(bounds)
-    range_tp = n_ops / (time.perf_counter() - start)
-    return point_tp, range_tp, sharded, keys, (points, point_ans, bounds, range_ans)
-
-
-@pytest.fixture(scope="module")
-def sharded_results():
-    sink = []
-    rows = []
-    table = {}
-    for num_shards in SHARD_COUNTS:
-        point_tp, range_tp, sharded, keys, answers = run_sharded(num_shards)
-        table[num_shards] = (point_tp, range_tp, sharded, keys, answers)
-        rows.append([num_shards, point_tp, range_tp])
-    print_table(
-        "Fig 12.B+  Sharded batch throughput (ops/s) vs shard count "
-        "(ThreadPoolExecutor over same-config shards; scaling needs cores)",
-        ["shards", "point batch ops/s", "range batch ops/s"],
-        rows,
-        sink=sink,
-    )
-    write_result("fig12b_sharded", "\n".join(sink))
-    yield table
-    for _, _, sharded, _, _ in table.values():
-        sharded.close()
-
-
-class TestShardedScaling:
-    def test_sharded_soundness(self, sharded_results):
-        """Every inserted key answers positive through every shard count."""
-        for num_shards in SHARD_COUNTS:
-            _, _, sharded, keys, _ = sharded_results[num_shards]
-            assert sharded.contains_point_many(keys[:2000]).all()
-
-    def test_sharded_subset_of_unsharded(self, sharded_results):
-        """Sharding only removes cross-partition collisions: positives are
-        a subset of the same-config unsharded filter's."""
-        _, _, sharded, keys, answers = sharded_results[4]
-        points, point_ans, bounds, range_ans = answers
-        merged = sharded.merge()  # == the unsharded filter, bit for bit
-        assert not np.any(point_ans & ~merged.contains_point_many(points))
-        assert not np.any(range_ans & ~merged.contains_range_many(bounds))
-
-    def test_single_shard_is_the_unsharded_filter(self, sharded_results):
-        _, _, sharded, keys, answers = sharded_results[1]
-        points, point_ans, _, _ = answers
-        filt = BloomRF(sharded.config)
-        filt.insert_many(keys)
-        assert np.array_equal(point_ans, filt.contains_point_many(points))
 
 
 class TestConcurrency:

@@ -10,9 +10,7 @@ checks — land in ``BENCH_pointbatch.json`` at the repo root so future PRs
 can track the trajectory.
 
 A second section measures the standalone filter: ``BloomRF.contains_point_many``
-against the scalar ``contains_point`` loop, plus a ``ShardedBloomRF``
-dispatch of the same batch (shard speedup needs multiple cores; the recorded
-quantity is throughput, the asserted one is answer soundness).
+against the scalar ``contains_point`` loop.
 
 Usage::
 
@@ -36,7 +34,6 @@ import numpy as np
 
 from repro.core.bloomrf import BloomRF
 from repro.lsm import LsmDB, SpecPolicy
-from repro.shard import ShardedBloomRF
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_pointbatch.json"
 
@@ -101,7 +98,7 @@ def run(quick: bool) -> dict:
         and scalar_stats.blocks_read == batch_stats.blocks_read
     )
 
-    # Standalone filter section: batched + sharded probes of one filter.
+    # Standalone filter section: batched vs scalar probes of one filter.
     filt = BloomRF.tuned(n_keys=keys.size, bits_per_key=18, max_range=1 << 20)
     filt.insert_many(keys)
     start = time.perf_counter()
@@ -114,20 +111,7 @@ def run(quick: bool) -> dict:
     start = time.perf_counter()
     filter_batch = filt.contains_point_many(lookups)
     filter_batch_s = time.perf_counter() - start
-    with ShardedBloomRF(filt.config, num_shards=4) as sharded:
-        sharded.insert_many(keys)
-        sharded.contains_point_many(lookups[:64])  # warm the pool
-        start = time.perf_counter()
-        sharded_batch = sharded.contains_point_many(lookups)
-        sharded_s = time.perf_counter() - start
-        no_false_negatives = bool(sharded.contains_point_many(keys[:1000]).all())
-    sharded_sound = bool(
-        np.array_equal(filter_scalar, filter_batch)
-        # Sharded positives are a subset of the unsharded filter's (fewer
-        # cross-partition collisions) and must cover every present key.
-        and not np.any(sharded_batch & ~filter_batch)
-        and no_false_negatives
-    )
+    filter_identical = bool(np.array_equal(filter_scalar, filter_batch))
 
     return {
         "benchmark": "pointbatch",
@@ -146,8 +130,7 @@ def run(quick: bool) -> dict:
         "filter_scalar_qps": n_lookups / filter_scalar_s,
         "filter_batch_qps": n_lookups / filter_batch_s,
         "filter_speedup": filter_scalar_s / filter_batch_s,
-        "sharded_qps": n_lookups / sharded_s,
-        "sharded_sound": sharded_sound,
+        "filter_identical": filter_identical,
     }
 
 
@@ -175,8 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         f"scalar {result['scalar_qps']:,.0f} q/s | "
         f"batch {result['batch_qps']:,.0f} q/s | "
         f"speedup {result['speedup']:.1f}x | "
-        f"filter-only {result['filter_speedup']:.1f}x | "
-        f"sharded {result['sharded_qps']:,.0f} q/s -> {args.output}"
+        f"filter-only {result['filter_speedup']:.1f}x -> {args.output}"
     )
 
     if not result["bit_identical"]:
@@ -185,8 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     if not result["accounting_identical"]:
         print("FAIL: batch probe/IO accounting differs from the scalar loop")
         return 1
-    if not result["sharded_sound"]:
-        print("FAIL: sharded answers unsound vs the unsharded filter")
+    if not result["filter_identical"]:
+        print("FAIL: batched filter probes differ from the scalar loop")
         return 1
     floor = 1.0 if args.quick else 10.0
     if result["speedup"] < floor:

@@ -60,9 +60,8 @@ from repro.core import (
 )
 from repro.lsm.filter_policy import SpecPolicy
 from repro.lsm.sharded import ShardedLsmDB
-from repro.shard import ShardedBloomRF
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "BloomRF",
@@ -78,7 +77,6 @@ __all__ = [
     "open_store",
     "register_filter",
     "standard_spec",
-    "ShardedBloomRF",
     "ShardedLsmDB",
     "TuningAdvisor",
     "AdvisorReport",

@@ -321,11 +321,12 @@ class SerialDisciplineRule(Rule):
     id = "serial-discipline"
     summary = (
         "SerialError must name the offending file; every KIND_* constant "
-        "needs a reader"
+        "not listed in RETIRED_KINDS needs a reader"
     )
     invariant = (
         "corruption reports are actionable only if they say *which* file "
-        "is bad, and a frame kind nobody can read is dead data on disk"
+        "is bad, and a frame kind nobody can read is dead data on disk "
+        "(a retired kind keeps its value reserved but has no reader)"
     )
     paths = (
         "repro/lsm/store.py",
@@ -460,6 +461,21 @@ class SerialDisciplineRule(Rule):
                     constants[target.id] = (node.lineno, node.value.value)
         return constants
 
+    @staticmethod
+    def _retired_names(module: ModuleSource) -> set[str]:
+        """KIND_* names listed in the module's ``RETIRED_KINDS`` value."""
+        for node in module.tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "RETIRED_KINDS"
+                for t in node.targets
+            ):
+                return {
+                    n.id
+                    for n in ast.walk(node.value)
+                    if isinstance(n, ast.Name) and _KIND_CONST.match(n.id)
+                }
+        return set()
+
     def finalize(self, modules: Sequence[ModuleSource]) -> Iterator[Finding]:
         serial = next(
             (m for m in modules if m.display.endswith("repro/serial.py")), None
@@ -528,8 +544,21 @@ class SerialDisciplineRule(Rule):
                     f"readers: {sorted(api_kinds)}",
                 )
 
-        # Every declared kind needs exactly one reader: a registry loader,
-        # or a store-layer module that references the constant by name.
+        # A retired kind is refused on read, so a loader for it is a
+        # contradiction; every other declared kind needs exactly one reader:
+        # a registry loader, or a store-layer module that references the
+        # constant by name.
+        retired = self._retired_names(serial)
+        for name in sorted(retired & constants.keys()):
+            lineno, value = constants[name]
+            if value in claimed:
+                yield Finding(
+                    self.id,
+                    serial.display,
+                    lineno,
+                    f"{name} is retired but filter kind(s) "
+                    f"{sorted(claimed[value])} still load it",
+                )
         referenced: set[str] = set()
         for module in modules:
             if module is serial:
@@ -540,7 +569,7 @@ class SerialDisciplineRule(Rule):
                 elif isinstance(node, ast.Attribute) and node.attr in constants:
                     referenced.add(node.attr)
         for name, (lineno, value) in sorted(constants.items()):
-            if value not in claimed and name not in referenced:
+            if value not in claimed and name not in referenced | retired:
                 yield Finding(
                     self.id,
                     serial.display,

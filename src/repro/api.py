@@ -9,12 +9,12 @@ makes "drop-in" literal for the whole package:
   (scalar + bulk), ``size_bits`` accounting, and framed serialization.
 * :class:`FilterSpec` — a frozen, validated, JSON-round-trippable value
   describing *which* filter to build and with *which* parameters.  Specs are
-  plain data: they travel through config files, CLI flags, shard manifests,
+  plain data: they travel through config files, CLI flags, store manifests,
   and policy objects unchanged.
 * the registry — :func:`register_filter` / :func:`make_filter` /
   :func:`filter_from_bytes` / :func:`available_kinds`: one construction and
-  one deserialization path for every kind (core bloomRF, every baseline,
-  sharded sets), replacing the per-consumer dispatch tables that
+  one deserialization path for every kind (core bloomRF and every
+  baseline), replacing the per-consumer dispatch tables that
   ``lsm/filter_policy.py``, ``serial.py``, ``cli.py``, and the bench harness
   each used to keep.
 * :func:`open_store` — the one-call facade returning an
@@ -51,14 +51,13 @@ from repro.serial import (
     KIND_NONE,
     KIND_PREFIX_BLOOM,
     KIND_ROSETTA,
-    KIND_SHARDED_BLOOMRF,
     KIND_SURF,
+    RETIRED_KINDS,
     SerialError,
     pack_frame,
     peek_kind,
     unpack_frame,
 )
-from repro.shard import ShardedBloomRF
 
 __all__ = [
     "RangeFilter",
@@ -67,7 +66,6 @@ __all__ = [
     "NullFilter",
     "register_filter",
     "make_filter",
-    "merge_filters",
     "filter_from_bytes",
     "available_kinds",
     "standard_spec",
@@ -167,7 +165,7 @@ class FilterSpec:
     ``kind`` names a registered filter kind (see :func:`available_kinds`);
     ``params`` are the keyword arguments its factory accepts, restricted to
     JSON-serializable values so a spec round-trips through
-    :meth:`to_json` / :meth:`from_json` unchanged (shard manifests and CLI
+    :meth:`to_json` / :meth:`from_json` unchanged (store manifests and CLI
     configs rely on this).  Treat specs as immutable: derive variants with
     :meth:`with_params`.
     """
@@ -225,13 +223,12 @@ class FilterSpec:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RegisteredKind:
-    """One registry entry: how to build, load, and merge a filter kind."""
+    """One registry entry: how to build and load a filter kind."""
 
     kind: str
-    build: Callable[..., RangeFilter] | None
+    build: Callable[..., RangeFilter]
     serial_kind: int | None = None
     from_bytes: Callable[[bytes], Any] | None = None
-    merge: Callable[[list], Any] | None = None
     description: str = ""
 
 
@@ -241,11 +238,10 @@ _SERIAL_LOADERS: dict[int, RegisteredKind] = {}
 
 def register_filter(
     kind: str,
-    build: Callable[..., RangeFilter] | None = None,
+    build: Callable[..., RangeFilter],
     *,
     serial_kind: int | None = None,
     from_bytes: Callable[[bytes], Any] | None = None,
-    merge: Callable[[list], Any] | None = None,
     description: str = "",
     replace_existing: bool = False,
 ) -> RegisteredKind:
@@ -253,9 +249,7 @@ def register_filter(
 
     ``build(**params)`` constructs an empty (or self-building) filter
     satisfying :class:`RangeFilter`; ``from_bytes(data)`` rehydrates the
-    frame identified by ``serial_kind``; ``merge(filters)`` optionally
-    word-unions same-config instances (compaction fast path) or returns
-    None.  A kind with ``build=None`` is load-only (e.g. sharded blobs).
+    frame identified by ``serial_kind``.
     """
     if not isinstance(kind, str) or not kind:
         raise ValueError("filter kind must be a non-empty string")
@@ -274,7 +268,6 @@ def register_filter(
         build=build,
         serial_kind=serial_kind,
         from_bytes=from_bytes,
-        merge=merge,
         description=description,
     )
     previous = _REGISTRY.get(kind)
@@ -302,9 +295,7 @@ def registered_kind(kind: str) -> RegisteredKind:
 
 def available_kinds() -> tuple[str, ...]:
     """Every kind :func:`make_filter` can construct, sorted."""
-    return tuple(
-        sorted(k for k, entry in _REGISTRY.items() if entry.build is not None)
-    )
+    return tuple(sorted(_REGISTRY))
 
 
 def make_filter(spec: FilterSpec, *, n_keys: int | None = None) -> RangeFilter:
@@ -317,11 +308,6 @@ def make_filter(spec: FilterSpec, *, n_keys: int | None = None) -> RangeFilter:
     parameters raise :class:`ValueError` naming the accepted ones.
     """
     entry = registered_kind(spec.kind)
-    if entry.build is None:
-        raise ValueError(
-            f"filter kind {spec.kind!r} is load-only and cannot be built "
-            "from a spec"
-        )
     params = dict(spec.params)
     if n_keys is not None:
         params["n_keys"] = int(n_keys)
@@ -336,17 +322,14 @@ def make_filter(spec: FilterSpec, *, n_keys: int | None = None) -> RangeFilter:
     return entry.build(**params)
 
 
-def merge_filters(kind: str, filters: list) -> Any | None:
-    """Word-level union of same-config filters, or None when not mergeable."""
-    entry = registered_kind(kind)
-    if entry.merge is None:
-        return None
-    return entry.merge(list(filters))
-
-
 def filter_from_bytes(data: bytes):
     """Rehydrate any serialized filter, dispatching on its frame kind."""
     kind = peek_kind(data)
+    if kind in RETIRED_KINDS:
+        raise SerialError(
+            f"serialization kind {kind} ({KIND_NAMES[kind]!r}) is retired "
+            "and can no longer be read; rebuild the filter from its keys"
+        )
     entry = _SERIAL_LOADERS.get(kind)
     if entry is None:
         name = KIND_NAMES.get(kind)
@@ -416,7 +399,7 @@ class NullFilter:
 
 
 # ----------------------------------------------------------------------
-# built-in kind factories and merge rules
+# built-in kind factories
 # ----------------------------------------------------------------------
 def _build_bloomrf(
     n_keys: int,
@@ -537,44 +520,11 @@ def _build_none(n_keys: int | None = None) -> NullFilter:
     return NullFilter()
 
 
-def _merge_bloomrf(filters: list) -> BloomRF | None:
-    """Same-config bloomRF word union (see ``BloomRF.union_into``)."""
-    if not filters or any(not isinstance(f, BloomRF) for f in filters):
-        return None
-    if any(f.config != filters[0].config for f in filters[1:]):
-        return None
-    return BloomRF.merge(filters)
-
-
-def _merge_bloom(filters: list) -> BloomFilter | None:
-    """Same-geometry Bloom word union (see ``BloomFilter.union_into``)."""
-    if not filters or any(not isinstance(f, BloomFilter) for f in filters):
-        return None
-    head = filters[0]
-    if any(
-        (f.num_bits, f.num_hashes, f.seed)
-        != (head.num_bits, head.num_hashes, head.seed)
-        for f in filters[1:]
-    ):
-        return None
-    merged = BloomFilter(
-        n_keys=1,
-        bits_per_key=head.num_bits,
-        num_hashes=head.num_hashes,
-        seed=head.seed,
-    )
-    assert merged.num_bits == head.num_bits  # round_up(m, 64) is idempotent
-    for f in filters:
-        f.union_into(merged)
-    return merged
-
-
 register_filter(
     "bloomrf",
     _build_bloomrf,
     serial_kind=KIND_BLOOMRF,
     from_bytes=BloomRF.from_bytes,
-    merge=_merge_bloomrf,
     description="advisor-tuned bloomRF point-range filter (Sect. 7)",
 )
 register_filter(
@@ -582,7 +532,6 @@ register_filter(
     _build_bloomrf_basic,
     # Basic filters serialize as ordinary bloomRF frames; the "bloomrf"
     # entry owns the KIND_BLOOMRF loader.
-    merge=_merge_bloomrf,
     description="tuning-free basic bloomRF (Sect. 3-5)",
 )
 register_filter(
@@ -590,7 +539,6 @@ register_filter(
     _build_bloom,
     serial_kind=KIND_BLOOM,
     from_bytes=BloomFilter.from_bytes,
-    merge=_merge_bloom,
     description="standard Bloom filter (point probes only)",
 )
 register_filter(
@@ -627,13 +575,6 @@ register_filter(
     serial_kind=KIND_NONE,
     from_bytes=NullFilter.from_bytes,
     description="no filter: fence pointers only, every probe answers maybe",
-)
-register_filter(
-    "sharded-bloomrf",
-    None,  # built via ShardedBloomRF.from_spec, not from a bare spec
-    serial_kind=KIND_SHARDED_BLOOMRF,
-    from_bytes=ShardedBloomRF.from_bytes,
-    description="keyspace-partitioned bloomRF shard set (load-only kind)",
 )
 
 

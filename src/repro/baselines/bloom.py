@@ -135,28 +135,6 @@ class BloomFilter:
         return np.ones(check_bounds_rows(bounds).shape[0], dtype=bool)
 
     # ------------------------------------------------------------------
-    def union_into(self, target: "BloomFilter") -> "BloomFilter":
-        """OR this filter's bits into ``target`` (same geometry + seed).
-
-        Same contract as :meth:`repro.core.bloomrf.BloomRF.union_into`:
-        double-hash probe positions are fixed by ``(num_bits, num_hashes,
-        seed)``, so the union equals a filter built from both insert
-        streams — the primitive LSM compaction uses to merge filter blocks.
-        """
-        if (self.num_bits, self.num_hashes, self.seed) != (
-            target.num_bits,
-            target.num_hashes,
-            target.seed,
-        ):
-            raise ValueError(
-                "cannot union Bloom filters with different geometry: "
-                f"({self.num_bits}, k={self.num_hashes}, seed={self.seed}) vs "
-                f"({target.num_bits}, k={target.num_hashes}, seed={target.seed})"
-            )
-        target._bits.union_with(self._bits)
-        target._num_keys += self._num_keys
-        return target
-
     # ------------------------------------------------------------------
     def expected_fpr(self) -> float:
         """Analytic ``(1 - e^{-kn/m})^k`` for the current load."""

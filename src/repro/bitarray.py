@@ -26,6 +26,10 @@ from repro._util import ceil_div, is_power_of_two, round_up
 _WORD_BITS = 64
 _WORD_SHIFT = 6
 _WORD_MASK = 63
+# set_bits packs a dense bool span when the touched words number at most
+# this many per position (measured crossover ~2; the span's bool scratch
+# then stays within 8x the positions array).
+_DENSE_WORDS_PER_POSITION = 1
 
 __all__ = ["BitArray"]
 
@@ -76,20 +80,6 @@ class BitArray:
         """Reset every bit to zero."""
         self.words[:] = 0
 
-    def union_with(self, other: "BitArray") -> None:
-        """OR every bit of ``other`` into this array (sizes must match).
-
-        One vectorized word-level OR — the primitive behind filter merging:
-        because inserts only ever OR bits in, the union of two bit arrays
-        equals the array produced by replaying both insert streams.
-        """
-        if self._num_bits != other._num_bits:
-            raise ValueError(
-                f"cannot union bit arrays of different sizes "
-                f"({self._num_bits} vs {other._num_bits} bits)"
-            )
-        np.bitwise_or(self.words, other.words, out=self.words)
-
     # ------------------------------------------------------------------
     # single-bit access (scalar)
     # ------------------------------------------------------------------
@@ -105,12 +95,34 @@ class BitArray:
     # single-bit access (vectorized)
     # ------------------------------------------------------------------
     def set_bits(self, positions: np.ndarray) -> None:
-        """Set all bits listed in ``positions`` (uint64 array) to one."""
+        """Set all bits listed in ``positions`` (uint64 array) to one.
+
+        Dense batches (a filter build: many positions over one segment)
+        scatter into a bool array over the touched word span and pack it
+        into words, which is several times cheaper than the per-element
+        ``np.bitwise_or.at``; sparse batches keep the latter.  Both set
+        the same bits, and a position past the last word raises
+        :class:`IndexError`.
+        """
         positions = positions.astype(np.uint64, copy=False)
-        word_idx = positions >> np.uint64(_WORD_SHIFT)
-        bit = np.uint64(1) << (positions & np.uint64(_WORD_MASK))
-        # np.bitwise_or.at handles repeated word indices correctly.
-        np.bitwise_or.at(self.words, word_idx, bit)
+        if positions.size == 0:
+            return
+        lo = int(positions.min()) >> _WORD_SHIFT
+        hi = (int(positions.max()) >> _WORD_SHIFT) + 1
+        if hi > self.words.size:
+            raise IndexError(
+                f"bit position {int(positions.max())} is out of range for "
+                f"{self.storage_bits} stored bits"
+            )
+        if hi - lo > _DENSE_WORDS_PER_POSITION * positions.size:
+            word_idx = positions >> np.uint64(_WORD_SHIFT)
+            bit = np.uint64(1) << (positions & np.uint64(_WORD_MASK))
+            # np.bitwise_or.at handles repeated word indices correctly.
+            np.bitwise_or.at(self.words, word_idx, bit)
+            return
+        span = np.zeros((hi - lo) * _WORD_BITS, dtype=bool)
+        span[positions - np.uint64(lo * _WORD_BITS)] = True
+        self.words[lo:hi] |= np.packbits(span, bitorder="little").view("<u8")
 
     def test_bits(self, positions: np.ndarray) -> np.ndarray:
         """Vectorized ``test_bit``: boolean array, one entry per position."""
@@ -266,9 +278,9 @@ class BitArray:
         ``mmap`` — so probing faults in only the pages it touches and the
         buffer outlives this array automatically.  The view is read-only:
         probe-side methods (``test_bit*``, ``read_field*``, counts) all
-        work; mutating ones (``set_bit``, ``or_field``, ``union_with``,
-        ``clear``) raise, which is exactly right for a sealed run's
-        filter.  Use :meth:`from_bytes` when a mutable copy is needed.
+        work; mutating ones (``set_bit``, ``or_field``, ``clear``) raise,
+        which is exactly right for a sealed run's filter.  Use
+        :meth:`from_bytes` when a mutable copy is needed.
         """
         if num_bits <= 0:
             raise ValueError(f"BitArray size must be positive, got {num_bits}")

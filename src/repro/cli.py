@@ -112,16 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--filter", choices=kinds, default="bloomrf",
         help="which registered filter kind to build (default: bloomrf)",
     )
-    save.add_argument(
-        "--shards", type=int, default=1,
-        help="shard the filter over N partitions (bloomrf only; writes one "
-        "blob holding every shard — merge-compatible with the unsharded "
-        "filter)",
-    )
-    save.add_argument(
-        "--partition", choices=("hash", "range"), default="hash",
-        help="shard dispatch scheme when --shards > 1",
-    )
 
     store = sub.add_parser(
         "store", help="create, load, query, and inspect on-disk stores"
@@ -364,8 +354,9 @@ def _cmd_inspect(args) -> int:
     """Summarize any serialized filter, dispatching on the frame's kind.
 
     Loading goes through the :mod:`repro.api` registry, so every
-    registered kind — bloomRF, every baseline, sharded sets — inspects
-    through this one command.  The frame is memory-mapped rather than
+    registered kind — bloomRF and every baseline — inspects through this
+    one command.  A frame of a retired kind is refused with an error that
+    names the kind.  The frame is memory-mapped rather than
     read into memory: the header is validated up front and the filter
     reconstructs over zero-copy payload views, so only the pages the
     summary actually touches fault in.
@@ -375,7 +366,6 @@ def _cmd_inspect(args) -> int:
     from repro import serial
     from repro.baselines.bloom import BloomFilter
     from repro.core.bloomrf import BloomRF
-    from repro.shard import ShardedBloomRF
 
     path = Path(args.path)
     try:
@@ -397,15 +387,6 @@ def _cmd_inspect(args) -> int:
               f"seed={filt.seed:#x})")
         print(f"keys inserted: {len(filt)}")
         print(f"fill ratio: {filt.fill_ratio():.4f}")
-    elif isinstance(filt, ShardedBloomRF):
-        with filt:
-            print(filt.config.describe())
-            print(f"shards: {filt.num_shards} ({filt.partition} partition)")
-            print(f"keys inserted: {filt.num_keys} "
-                  f"(per shard: {[s.num_keys for s in filt.shards]})")
-            print(f"size: {filt.size_bits} bits "
-                  f"({filt.size_bits / 8 / 1024:.1f} KiB across shards)")
-            print(f"merged fill ratio: {filt.merge().fill_ratio():.4f}")
     else:  # any other registered kind: generic summary
         print(repr(filt))
         if hasattr(filt, "__len__"):
@@ -419,41 +400,20 @@ def _cmd_build(args) -> int:
     from pathlib import Path
 
     from repro.api import make_filter, standard_spec
-    from repro.shard import ShardedBloomRF
 
-    if args.shards < 1:
-        print("--shards must be >= 1")
-        return 2
-    if args.filter != "bloomrf" and args.shards > 1:
-        print("--shards applies to the bloomrf filter only")
-        return 2
     keys = _read_keyfile(args.keyfile)
     spec = standard_spec(
         args.filter, bits_per_key=args.bits_per_key, max_range=args.max_range
     )
-    if args.shards > 1:
-        filt = ShardedBloomRF.from_spec(
-            spec,
-            num_shards=args.shards,
-            partition=args.partition,
-            n_keys=max(int(keys.size), 1),
-        )
-        filt.insert_many(keys)
-        filt.close()
-        described = (
-            f"{filt.config.describe()} x {args.shards} "
-            f"{args.partition}-partitioned shards"
-        )
-    else:
-        filt = make_filter(spec, n_keys=max(int(keys.size), 1))
-        filt.insert_many(keys)
-        try:
-            filt.size_bits  # force lazy builders (SuRF) before describing
-        except ValueError as exc:
-            print(f"cannot build a {args.filter} filter: {exc}")
-            return 2
-        config = getattr(filt, "config", None)
-        described = config.describe() if config is not None else repr(filt)
+    filt = make_filter(spec, n_keys=max(int(keys.size), 1))
+    filt.insert_many(keys)
+    try:
+        filt.size_bits  # force lazy builders (SuRF) before describing
+    except ValueError as exc:
+        print(f"cannot build a {args.filter} filter: {exc}")
+        return 2
+    config = getattr(filt, "config", None)
+    described = config.describe() if config is not None else repr(filt)
     try:
         blob = filt.to_bytes()
     except ValueError as exc:  # e.g. an empty SuRF has no trie to persist

@@ -753,41 +753,6 @@ class BloomRF:
         return False
 
     # ------------------------------------------------------------------
-    # merging (word-level union of same-config filters)
-    # ------------------------------------------------------------------
-    def union_into(self, target: "BloomRF") -> "BloomRF":
-        """OR this filter's words into ``target`` (configs must be equal).
-
-        Because every insert is a deterministic OR of bit positions fixed by
-        ``(config, seed)``, the union of two same-config filters is
-        bit-identical to a filter built by replaying both insert streams —
-        so LSM compaction can union filter blocks instead of re-hashing
-        every key (asserted by the merge tests).  ``num_keys`` accumulates
-        the *insert counts* (duplicates across operands included), matching
-        what replaying both streams would report.
-        """
-        if self.config != target.config:
-            raise ValueError(
-                "cannot union filters with different configs: "
-                f"{self.config.describe()} vs {target.config.describe()}"
-            )
-        target._bits.union_with(self._bits)
-        if self._exact is not None:
-            target._exact.union_with(self._exact)
-        target._num_keys += self._num_keys
-        return target
-
-    @classmethod
-    def merge(cls, filters: Sequence["BloomRF"]) -> "BloomRF":
-        """Union any number of same-config filters into a fresh one."""
-        if not filters:
-            raise ValueError("merge requires at least one filter")
-        merged = cls(filters[0].config)
-        for filt in filters:
-            filt.union_into(merged)
-        return merged
-
-    # ------------------------------------------------------------------
     # serialization (the paper persists filters as SST filter blocks)
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:

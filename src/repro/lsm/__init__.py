@@ -16,13 +16,7 @@ from repro.lsm.compaction import (
 )
 from repro.lsm.db import LsmDB
 from repro.lsm.filter_policy import (
-    BloomPolicy,
-    BloomRFPolicy,
-    NoFilterPolicy,
-    PrefixBloomPolicy,
-    RosettaPolicy,
     SpecPolicy,
-    SuRFPolicy,
     handle_from_bytes,
     load_handle,
     policy_by_name,
@@ -48,12 +42,6 @@ __all__ = [
     "SimulatedDevice",
     "SpecPolicy",
     "wrap_filter",
-    "BloomRFPolicy",
-    "BloomPolicy",
-    "PrefixBloomPolicy",
-    "RosettaPolicy",
-    "SuRFPolicy",
-    "NoFilterPolicy",
     "policy_by_name",
     "save_handle",
     "load_handle",

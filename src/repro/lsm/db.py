@@ -248,12 +248,8 @@ class LsmDB:
     def compact(self) -> None:
         """Merge every run into one, dropping shadowed versions/tombstones.
 
-        When every run's filter block is word-unionable (same-config
-        bloomRF/Bloom blocks; see ``merge_handles`` on the policy), the
-        merged run reuses the union instead of re-hashing every key — the
-        union still indexes dropped versions and tombstones, so it is a
-        sound superset (extra false positives at most, never a false
-        negative).  Otherwise the filter is rebuilt from the merged keys.
+        The merged run's filter is built from its surviving keys (see
+        :meth:`_merge_tables`), so it is sized for the run it guards.
         """
         with self._maintenance_lock:
             self.flush()
@@ -271,21 +267,17 @@ class LsmDB:
         Newest-wins version merge, vectorized: concatenate runs newest
         first, then ``np.unique`` keeps the *first* occurrence of every
         key — its newest version — already sorted ascending.  No per-key
-        Python loop; the merged run's filter comes from the word-level
-        union (see :meth:`compact`) or one bulk ``policy.build`` over the
-        merged keys.  ``drop_tombstones`` is only sound when the window
+        Python loop; the merged run's filter is one bulk ``policy.build``
+        over the surviving keys, as for a flushed run (paper Sect. 9: one
+        filter per SST, built from that SST's keys), so bits/key stays at
+        the spec however many merges a key has been through.
+        ``drop_tombstones`` is only sound when the window
         includes the store's oldest run — an interior merge must keep its
         tombstones, which still shadow versions in older runs.
 
         Pure function of the (immutable) input runs: background workers
         call it outside the maintenance lock.
         """
-        merge_handles = getattr(self.policy, "merge_handles", None)
-        merged_filter = (
-            merge_handles([sst.filter for sst in tables])
-            if merge_handles is not None
-            else None
-        )
         all_keys = np.concatenate([sst.keys for sst in tables])
         all_tombstones = np.concatenate([sst.tombstones for sst in tables])
         unique_keys, newest = np.unique(all_keys, return_index=True)
@@ -311,7 +303,6 @@ class LsmDB:
             unique_keys[keep],
             values,
             None if drop_tombstones else newest_tombstones[keep],
-            prebuilt_filter=merged_filter,
         )
 
     def maybe_compact(self, policy=None) -> dict | None:
@@ -394,7 +385,6 @@ class LsmDB:
         sorted_keys: np.ndarray,
         values: list[bytes] | None,
         tombstones: np.ndarray | None,
-        prebuilt_filter=None,
     ) -> SSTable:
         return SSTable(
             sorted_keys,
@@ -403,7 +393,6 @@ class LsmDB:
             tombstones=tombstones,
             value_bytes=self.value_bytes,
             block_bytes=self.block_bytes,
-            prebuilt_filter=prebuilt_filter,
         )
 
     # ------------------------------------------------------------------

@@ -5,14 +5,13 @@ builds one full-filter block per SST from the SST's keys, (de)serializes it,
 and answers point probes — extended here (as in the paper) with range probes
 carrying the query's lower/upper bounds.
 
-Since the :mod:`repro.api` redesign there is **one** policy class:
-:class:`SpecPolicy`, driven by a :class:`~repro.api.FilterSpec`.  Every
-registered filter kind (bloomRF basic/tuned, Bloom, Prefix-Bloom, Rosetta,
-SuRF, Cuckoo, and "none") builds, serializes, deserializes, and — where the
-kind supports word-level union — merges through it, with the exact same
-:class:`FilterHandle` semantics and probe accounting the per-filter policy
-classes used to provide.  The old class names (``BloomRFPolicy``, …) remain
-importable as deprecated thin aliases for one release.
+There is **one** policy class: :class:`SpecPolicy`, driven by a
+:class:`~repro.api.FilterSpec`.  Every registered filter kind (bloomRF
+basic/tuned, Bloom, Prefix-Bloom, Rosetta, SuRF, Cuckoo, and "none") builds,
+serializes and deserializes through it with the same :class:`FilterHandle`
+semantics and probe accounting.  A compacted run is a new SST: its filter
+is built from its own surviving keys like a flushed run's, never derived
+from the input runs' filters.
 
 Every handle exposes bulk probe interfaces (``probe_point_many`` /
 ``probe_range_many``): filters with a vectorized path are wired through; the
@@ -22,9 +21,8 @@ against every kind.
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -33,7 +31,6 @@ from repro.api import (
     FilterSpec,
     filter_from_bytes,
     make_filter,
-    merge_filters,
     registered_kind,
     standard_spec,
 )
@@ -42,12 +39,6 @@ __all__ = [
     "FilterHandle",
     "FilterPolicy",
     "SpecPolicy",
-    "BloomRFPolicy",
-    "BloomPolicy",
-    "PrefixBloomPolicy",
-    "RosettaPolicy",
-    "SuRFPolicy",
-    "NoFilterPolicy",
     "coerce_policy",
     "policy_by_name",
     "wrap_filter",
@@ -131,20 +122,6 @@ class _Handle:
     def serialize(self) -> bytes:
         return self._serialize()
 
-    # Lifecycle: most filters hold no resources, but a sharded block owns
-    # a worker pool — close releases it (no-op otherwise).  Usable as a
-    # context manager for the load-probe-discard pattern.
-    def close(self) -> None:
-        close = getattr(self._filter, "close", None)
-        if close is not None:
-            close()
-
-    def __enter__(self) -> "_Handle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 def wrap_filter(filt) -> FilterHandle:
     """Adapt any :class:`repro.api.RangeFilter` into a :class:`FilterHandle`.
@@ -171,10 +148,7 @@ class SpecPolicy:
     the filter for the keys the SST actually holds (``n_keys`` is injected
     per build, so per-shard and per-run sizing come for free), inserts
     them through the kind's bulk path, and wraps the result in the uniform
-    :class:`FilterHandle`.  ``deserialize`` rehydrates any registry frame;
-    ``merge_handles`` word-unions same-config blocks for kinds that
-    support it (bloomRF, Bloom) and returns None otherwise, so compaction
-    can always fall back to rebuilding from keys.
+    :class:`FilterHandle`.  ``deserialize`` rehydrates any registry frame.
     """
 
     def __init__(self, spec: FilterSpec | str, /, **params) -> None:
@@ -190,10 +164,7 @@ class SpecPolicy:
                 f"SpecPolicy needs a FilterSpec or a kind string, got "
                 f"{type(spec).__name__}"
             )
-        if registered_kind(spec.kind).build is None:
-            raise ValueError(
-                f"filter kind {spec.kind!r} cannot back an SST filter policy"
-            )
+        registered_kind(spec.kind)  # fail fast with the known-kinds list
         self.spec = spec
         self.name = spec.kind
 
@@ -206,24 +177,6 @@ class SpecPolicy:
     def deserialize(self, data: bytes) -> FilterHandle:
         return handle_from_bytes(data)
 
-    def merge_handles(
-        self, handles: Sequence[FilterHandle]
-    ) -> FilterHandle | None:
-        """Union same-config filter blocks into one (compaction fast path).
-
-        Returns None when the blocks are not mergeable — the kind has no
-        word-level union, or the configs differ (e.g. runs of different
-        sizes were tuned differently) — in which case the caller rebuilds
-        from keys.  The union indexes every key any operand indexed, so it
-        stays sound for the merged run (it may keep bits of dropped
-        versions — a few extra false positives, never a false negative).
-        """
-        filters = [getattr(handle, "_filter", None) for handle in handles]
-        if not filters or any(f is None for f in filters):
-            return None
-        merged = merge_filters(self.spec.kind, filters)
-        return wrap_filter(merged) if merged is not None else None
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SpecPolicy({self.spec!r})"
 
@@ -235,105 +188,6 @@ def coerce_policy(policy) -> FilterPolicy:
     if isinstance(policy, FilterSpec):
         return SpecPolicy(policy)
     return policy
-
-
-# ----------------------------------------------------------------------
-# deprecated per-filter policy aliases (one release of compatibility)
-# ----------------------------------------------------------------------
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} (see repro.api)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class BloomRFPolicy(SpecPolicy):
-    """Deprecated: use ``SpecPolicy("bloomrf", ...)``."""
-
-    def __init__(
-        self,
-        bits_per_key: float,
-        max_range: int = 1 << 40,
-        basic: bool = False,
-        seed: int = 0x5EED,
-    ) -> None:
-        _warn_deprecated("BloomRFPolicy", "SpecPolicy('bloomrf', ...)")
-        if basic:
-            super().__init__(
-                "bloomrf-basic", bits_per_key=bits_per_key, seed=seed
-            )
-        else:
-            super().__init__(
-                "bloomrf",
-                bits_per_key=bits_per_key,
-                max_range=max_range,
-                seed=seed,
-            )
-
-
-class BloomPolicy(SpecPolicy):
-    """Deprecated: use ``SpecPolicy("bloom", ...)``."""
-
-    def __init__(self, bits_per_key: float, seed: int = 0xB10F) -> None:
-        _warn_deprecated("BloomPolicy", "SpecPolicy('bloom', ...)")
-        super().__init__("bloom", bits_per_key=bits_per_key, seed=seed)
-
-
-class PrefixBloomPolicy(SpecPolicy):
-    """Deprecated: use ``SpecPolicy("prefix-bloom", ...)``."""
-
-    def __init__(
-        self, bits_per_key: float, expected_range: int, seed: int = 0x9F1
-    ) -> None:
-        _warn_deprecated("PrefixBloomPolicy", "SpecPolicy('prefix-bloom', ...)")
-        super().__init__(
-            "prefix-bloom",
-            bits_per_key=bits_per_key,
-            expected_range=expected_range,
-            seed=seed,
-        )
-
-
-class RosettaPolicy(SpecPolicy):
-    """Deprecated: use ``SpecPolicy("rosetta", ...)``."""
-
-    def __init__(
-        self, bits_per_key: float, max_range: int, seed: int = 0x0E77A
-    ) -> None:
-        _warn_deprecated("RosettaPolicy", "SpecPolicy('rosetta', ...)")
-        super().__init__(
-            "rosetta",
-            bits_per_key=bits_per_key,
-            max_range=max_range,
-            seed=seed,
-        )
-
-
-class SuRFPolicy(SpecPolicy):
-    """Deprecated: use ``SpecPolicy("surf", ...)``."""
-
-    def __init__(
-        self,
-        bits_per_key: float,
-        suffix_mode: str = "real",
-        seed: int = 0x50F1,
-    ) -> None:
-        _warn_deprecated("SuRFPolicy", "SpecPolicy('surf', ...)")
-        super().__init__(
-            "surf",
-            bits_per_key=bits_per_key,
-            suffix_mode=suffix_mode,
-            seed=seed,
-        )
-
-
-class NoFilterPolicy(SpecPolicy):
-    """Deprecated: use ``SpecPolicy("none")``."""
-
-    def __init__(self) -> None:
-        _warn_deprecated("NoFilterPolicy", "SpecPolicy('none')")
-        super().__init__("none")
 
 
 # ----------------------------------------------------------------------
@@ -357,8 +211,7 @@ def handle_from_bytes(data: bytes) -> FilterHandle:
     Dispatches through the :mod:`repro.api` registry, so one loader serves
     every registered kind — the reader side of RocksDB's ``FilterPolicy``
     contract where a block is handed back as raw bytes and must answer
-    probes again.  A sharded block owns a worker pool: call ``close()`` on
-    the handle (or use it as a context manager) when done.
+    probes again.
     """
     return wrap_filter(filter_from_bytes(data))
 

@@ -1,10 +1,11 @@
 """ShardedLsmDB — a shard-aware LSM engine: N per-shard stores, one API.
 
-The scale-out counterpart of :class:`~repro.shard.ShardedBloomRF` one layer
-up: instead of sharding a single filter, the whole LSM engine is partitioned
-into N independent :class:`~repro.lsm.db.LsmDB` instances — each with its own
-memtable, SSTable set, filter blocks, and :class:`~repro.lsm.iostats.IOStats`
-— behind the batch API of the unsharded store.  Batches are partitioned and
+The package's one sharding layer: instead of sharding a single filter, the
+whole LSM engine is partitioned into N independent
+:class:`~repro.lsm.db.LsmDB` instances — each with its own memtable, SSTable
+set, per-run filter blocks (each built from its own run's keys), and
+:class:`~repro.lsm.iostats.IOStats` — behind the batch API of the unsharded
+store.  Batches are partitioned and
 dispatched through the shared layer in :mod:`repro.parallel` and the answers
 are scattered back into input order, so callers cannot tell the difference
 (the exactness-ladder tests pin this down).
@@ -39,7 +40,7 @@ answers are OR-ed; with ``"range"`` dispatch a query is clipped to its
 overlapping shards only, so narrow scans touch one shard.
 
 Lifecycle: use as a context manager (or call :meth:`close`) to release the
-worker pool deterministically, exactly like :class:`ShardedBloomRF`.
+worker pool deterministically.
 """
 
 from __future__ import annotations

@@ -67,9 +67,8 @@ class SSTable:
         )
         start = time.perf_counter()
         if prebuilt_filter is not None:
-            # Compaction hands over a merged (word-unioned) filter block: it
-            # indexes a superset of ``keys``, so soundness is preserved and
-            # no key is re-hashed.  Build time only covers the hand-off.
+            # A store reopen hands over the block it just deserialized from
+            # this run's own file; no key is re-hashed.
             self.filter: FilterHandle = prebuilt_filter
         else:
             self.filter = policy.build(keys)

@@ -1,13 +1,12 @@
-"""Reusable partition/dispatch layer for sharded execution.
+"""Partition/dispatch layer for sharded execution.
 
-Both scale-out structures in this package — :class:`repro.shard.ShardedBloomRF`
-(N same-config filter shards) and :class:`repro.lsm.sharded.ShardedLsmDB`
-(N per-shard LSM engines) — do the same three things: decide which shard owns
-each key of a batch, dispatch per-shard sub-batches through a worker pool,
-and scatter the per-shard answers back into input order.  This module holds
-that machinery once, so the dispatch function, the executor lifecycle, and
-the regrouping helpers stay identical across both (Bloofi makes the same
-move: many filters behind one dispatch/merge layer).
+The package's one sharding layer, :class:`repro.lsm.sharded.ShardedLsmDB`
+(N per-shard LSM engines, each with its own runs and per-run filters),
+does three things with every batch: decide which shard owns each key,
+dispatch per-shard sub-batches through a worker pool, and scatter the
+per-shard answers back into input order.  This module holds that
+machinery (Bloofi makes the same move: many filters behind one dispatch
+layer); the background compaction scheduler reuses its :class:`ShardPool`.
 
 Partitioners
 ------------
@@ -25,8 +24,8 @@ Executor
 --------
 :class:`ShardPool` wraps a lazily created ``ThreadPoolExecutor`` behind an
 explicit lifecycle: it is a context manager with an idempotent
-:meth:`~ShardPool.close` — create many sharded structures in a benchmark
-loop and no worker threads leak.  Single-job batches run inline (no pool
+:meth:`~ShardPool.close` — open many sharded stores in a benchmark loop
+and no worker threads leak.  Single-job batches run inline (no pool
 round-trip for the common narrow-query case), and the per-shard work units
 are expected to be GIL-releasing NumPy sweeps so shards genuinely overlap
 on multi-core hosts.

@@ -5,9 +5,9 @@ block*: a self-describing byte string the DB can write at flush time and
 deserialize on read.  This module defines that format once for the whole
 package — a single framed layout shared by :class:`~repro.core.bloomrf.BloomRF`,
 every baseline filter (Bloom, Prefix-Bloom, Rosetta, SuRF, Cuckoo, and the
-"none" placeholder), :class:`~repro.shard.ShardedBloomRF` shard sets, and
-the on-disk store artifacts of :mod:`repro.lsm.store` (``KIND_SSTABLE``
-run files and ``KIND_STORE`` manifests) — so every serialized artifact
+"none" placeholder), and the on-disk store artifacts of
+:mod:`repro.lsm.store` (``KIND_SSTABLE`` run files and ``KIND_STORE``
+manifests) — so every serialized artifact
 starts with the same versioned magic and fails loudly (never silently
 mis-answers) on corruption or version skew.  All frame-level failures
 raise :class:`SerialError` (a :class:`ValueError` subclass) whose message
@@ -53,7 +53,9 @@ This module is part of the typed beachhead (``mypy --strict`` in CI), and
 ``repro lint`` enforces its contracts package-wide: every
 :class:`SerialError` raised at an I/O boundary must name the offending
 file, and every ``KIND_*`` constant must have a registered reader
-(``serial-discipline``).
+(``serial-discipline``) — except the kinds in :data:`RETIRED_KINDS`,
+whose writer is gone: their values stay reserved, and reading one raises a
+:class:`SerialError` that names the retired kind.
 """
 
 from __future__ import annotations
@@ -91,6 +93,7 @@ __all__ = [
     "KIND_STORE",
     "KIND_WAL",
     "KIND_NAMES",
+    "RETIRED_KINDS",
     "pack_frame",
     "unpack_frame",
     "unpack_frame_prefix",
@@ -117,6 +120,13 @@ KIND_NONE = 8
 KIND_SSTABLE = 9
 KIND_STORE = 10
 KIND_WAL = 11
+
+#: Kinds that are no longer written or read.  Each keeps its value (and its
+#: KIND_NAMES entry) so no later kind reuses the byte and a reader can name
+#: what an old file holds; :func:`pack_frame` refuses to write them.
+#: ``sharded-bloomrf`` shard sets went with the filter-level sharding layer
+#: (shard the store with ``ShardedLsmDB`` instead).
+RETIRED_KINDS = frozenset({KIND_SHARDED_BLOOMRF})
 
 KIND_NAMES = {
     KIND_BLOOMRF: "bloomrf",
@@ -151,6 +161,10 @@ def pack_frame(
     """Assemble one frame: magic, version, kind, JSON header, payloads."""
     if kind not in KIND_NAMES:
         raise SerialError(f"unknown serialization kind {kind}")
+    if kind in RETIRED_KINDS:
+        raise SerialError(
+            f"serialization kind {kind} ({KIND_NAMES[kind]!r}) is retired"
+        )
     if version not in _SUPPORTED_VERSIONS:
         raise SerialError(f"unsupported filter format version {version}")
     header_bytes = json.dumps(header, separators=(",", ":")).encode()
@@ -426,8 +440,8 @@ def load_filter(data: bytes) -> object:
     """Reconstruct whatever filter a frame holds, dispatching on its kind.
 
     Dispatch goes through the :mod:`repro.api` registry, so every
-    registered kind — core bloomRF, every baseline, sharded sets — loads
-    through this one entry point.
+    registered kind — core bloomRF and every baseline — loads through this
+    one entry point.
     """
     from repro.api import filter_from_bytes
 

@@ -27,10 +27,15 @@ READER_FIXTURE = """
 """
 
 
-def _modules(tmp_path, with_reader=True):
+RETIRED_FIXTURE = SERIAL_FIXTURE + """
+    RETIRED_KINDS = frozenset({KIND_C})
+"""
+
+
+def _modules(tmp_path, with_reader=True, serial_source=SERIAL_FIXTURE):
     serial_path = tmp_path / "repro" / "serial.py"
     serial_path.parent.mkdir(parents=True, exist_ok=True)
-    serial_path.write_text(textwrap.dedent(SERIAL_FIXTURE))
+    serial_path.write_text(textwrap.dedent(serial_source))
     paths = [serial_path]
     if with_reader:
         reader = tmp_path / "repro" / "reader.py"
@@ -91,6 +96,30 @@ def test_constant_without_any_reader_is_flagged(tmp_path):
     assert any(
         "KIND_C has no reader" in f.message for f in findings
     )
+
+
+def test_retired_kind_needs_no_reader(tmp_path):
+    rule, serial, constants, values, modules = _modules(
+        tmp_path, with_reader=False, serial_source=RETIRED_FIXTURE
+    )
+    registry = {"alpha": _entry(1), "beta": _entry(2)}
+    findings = list(
+        rule.registry_findings(serial, constants, values, modules, registry)
+    )
+    assert findings == []
+
+
+def test_retired_kind_with_a_loader_is_flagged(tmp_path):
+    rule, serial, constants, values, modules = _modules(
+        tmp_path, with_reader=False, serial_source=RETIRED_FIXTURE
+    )
+    registry = {"alpha": _entry(1), "beta": _entry(2), "gamma": _entry(3)}
+    findings = list(
+        rule.registry_findings(serial, constants, values, modules, registry)
+    )
+    assert [f.message for f in findings] == [
+        "KIND_C is retired but filter kind(s) ['gamma'] still load it"
+    ]
 
 
 def test_entries_without_serial_kind_are_ignored(tmp_path):

@@ -39,6 +39,6 @@ def test_quick_mode_batch_beats_scalar(tmp_path):
     result = json.loads(out.read_text())
     assert result["bit_identical"] is True
     assert result["accounting_identical"] is True
-    assert result["sharded_sound"] is True
+    assert result["filter_identical"] is True
     assert result["batch_qps"] >= result["scalar_qps"]
     assert result["mode"] == "quick"

@@ -16,14 +16,18 @@ Three layers of coverage:
   stores fed the identical operations, across engines (in-memory,
   sharded, persistent), and a manual :meth:`compact` racing a background
   merge supersedes it cleanly (the background commit aborts).
+* **Filter sizing** — a merged run's filter is built for the run's own
+  keys, so bits/key and point FPR stay at the spec's after many merges.
 """
 
+import math
 import threading
 
 import numpy as np
 import pytest
 
-from repro.api import FilterSpec, open_store
+from repro.api import FilterSpec, make_filter, open_store, standard_spec
+from repro.core.model import extended_fpr_profile
 from repro.lsm.compaction import (
     COMPACTION_POLICIES,
     CompactionScheduler,
@@ -421,3 +425,40 @@ def test_compaction_info_reports_layout_and_pending():
     assert info["pending"] is False  # manual stores never auto-trigger
     assert sum(entry["runs"] for entry in info["levels"]) == 3
     db.close()
+
+
+def test_merged_runs_keep_the_specs_bits_per_key_across_reopen(tmp_path):
+    """Every run's filter is built for that run's keys: after several
+    size-tiered merges and a reopen, each run carries the config the spec
+    gives for its key count (bits/key at the spec's 14, up to word
+    rounding), and its point FPR on absent keys stays in the band the
+    Sect. 7 model predicts for that config."""
+    spec = standard_spec("bloomrf", bits_per_key=14, max_range=1 << 20)
+    rng = np.random.default_rng(5)
+    keys = rng.integers(0, 1 << 63, 4_096, dtype=np.uint64)
+    with open_store(
+        tmp_path / "db",
+        filter=spec,
+        memtable_capacity=512,
+        wal_sync="off",
+        compaction={"policy": "size-tiered", "min_runs": 2},
+    ) as db:
+        for i, batch in enumerate(np.array_split(keys, 16)):
+            db.put_many(batch)
+            if i % 4 == 3:
+                db.delete_many(batch[:16])
+            db.drain_compaction()
+        assert db.compaction_info()["scheduler"]["merges"] >= 3
+    absent = rng.integers(0, 1 << 63, 20_000, dtype=np.uint64)
+    absent = absent[~np.isin(absent, keys)]
+    with open_store(tmp_path / "db") as db:
+        assert max(sst.num_keys for sst in db.sstables) > 2 * 512  # merged
+        assert db.filter_bits_per_key() == pytest.approx(14, rel=0.01)
+        for sst in db.sstables:
+            config = make_filter(spec, n_keys=sst.num_keys).config
+            assert sst.filter._filter.config == config
+            assert sst.filter.size_bits / sst.num_keys == pytest.approx(14, rel=0.01)
+            predicted = extended_fpr_profile(config, sst.num_keys).point_fpr
+            observed = float(np.mean(sst.filter.probe_point_many(absent)))
+            slack = 4 * math.sqrt(predicted / absent.size)  # binomial noise
+            assert observed <= 2.5 * predicted + slack, (sst.num_keys, observed)

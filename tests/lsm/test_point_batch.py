@@ -3,8 +3,8 @@
 The batch paths must be *indistinguishable* from the scalar ones: identical
 answers, identical filter-probe counts and outcome classification, identical
 block-read/I/O-wait charges — asserted here across every filter policy and
-against a hypothesis-driven reference model.  Union-based compaction
-(``merge_handles`` + prebuilt filter blocks) is covered at the bottom.
+against a hypothesis-driven reference model.  The compacted run's filter
+(rebuilt from the merged keys) is covered at the bottom.
 """
 
 import numpy as np
@@ -230,7 +230,7 @@ class TestSSTablePointBatch:
         assert stats.filter_probes == 0
 
 
-class TestUnionCompaction:
+class TestCompactionFilterRebuild:
     def equal_run_db(self, policy, runs=4, per_run=1_500):
         """Equal-sized flushes produce same-config filter blocks."""
         db = LsmDB(policy=policy, store_values=True)
@@ -249,32 +249,27 @@ class TestUnionCompaction:
         [SpecPolicy("bloomrf", bits_per_key=16), SpecPolicy("bloom", bits_per_key=14)],
         ids=["bloomrf", "bloom"],
     )
-    def test_compact_unions_same_config_blocks(self, policy):
+    def test_compacted_filter_equals_fresh_build(self, policy):
+        """The merged run's filter is exactly ``policy.build`` over its keys
+        — sized for all of them, not the operands' word union (which keeps
+        one operand's bit count: a Bloom union of four runs sat at fill
+        0.924)."""
         db, keys = self.equal_run_db(policy)
-        handles = [sst.filter for sst in db.sstables]
-        merged = policy.merge_handles(handles)
-        assert merged is not None
         db.compact()
         assert len(db.sstables) == 1
-        # The compacted run carries the union: same storage words as
-        # merging the pre-compaction blocks.
+        merged = db.sstables[0]
+        assert np.array_equal(merged.keys, keys)
+        fresh = policy.build(keys)
+        assert merged.filter.size_bits == fresh.size_bits
         assert np.array_equal(
-            db.sstables[0].filter._filter._bits.words,
-            merged._filter._bits.words,
+            merged.filter._filter._bits.words, fresh._filter._bits.words
         )
-        # And stays sound for every live key.
         assert db.get_many(keys[:2_000]).all()
 
-    def test_merge_handles_refuses_mixed_configs(self):
-        policy = SpecPolicy("bloomrf", bits_per_key=16)
-        a = policy.build(np.arange(1_000, dtype=np.uint64))
-        b = policy.build(np.arange(2_000, dtype=np.uint64))  # different n -> config
-        assert policy.merge_handles([a, b]) is None
-
-    def test_compact_falls_back_to_rebuild_on_mixed_runs(self):
+    def test_compact_rebuilds_from_mixed_runs(self):
         db = LsmDB(policy=SpecPolicy("bloomrf", bits_per_key=16), store_values=True)
         rng = np.random.default_rng(43)
-        # Unequal run sizes -> differently tuned configs -> rebuild path.
+        # Unequal run sizes -> differently tuned configs.
         for size in (500, 1_500):
             for key in np.unique(
                 rng.integers(0, 1 << 40, size, dtype=np.uint64)

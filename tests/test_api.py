@@ -6,9 +6,8 @@ The acceptance ladder for the API redesign:
   protocol and passes the same conformance + serialization round-trip
   suite (Hypothesis: build -> insert -> ``to_bytes`` -> ``from_bytes``
   answers point and range batches bit-identically);
-* ``SpecPolicy`` answers and IOStats are bit-identical to the
-  pre-redesign per-filter policy classes (which remain importable as
-  deprecated aliases);
+* ``SpecPolicy`` drives a store straight from a spec and rehydrates any
+  kind's filter block;
 * ``open_store`` returns the engines behind one ``Store`` interface with
   answers identical to direct construction.
 """
@@ -33,15 +32,7 @@ from repro.api import (
     standard_spec,
 )
 from repro.lsm import LsmDB, ShardedLsmDB, SpecPolicy
-from repro.lsm.filter_policy import (
-    BloomPolicy,
-    BloomRFPolicy,
-    NoFilterPolicy,
-    PrefixBloomPolicy,
-    RosettaPolicy,
-    SuRFPolicy,
-)
-from repro.shard import ShardedBloomRF
+from repro.serial import KIND_NONE, KIND_SHARDED_BLOOMRF, SerialError
 
 U64 = (1 << 64) - 1
 
@@ -102,11 +93,15 @@ class TestRegistry:
                 FilterSpec("bloomrf", {"wat": 1}), n_keys=10
             )
 
-    def test_load_only_kind_rejected(self):
-        with pytest.raises(ValueError, match="load-only"):
-            make_filter(FilterSpec("sharded-bloomrf"))
-        with pytest.raises(ValueError):
-            SpecPolicy("sharded-bloomrf")
+    def test_retired_sharded_kind_is_refused_by_name(self):
+        """A kind-3 frame (the retired sharded-bloomrf shard set) raises a
+        SerialError naming the kind instead of an "unknown kind" error."""
+        frame = bytearray(NullFilter().to_bytes())
+        assert frame[6:8] == KIND_NONE.to_bytes(2, "little")
+        frame[6:8] = KIND_SHARDED_BLOOMRF.to_bytes(2, "little")
+        with pytest.raises(SerialError, match="'sharded-bloomrf'.*retired"):
+            filter_from_bytes(bytes(frame))
+        assert "sharded-bloomrf" not in available_kinds()
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -228,60 +223,9 @@ def test_registry_serialization_ladder(kind, keys, bits_per_key, seed):
 
 
 # ----------------------------------------------------------------------
-# SpecPolicy: bit-identical to the pre-redesign policy classes
+# SpecPolicy: spec-driven stores and filter-block round trips
 # ----------------------------------------------------------------------
-def _drive(db: LsmDB, keys: np.ndarray):
-    db.put_many(keys)
-    db.flush()
-    points = np.concatenate(
-        [keys[::3], np.arange(1, 5_000, 13, dtype=np.uint64)]
-    )
-    lo = np.arange(0, 60_000, 577, dtype=np.uint64)
-    bounds = np.stack([lo, lo + np.uint64(200)], axis=1)
-    got = db.get_many(points)
-    scanned = db.scan_nonempty_many(bounds)
-    return got, scanned, db.stats.counters()
-
-
 class TestSpecPolicyEquivalence:
-    @pytest.mark.parametrize(
-        "kind,params",
-        [
-            ("bloomrf", {"bits_per_key": 14, "max_range": 1 << 16}),
-            ("bloomrf-basic", {"bits_per_key": 14}),
-            ("bloom", {"bits_per_key": 14}),
-            ("prefix-bloom", {"bits_per_key": 14, "expected_range": 1 << 8}),
-            ("rosetta", {"bits_per_key": 14, "max_range": 1 << 10}),
-            ("surf", {"bits_per_key": 14}),
-            ("none", {}),
-        ],
-    )
-    def test_store_answers_and_iostats_match_old_policies(self, kind, params):
-        """SpecPolicy == deprecated policy class, answers and accounting."""
-        legacy_ctor = {
-            "bloomrf": lambda: BloomRFPolicy(
-                bits_per_key=14, max_range=1 << 16
-            ),
-            "bloomrf-basic": lambda: BloomRFPolicy(bits_per_key=14, basic=True),
-            "bloom": lambda: BloomPolicy(bits_per_key=14),
-            "prefix-bloom": lambda: PrefixBloomPolicy(
-                bits_per_key=14, expected_range=1 << 8
-            ),
-            "rosetta": lambda: RosettaPolicy(bits_per_key=14, max_range=1 << 10),
-            "surf": lambda: SuRFPolicy(bits_per_key=14),
-            "none": lambda: NoFilterPolicy(),
-        }[kind]
-        rng = np.random.default_rng(41)
-        keys = rng.integers(0, 50_000, 4_000, dtype=np.uint64)
-        new_db = LsmDB(policy=SpecPolicy(kind, **params), memtable_capacity=512)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            old_db = LsmDB(policy=legacy_ctor(), memtable_capacity=512)
-        new_got, new_scanned, new_stats = _drive(new_db, keys)
-        old_got, old_scanned, old_stats = _drive(old_db, keys)
-        assert np.array_equal(new_got, old_got)
-        assert np.array_equal(new_scanned, old_scanned)
-        assert new_stats == old_stats
-
     def test_lsmdb_accepts_filterspec_directly(self):
         spec = FilterSpec("bloomrf", {"bits_per_key": 14, "max_range": 1 << 12})
         db = LsmDB(policy=spec)
@@ -292,26 +236,6 @@ class TestSpecPolicyEquivalence:
         db.flush()
         assert db.get_many(keys[:100]).all()
 
-    def test_merge_handles_unions_same_config_blocks(self):
-        policy = SpecPolicy("bloomrf", bits_per_key=14, max_range=1 << 10)
-        a = policy.build(np.arange(0, 500, dtype=np.uint64))
-        b = policy.build(np.arange(500, 1_000, dtype=np.uint64))
-        merged = policy.merge_handles([a, b])
-        assert merged is not None
-        assert merged.probe_point_many(
-            np.arange(0, 1_000, 7, dtype=np.uint64)
-        ).all()
-        # Different geometry (different key counts tune differently) or a
-        # kind without word-level union -> None, caller rebuilds.
-        c = policy.build(np.arange(0, 50_000, dtype=np.uint64))
-        assert policy.merge_handles([a, c]) is None
-        surf_policy = SpecPolicy("surf", bits_per_key=14)
-        handles = [
-            surf_policy.build(np.arange(100, dtype=np.uint64)),
-            surf_policy.build(np.arange(100, 200, dtype=np.uint64)),
-        ]
-        assert surf_policy.merge_handles(handles) is None
-
     def test_deserialize_round_trips_any_kind(self):
         for kind in ("bloomrf", "rosetta", "surf", "cuckoo", "prefix-bloom"):
             policy = SpecPolicy(standard_spec(kind, bits_per_key=14))
@@ -321,39 +245,6 @@ class TestSpecPolicyEquivalence:
             assert np.array_equal(
                 restored.probe_point_many(keys), handle.probe_point_many(keys)
             )
-
-
-# ----------------------------------------------------------------------
-# deprecated policy aliases: warn, but behave identically
-# ----------------------------------------------------------------------
-class TestDeprecatedAliases:
-    @pytest.mark.parametrize(
-        "ctor,kind",
-        [
-            (lambda: BloomRFPolicy(bits_per_key=16, max_range=1 << 16), "bloomrf"),
-            (lambda: BloomRFPolicy(bits_per_key=16, basic=True), "bloomrf-basic"),
-            (lambda: BloomPolicy(bits_per_key=16), "bloom"),
-            (lambda: PrefixBloomPolicy(bits_per_key=16, expected_range=256),
-             "prefix-bloom"),
-            (lambda: RosettaPolicy(bits_per_key=16, max_range=1 << 10), "rosetta"),
-            (lambda: SuRFPolicy(bits_per_key=16), "surf"),
-            (lambda: NoFilterPolicy(), "none"),
-        ],
-    )
-    def test_warns_and_is_a_specpolicy(self, ctor, kind):
-        with pytest.warns(DeprecationWarning, match="deprecated.*SpecPolicy"):
-            policy = ctor()
-        assert isinstance(policy, SpecPolicy)
-        assert policy.spec.kind == kind
-
-    def test_alias_builds_identical_filter_blocks(self):
-        keys = np.arange(0, 2_000, 2, dtype=np.uint64)
-        with pytest.warns(DeprecationWarning):
-            old = BloomRFPolicy(bits_per_key=16, max_range=1 << 16).build(keys)
-        new = SpecPolicy(
-            "bloomrf", bits_per_key=16, max_range=1 << 16
-        ).build(keys)
-        assert old.serialize() == new.serialize()  # words, bit for bit
 
 
 # ----------------------------------------------------------------------
@@ -431,52 +322,6 @@ class TestOpenStore:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):
             open_store(shards=0)
-
-
-# ----------------------------------------------------------------------
-# ShardedBloomRF.from_spec (spec-driven shard sets, per-shard sizing)
-# ----------------------------------------------------------------------
-class TestShardedFromSpec:
-    def test_total_sizing_reproduces_from_keys(self):
-        keys = np.arange(0, 60_000, 20, dtype=np.uint64)
-        spec = FilterSpec("bloomrf", {"bits_per_key": 14, "max_range": 1 << 16})
-        with ShardedBloomRF.from_spec(
-            spec, num_shards=3, partition="range", n_keys=keys.size
-        ) as sharded:
-            sharded.insert_many(keys)
-            with ShardedBloomRF.from_keys(
-                keys,
-                num_shards=3,
-                partition="range",
-                bits_per_key=14,
-                max_range=1 << 16,
-            ) as reference:
-                assert sharded.config == reference.config
-                assert sharded.merge()._bits == reference.merge()._bits
-
-    def test_per_shard_sizing_shrinks_the_config(self):
-        spec = FilterSpec("bloomrf", {"bits_per_key": 14, "max_range": 1 << 16})
-        with ShardedBloomRF.from_spec(
-            spec, num_shards=4, n_keys=40_000
-        ) as total, ShardedBloomRF.from_spec(
-            spec, num_shards=4, n_keys=40_000, per_shard_sizing=True
-        ) as per_shard:
-            assert per_shard.size_bits < total.size_bits
-            # All shards still share one config: dispatch + merge work.
-            keys = np.arange(0, 40_000, dtype=np.uint64)
-            per_shard.insert_many(keys)
-            assert per_shard.contains_point_many(keys[:500]).all()
-            assert per_shard.merge().contains_point(100)
-
-    def test_rejects_non_bloomrf_kinds(self):
-        with pytest.raises(TypeError, match="bloomRF"):
-            ShardedBloomRF.from_spec(
-                FilterSpec("bloom", {"bits_per_key": 12}), num_shards=2, n_keys=100
-            )
-
-    def test_needs_n_keys(self):
-        with pytest.raises(ValueError, match="n_keys"):
-            ShardedBloomRF.from_spec(FilterSpec("bloomrf"), num_shards=2)
 
 
 # ----------------------------------------------------------------------

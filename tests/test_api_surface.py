@@ -22,7 +22,6 @@ REPRO_ALL = [
     "MultiAttributeBloomRF",
     "NullFilter",
     "RangeFilter",
-    "ShardedBloomRF",
     "ShardedLsmDB",
     "SpecPolicy",
     "Store",
@@ -53,7 +52,6 @@ API_ALL = [
     "available_kinds",
     "filter_from_bytes",
     "make_filter",
-    "merge_filters",
     "open_store",
     "register_filter",
     "standard_spec",
@@ -76,6 +74,7 @@ SERIAL_ALL = [
     "KIND_STORE",
     "KIND_WAL",
     "KIND_NAMES",
+    "RETIRED_KINDS",
     "pack_frame",
     "unpack_frame",
     "unpack_frame_prefix",

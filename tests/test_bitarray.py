@@ -68,6 +68,41 @@ class TestVectorizedBits:
         ba.set_bits(np.array([7, 7, 7], dtype=np.uint64))
         assert ba.count_ones() == 1
 
+    @pytest.mark.parametrize(
+        "count,spread",
+        # spread = bits per position: 8 takes the packed dense path,
+        # 5_000 the per-element OR.
+        [(0, 8), (1, 8), (40, 8), (4_000, 8), (60_000, 8), (3, 5_000), (90, 5_000)],
+    )
+    def test_dense_and_sparse_batches_match_word_or(self, count, spread):
+        """set_bits packs dense batches and ORs sparse ones per element;
+        both must equal the plain per-word OR of every position."""
+        rng = np.random.default_rng(count)
+        ba = BitArray(1_000_000)
+        ba.set_bit(12_345)  # existing bits survive the OR
+        positions = rng.integers(
+            20_000, 20_000 + spread * count + 1, count, dtype=np.uint64
+        )
+        expected = ba.words.copy()
+        np.bitwise_or.at(
+            expected,
+            positions >> np.uint64(6),
+            np.uint64(1) << (positions & np.uint64(63)),
+        )
+        ba.set_bits(positions)
+        assert np.array_equal(ba.words, expected)
+
+    @pytest.mark.parametrize("count", [1, 5_000])
+    def test_out_of_range_position_raises(self, count):
+        ba = BitArray(1_000)  # 16 words: positions 0..1023 are stored
+        positions = np.zeros(count, dtype=np.uint64)
+        positions[-1] = 1_024
+        with pytest.raises(IndexError):
+            ba.set_bits(positions)
+        assert ba.count_ones() == 0
+        ba.set_bits(np.array([1_023], dtype=np.uint64))  # padding bit: fine
+        assert ba.test_bit(1_023)
+
 
 class TestFields:
     def test_read_field_aligned(self):

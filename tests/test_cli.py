@@ -65,19 +65,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "keys inserted: 500" in out
 
-    def test_build_and_inspect_sharded(self, tmp_path, capsys):
-        keyfile = tmp_path / "keys.txt"
-        keyfile.write_text("\n".join(str(k) for k in range(0, 120_000, 40)))
+    def test_inspect_refuses_retired_sharded_frame(self, tmp_path, capsys):
+        from repro import serial
+
+        blob = serial.pack_frame(serial.KIND_NONE, {"num_keys": 0})
         output = tmp_path / "sharded.brf"
-        assert main(
-            ["build", str(keyfile), str(output), "--shards", "4",
-             "--partition", "range"]
-        ) == 0
-        assert main(["inspect", str(output)]) == 0
+        output.write_bytes(
+            blob[:6] + serial.KIND_SHARDED_BLOOMRF.to_bytes(2, "little") + blob[8:]
+        )
+        assert main(["inspect", str(output)]) == 2
         out = capsys.readouterr().out
-        assert "kind: sharded-bloomrf" in out
-        assert "shards: 4 (range partition)" in out
-        assert "keys inserted: 3000" in out
+        assert f"cannot inspect {output}" in out
+        assert "'sharded-bloomrf') is retired" in out
 
     def test_build_and_inspect_bloom(self, tmp_path, capsys):
         keyfile = tmp_path / "keys.txt"
@@ -99,15 +98,13 @@ class TestCommands:
         ) == 2
         assert "cannot serialize" in capsys.readouterr().out
 
-    def test_build_rejects_bad_shard_combinations(self, tmp_path):
-        keyfile = tmp_path / "keys.txt"
-        keyfile.write_text("1\n2\n")
-        out = tmp_path / "f.brf"
-        assert main(["build", str(keyfile), str(out), "--shards", "0"]) == 2
-        assert main(
-            ["build", str(keyfile), str(out), "--filter", "bloom",
-             "--shards", "2"]
-        ) == 2
+    @pytest.mark.parametrize("option", ["--shards", "--partition"])
+    def test_build_has_no_shard_options(self, tmp_path, option, capsys):
+        # Filters are built one per run; the store is what shards.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["build", "keys.txt", str(tmp_path / "f.brf"), option, "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_inspect_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"

@@ -21,7 +21,6 @@ from repro.lsm.filter_policy import (
     load_handle,
     save_handle,
 )
-from repro.shard import ShardedBloomRF
 
 U64 = (1 << 64) - 1
 
@@ -123,56 +122,29 @@ class TestBloomRoundTrip:
         assert restored.contains_point_many(probes).all()
 
 
-class TestShardedRoundTrip:
+class TestRetiredKinds:
+    """Kind 3 held ``sharded-bloomrf`` shard sets, whose writer is gone."""
+
     @pytest.fixture(scope="class")
-    def sharded(self):
-        keys = np.random.default_rng(77).integers(
-            0, 1 << 64, 4_000, dtype=np.uint64
-        )
-        sharded = ShardedBloomRF.from_keys(
-            keys, num_shards=3, partition="range", bits_per_key=14
-        )
-        yield sharded, keys
-        sharded.close()
+    def kind3_frame(self):
+        blob = serial.pack_frame(serial.KIND_NONE, {"num_keys": 0})
+        return blob[:6] + serial.KIND_SHARDED_BLOOMRF.to_bytes(2, "little") + blob[8:]
 
-    def test_blob_round_trip_is_bit_exact(self, sharded):
-        sharded, keys = sharded
-        with ShardedBloomRF.from_bytes(sharded.to_bytes()) as restored:
-            assert restored.num_shards == sharded.num_shards
-            assert restored.partition == sharded.partition
-            assert restored.config == sharded.config
-            for a, b in zip(restored.shards, sharded.shards, strict=True):
-                assert a._bits == b._bits
-                assert a.num_keys == b.num_keys
-            assert restored.contains_point_many(keys[:500]).all()
-            # The merge-compatibility bridge survives the round trip.
-            assert restored.merge()._bits == sharded.merge()._bits
+    def test_value_stays_reserved(self):
+        assert serial.KIND_SHARDED_BLOOMRF == 3
+        assert serial.RETIRED_KINDS == {serial.KIND_SHARDED_BLOOMRF}
+        assert serial.KIND_NAMES[3] == "sharded-bloomrf"
 
-    def test_manifest_round_trip_is_bit_exact(self, sharded, tmp_path):
-        sharded, keys = sharded
-        manifest = sharded.save_manifest(tmp_path / "shards")
-        assert manifest.name == "MANIFEST.json"
-        assert len(list((tmp_path / "shards").glob("shard-*.brf"))) == 3
-        with ShardedBloomRF.load_manifest(tmp_path / "shards") as restored:
-            for a, b in zip(restored.shards, sharded.shards, strict=True):
-                assert a._bits == b._bits
-            assert restored.partition == sharded.partition
-            assert restored.contains_point_many(keys[:500]).all()
+    def test_pack_refuses_a_retired_kind(self):
+        with pytest.raises(serial.SerialError, match="'sharded-bloomrf'.*retired"):
+            serial.pack_frame(serial.KIND_SHARDED_BLOOMRF, {})
 
-    def test_manifest_version_mismatch_raises(self, sharded, tmp_path):
-        sharded, _ = sharded
-        sharded.save_manifest(tmp_path / "m")
-        manifest = tmp_path / "m" / "MANIFEST.json"
-        manifest.write_text(manifest.read_text().replace('"version": 1', '"version": 99'))
-        with pytest.raises(ValueError, match="version 99"):
-            ShardedBloomRF.load_manifest(tmp_path / "m")
-
-    def test_generic_dump_load_dispatch(self, sharded):
-        sharded, _ = sharded
-        blob = serial.dump_filter(sharded)
-        assert serial.peek_kind(blob) == serial.KIND_SHARDED_BLOOMRF
-        with serial.load_filter(blob) as restored:
-            assert isinstance(restored, ShardedBloomRF)
+    def test_load_names_the_retired_kind(self, kind3_frame):
+        assert serial.peek_kind(kind3_frame) == serial.KIND_SHARDED_BLOOMRF
+        with pytest.raises(serial.SerialError, match="'sharded-bloomrf'.*retired"):
+            serial.load_filter(kind3_frame)
+        with pytest.raises(serial.SerialError, match="'sharded-bloomrf'.*retired"):
+            handle_from_bytes(kind3_frame)
 
 
 class TestCorruptionCases:
@@ -280,16 +252,6 @@ class TestHandlePersistence:
         restored = load_handle(save_handle(handle, tmp_path / "bloom.brf"))
         assert restored.probe_point_many(keys).all()
         assert restored.serialize() == handle.serialize()
-
-    def test_sharded_handle_from_bytes(self):
-        keys = np.arange(0, 3_000, dtype=np.uint64)
-        with ShardedBloomRF.from_keys(keys, num_shards=2) as sharded:
-            blob = sharded.to_bytes()
-        with handle_from_bytes(blob) as handle:
-            assert handle.probe_point_many(keys[:200]).all()
-            assert handle.probe_range(100, 200)
-        # Close released the rehydrated shard set's worker pool.
-        assert not handle._filter._pool.is_open
 
     def test_none_policy_blocks_round_trip(self, tmp_path):
         # Since the repro.api registry, even the "none" kind persists (a
