@@ -9,20 +9,19 @@ for that deployment shape and guards their correctness:
 
 * **ingest** — bulk ``put_many`` into a fresh on-disk store (runs + filter
   blocks + manifest written at every memtable flush);
-* **reopen** — cold-open the directory: manifest parse + SST frame loads +
-  filter-block deserialization (never a rebuild);
+* **reopen** — cold-open the directory: manifest parse, every SST frame
+  mapped and CRC-checked, keys decoded into owned arrays, and filter
+  blocks CRC-checked and deserialized (never a rebuild);
 * **query** — the mixed read batch against the reopened store, asserted
   bit-identical (answers *and* IOStats counters) to an in-memory engine
   fed the same operations.
 
-Two further sections measure the zero-copy read tier:
+Two further sections measure the read tier:
 
 * **reopen curve** — values-bearing stores of growing size (run count held
-  at ~30), cold-opened eagerly vs with ``mmap=True``: eager reopen is
-  O(bytes) (read + CRC + copy every frame), mmap reopen is O(runs), so the
-  speedup grows with store size.  The top-size ``reopen_speedup`` is the
-  acceptance ratio; ``mmap_matches_eager`` pins both paths to identical
-  answers, counters, and values.
+  at ~30), cold-opened through the one reopen path.  Reopen reads every
+  byte once for the payload CRC, but value blobs stay mapped rather than
+  copied, so the curve shows the cost of that check as stores grow.
 * **codec sweep** — the same workload stored under each available codec
   (``none``/``zlib``, plus ``zstd`` when the extra is installed):
   disk bytes and shrink vs uncompressed, ingest rate, membership QPS, and
@@ -163,32 +162,27 @@ def bench_engine(
     return row
 
 
-def _timed_reopen(path: Path, *, mmap: bool, repeat: int = 3) -> float:
+def _timed_reopen(path: Path, repeat: int = 3) -> float:
     """Best-of-``repeat`` cold-open time (open + close between attempts)."""
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        db = open_store(path=path, mmap=mmap)
+        db = open_store(path=path)
         best = min(best, time.perf_counter() - start)
         db.close()
     return best
 
 
 def bench_reopen_curve(root: Path, quick: bool) -> dict:
-    """Reopen time vs store size, eager vs mmap, run count held at ~30.
+    """Reopen time vs store size, run count held at ~30.
 
-    The stores are uncompressed and values-bearing, so the eager path's
-    per-byte work (read, CRC, copy into fresh arrays) dominates while the
-    mmap path stays O(runs): map each frame, slice lazily.
+    The stores are uncompressed and values-bearing: reopen reads every
+    payload once for its CRC and decodes keys into owned arrays, while
+    the value blobs stay mapped.
     """
-    # Quick mode keeps the full-size top point: the eager/mmap speedup
-    # grows with store size, so the CI ratio gate must measure the same
-    # store the committed full run did (only intermediate points drop).
-    sizes = [15_000, 60_000] if quick else [7_500, 15_000, 30_000, 60_000]
+    sizes = [7_500, 15_000] if quick else [7_500, 15_000, 30_000, 60_000]
     rng = np.random.default_rng(61)
     rows = []
-    top_path = None
-    top_keys = None
     for n_keys in sizes:
         keys = rng.integers(0, 1 << 64, n_keys, dtype=np.uint64)
         path = root / f"curve-{n_keys}"
@@ -207,51 +201,19 @@ def bench_reopen_curve(root: Path, quick: bool) -> dict:
             else store.num_sstables
         )
         store.close()
-        eager_s = _timed_reopen(path, mmap=False)
-        mmap_s = _timed_reopen(path, mmap=True)
         rows.append(
             {
                 "n_keys": int(n_keys),
                 "num_runs": int(num_runs),
                 "disk_bytes": disk_usage(path),
-                "eager_reopen_seconds": eager_s,
-                "mmap_reopen_seconds": mmap_s,
-                "speedup": eager_s / mmap_s,
+                "reopen_seconds": _timed_reopen(path),
             }
         )
-        top_path, top_keys = path, keys
-
-    # Exactness at the top size: both reopen modes must answer the same
-    # query batch with identical results, counters, and value bytes.
-    points, bounds = build_queries(top_keys, 1_000, seed=63)
-    sample = top_keys[:: max(1, top_keys.size // 512)]
-    eager_db = open_store(path=top_path, mmap=False)
-    mmap_db = open_store(path=top_path, mmap=True)
-    try:
-        e_got, e_scanned, e_counters, _ = drive_queries(eager_db, points, bounds)
-        m_got, m_scanned, m_counters, _ = drive_queries(mmap_db, points, bounds)
-        matches = bool(
-            np.array_equal(e_got, m_got)
-            and np.array_equal(e_scanned, m_scanned)
-            and e_counters == m_counters
-            and all(
-                eager_db.get_value(int(key)) == mmap_db.get_value(int(key))
-                for key in sample
-            )
-        )
-    finally:
-        eager_db.close()
-        mmap_db.close()
-
-    return {
-        "mmap_matches_eager": matches,
-        "reopen_speedup": rows[-1]["speedup"],
-        "points": rows,
-    }
+    return {"points": rows}
 
 
 def bench_codec_sweep(root: Path, quick: bool) -> dict:
-    """One values-bearing workload per codec, queried through ``mmap=True``.
+    """One values-bearing workload per codec, queried after a reopen.
 
     ``disk_shrink`` is relative to the uncompressed store; the cold value
     pass decompresses blocks on demand, the warm pass re-reads the same
@@ -288,7 +250,7 @@ def bench_codec_sweep(root: Path, quick: bool) -> dict:
         store.close()
         disk_bytes = disk_usage(path)
 
-        db = open_store(path=path, mmap=True)
+        db = open_store(path=path)
         try:
             got, scanned, counters, query_s = drive_queries(db, points, bounds)
             start = time.perf_counter()
@@ -404,9 +366,8 @@ def main(argv: list[str] | None = None) -> int:
     top = curve["points"][-1]
     print(
         f"[store {result['mode']}] reopen curve @{top['n_keys']} keys / "
-        f"{top['num_runs']} runs: eager {top['eager_reopen_seconds'] * 1e3:.1f} "
-        f"ms vs mmap {top['mmap_reopen_seconds'] * 1e3:.1f} ms "
-        f"({curve['reopen_speedup']:.1f}x)"
+        f"{top['num_runs']} runs / {top['disk_bytes'] / 1e6:.1f} MB: "
+        f"{top['reopen_seconds'] * 1e3:.1f} ms"
     )
     for row in result["codec_sweep"]["codecs"]:
         print(
@@ -425,9 +386,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if not result["reopen_counters_identical"]:
         print("FAIL: reopened IOStats counters differ from the in-memory store")
-        return 1
-    if not curve["mmap_matches_eager"]:
-        print("FAIL: mmap reopen answers differ from the eager reopen")
         return 1
     if not result["codec_sweep"]["answers_match_none"]:
         print("FAIL: a compressed store answered differently than uncompressed")

@@ -14,11 +14,11 @@ workers merge similar-sized runs whenever a flush trips the policy, so
 the run count stays bounded under a sustained write burst without any
 foreground ``compact()`` call — and without changing a single answer.
 
-The last section opens a second store on the raw-speed read tier:
+The last section opens a second store on the compressed read tier:
 ``compression="zlib"`` writes every run as independently CRC'd
-compressed blocks (the codec rides in the manifest), ``mmap=True``
-maps frames instead of reading them, and hot value reads come out of
-the shared decompressed-block cache.
+compressed blocks (the codec rides in the manifest), reopen keeps the
+value blocks mapped and decodes them on demand, and hot value reads come
+out of the shared decompressed-block cache.
 
 Run: ``python examples/persistent_store.py``
 """
@@ -120,11 +120,12 @@ def main() -> None:
         assert not db.get(int(keys[2_000]))  # the delete survived too
 
     # ------------------------------------------------------------------
-    # 5. Raw-speed read tier: per-block compression + zero-copy mmap.
+    # 5. Compressed read tier: per-block compression + a block cache.
     #    The codec is persisted in the manifest (a reopen inherits it);
-    #    mmap and the block-cache budget are runtime knobs.  Answers and
-    #    probe counters stay bit-identical to the eager path — the knobs
-    #    only change how the same bytes reach the CPU.
+    #    the block-cache budget is a runtime knob.  Reopen checks every
+    #    run's checksum, loads keys and filters into memory, and leaves
+    #    the value blocks mapped; answers and probe counters stay
+    #    bit-identical to the uncompressed store.
     # ------------------------------------------------------------------
     zpath = root / "zdb"
     payload = b"status=ok method=GET path=/api/v1/items latency_ms=007 " * 4
@@ -138,7 +139,7 @@ def main() -> None:
     print(f"compressed store: {packed / 1024:.0f} KiB on disk "
           f"(uncompressed store above: {raw / 1024:.0f} KiB)")
 
-    with open_store(path=zpath, mmap=True) as db:   # frames mapped, not read
+    with open_store(path=zpath) as db:   # value blocks stay mapped
         assert db.get_value(int(keys[7])) == payload  # block decoded on demand
         for k in keys[:512]:
             db.get_value(int(k))        # cold: decompress + fill the cache

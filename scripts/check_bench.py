@@ -49,10 +49,9 @@ RATIO_GUARDS: dict[str, list[tuple[str, str]]] = {
     ],
     "shardedlsm": [],  # acceptance is boolean-only (exactness ladder)
     "store": [
-        # identity flags (reopen_bit_identical, mmap_matches_eager,
-        # answers_match_none, zlib_shrink_ok) carry exactness; these two
-        # guard the read-tier wins themselves.
-        ("reopen_curve.reopen_speedup", "higher"),
+        # identity flags (reopen_bit_identical, reopen_counters_identical,
+        # answers_match_none, zlib_shrink_ok) carry exactness; this one
+        # guards the compression win itself.
         ("codec_sweep.zlib_disk_shrink", "higher"),
     ],
     "wal": [

@@ -646,7 +646,6 @@ def open_store(
     wal_group_commit: int = 1024,
     compaction: "str | dict | Any | None" = "manual",
     compression: "str | dict | None" = None,
-    mmap: bool = False,
     block_cache_bytes: int | None = None,
 ) -> Store:
     """Open a key-value store behind the one :class:`Store` interface.
@@ -698,11 +697,16 @@ def open_store(
     ``repro[zstd]`` extra), or a dict ``{"codec": ..., "block_bytes": ...}``
     to tune the block size.  The codec and block size are pinned in the
     manifest, so a reopen needs no arguments (and conflicting ones raise).
-    ``mmap=True`` switches reopen onto the zero-copy read tier: SST and
-    filter frames are memory-mapped and payloads become array views, so
-    reopening costs O(runs) instead of O(bytes).  ``block_cache_bytes``
-    sizes the decompressed-block LRU cache shared by all shards (compressed
-    stores only).  All three are rejected for in-memory stores.
+    ``block_cache_bytes`` sizes the decompressed-block LRU cache shared by
+    all shards (compressed stores only).  Both are rejected for in-memory
+    stores.
+
+    Reopening maps every run file and checks its payload CRC, and checks
+    every filter block's CRC against the manifest: a damaged run fails at
+    open.  Keys, tombstones and filter words load into owned arrays;
+    values stay lazy over the mapping, so reopen reads each run once and
+    a value's bytes are paged (and, when compressed, decompressed) only
+    when a lookup touches them.
     """
     if wal_sync not in ("always", "batch", "off"):
         raise ValueError(
@@ -734,13 +738,12 @@ def open_store(
             wal_group_commit=wal_group_commit,
             compaction=compaction_policy,
             compression=compression,
-            mmap=mmap,
             block_cache_bytes=block_cache_bytes,
         )
-    if compression is not None or mmap or block_cache_bytes is not None:
+    if compression is not None or block_cache_bytes is not None:
         raise ValueError(
-            "compression, mmap, and block_cache_bytes are disk read-tier "
-            "options and require a persistent store (pass path=...)"
+            "compression and block_cache_bytes are disk read-tier options "
+            "and require a persistent store (pass path=...)"
         )
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")

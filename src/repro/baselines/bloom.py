@@ -177,12 +177,7 @@ class BloomFilter:
         filt.num_hashes = int(header["num_hashes"])
         filt.seed = int(header["seed"])
         filt._num_keys = int(header["num_keys"])
-        load = (
-            BitArray.from_buffer
-            if isinstance(payloads[0], memoryview)
-            else BitArray.from_bytes
-        )
-        filt._bits = load(payloads[0], filt.num_bits)
+        filt._bits = BitArray.from_bytes(payloads[0], filt.num_bits)
         return filt
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

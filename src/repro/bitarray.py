@@ -270,32 +270,6 @@ class BitArray:
         ba.words = np.frombuffer(data, dtype=np.uint64).copy()
         return ba
 
-    @classmethod
-    def from_buffer(cls, data, num_bits: int) -> "BitArray":
-        """Zero-copy view over serialized words (mmap'd filter frames).
-
-        The words array aliases ``data`` — typically a memoryview into an
-        ``mmap`` — so probing faults in only the pages it touches and the
-        buffer outlives this array automatically.  The view is read-only:
-        probe-side methods (``test_bit*``, ``read_field*``, counts) all
-        work; mutating ones (``set_bit``, ``or_field``, ``clear``) raise,
-        which is exactly right for a sealed run's filter.  Use
-        :meth:`from_bytes` when a mutable copy is needed.
-        """
-        if num_bits <= 0:
-            raise ValueError(f"BitArray size must be positive, got {num_bits}")
-        words = np.frombuffer(data, dtype=np.uint64)
-        expected = ceil_div(num_bits, _WORD_BITS)
-        if words.size != expected:
-            raise ValueError(
-                f"serialized BitArray has {len(data)} bytes, "
-                f"expected {expected * 8}"
-            )
-        ba = cls.__new__(cls)
-        ba._num_bits = num_bits
-        ba.words = words
-        return ba
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitArray):
             return NotImplemented

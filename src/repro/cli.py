@@ -356,10 +356,9 @@ def _cmd_inspect(args) -> int:
     Loading goes through the :mod:`repro.api` registry, so every
     registered kind — bloomRF and every baseline — inspects through this
     one command.  A frame of a retired kind is refused with an error that
-    names the kind.  The frame is memory-mapped rather than
-    read into memory: the header is validated up front and the filter
-    reconstructs over zero-copy payload views, so only the pages the
-    summary actually touches fault in.
+    names the kind.  The frame is memory-mapped and its header validated
+    up front; the filter then decodes into owned words, exactly as a
+    store reopen loads it.
     """
     from pathlib import Path
 
@@ -614,9 +613,9 @@ def _cmd_store_inspect(args) -> int:
     """Summarize a store from its manifests, frame headers, and log stream.
 
     Nothing here opens the store or reads a run payload: the manifests
-    give the run layout, each filter frame is memory-mapped (only its
-    header pages fault in), and the write-ahead logs are scanned record
-    by record — so inspecting a multi-GB store is O(runs) metadata work.
+    give the run layout, each filter block loads into owned words for its
+    bit count, and the write-ahead logs are scanned record by record — so
+    inspecting a multi-GB store reads only its filters and logs.
     """
     from pathlib import Path
 
@@ -674,7 +673,7 @@ def _cmd_store_inspect(args) -> int:
             print(f"compression: {compression['codec']} "
                   f"(block_bytes={compression['block_bytes']})")
         # Run layout straight from the manifests; filter bit counts come
-        # from mapped frames whose payloads are never materialized.
+        # from the loaded filter blocks.
         shard_run_keys = []
         filter_bits = 0
         for directory, shard_manifest in zip(shard_dirs, shard_manifests, strict=True):

@@ -793,16 +793,11 @@ class BloomRF:
                 f"bloomRF frame carries {len(payloads)} payloads, "
                 f"expected {expected} for this config"
             )
-        # A memoryview payload (a mapped frame) becomes a zero-copy,
-        # read-only word view — probes fault in only the pages they touch.
-        load = (
-            BitArray.from_buffer
-            if isinstance(payloads[0], memoryview)
-            else BitArray.from_bytes
-        )
-        filt._bits = load(payloads[0], filt._bits.num_bits)
+        filt._bits = BitArray.from_bytes(payloads[0], filt._bits.num_bits)
         if filt._exact is not None:
-            filt._exact = load(payloads[1], config.exact_bitmap_bits)
+            filt._exact = BitArray.from_bytes(
+                payloads[1], config.exact_bitmap_bits
+            )
         filt._num_keys = int(header["num_keys"])
         return filt
 

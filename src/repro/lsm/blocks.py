@@ -51,6 +51,7 @@ __all__ = [
 
 DEFAULT_BLOCK_BYTES = 1 << 16  # 64 KiB raw bytes per compressed block
 DEFAULT_CACHE_BYTES = 8 << 20  # decompressed-block budget per store
+_ITER_CHUNK = 1 << 20  # raw value bytes read at a time by SlicedValues.__iter__
 
 _CODEC_NAMES = ("zlib", "zstd")
 
@@ -429,26 +430,25 @@ def decompress_payload(
 class SlicedValues:
     """A read-only ``Sequence[bytes]`` sliced out of one value blob.
 
-    ``source`` is either a buffer (bytes / zero-copy memoryview over a
-    mapped frame) or a :class:`BlockedPayload`; ``offsets`` is the
-    cumulative byte offset of each value (``len(values) + 1`` entries).
-    Values materialize one at a time — a mapped store faults in, and a
-    compressed store decompresses, only the blocks a lookup touches.
+    ``source`` is either a buffer (bytes, or a memoryview over a mapped
+    run file) or a :class:`BlockedPayload`; ``offsets`` is the cumulative
+    byte offset of each value (``len(values) + 1`` entries).  Indexing
+    materializes one value — a mapped store faults in, and a compressed
+    store decompresses, only the blocks a lookup touches — while
+    iteration (a merge reading a whole run) reads the blob about a
+    megabyte at a time and slices whole values out of each read.
     """
 
-    __slots__ = ("_read", "_offsets")
+    __slots__ = ("_source", "_offsets")
 
     def __init__(
         self,
         source: bytes | memoryview | BlockedPayload,
         offsets: npt.NDArray[Any],
     ) -> None:
-        self._read: Callable[[int, int], bytes]
-        if isinstance(source, BlockedPayload):
-            self._read = source.read
-        else:
-            view = memoryview(source)
-            self._read = lambda start, length: bytes(view[start : start + length])
+        self._source = (
+            source if isinstance(source, BlockedPayload) else memoryview(source)
+        )
         self._offsets = offsets
 
     def __len__(self) -> int:
@@ -464,8 +464,29 @@ class SlicedValues:
         return self._read(start, int(self._offsets[index + 1]) - start)
 
     def __iter__(self) -> Iterator[bytes]:
-        for index in range(len(self)):
-            yield self[index]
+        # One read per ~_ITER_CHUNK bytes of whole values, then plain bytes
+        # slices: a per-value read costs a Python call and a buffer slice
+        # each, while a full copy would hold the whole blob in memory.
+        offsets = self._offsets
+        size = len(self)
+        first = 0
+        while first < size:
+            target = offsets[first] + _ITER_CHUNK
+            last = int(np.searchsorted(offsets, target, side="right")) - 1
+            last = min(max(last, first + 1), size)
+            base = int(offsets[first])
+            chunk = self._read(base, int(offsets[last]) - base)
+            bounds = (offsets[first : last + 1] - base).tolist()
+            yield from [
+                chunk[lo:hi]
+                for lo, hi in zip(bounds[:-1], bounds[1:], strict=True)
+            ]
+            first = last
+
+    def _read(self, start: int, length: int) -> bytes:
+        if isinstance(self._source, BlockedPayload):
+            return self._source.read(start, length)
+        return self._source[start : start + length].tobytes()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SlicedValues(n={len(self)})"

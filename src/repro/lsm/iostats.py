@@ -39,7 +39,7 @@ class IOStats:
     filter_true_negatives: int = 0
     # I/O:
     blocks_read: int = 0
-    # Decompressed-block cache (compressed stores only; an eager or
+    # Decompressed-block cache (compressed stores only; an in-memory or
     # uncompressed store leaves both at zero).  Deliberately *not* part of
     # counters(): hit/miss splits depend on cache budget and access order,
     # while counters() is the bit-for-bit exactness comparison set.

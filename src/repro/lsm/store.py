@@ -50,8 +50,13 @@ Every reader-side failure — truncated or bit-flipped manifest, version
 skew, a missing shard directory or run file, an SST/filter frame of the
 wrong kind, a run whose contents contradict the manifest — raises
 :class:`~repro.serial.SerialError` naming the offending file; a damaged
-store never silently mis-answers.  Filter blocks are *deserialized* on
-reopen (never rebuilt from keys), so probe answers and their
+store never silently mis-answers.  Every run reopens one way: its SST
+frame is mapped and its payload CRC checked, keys and tombstones decode
+into owned arrays while values stay lazy views over the mapping, and its
+filter block is read, checked against the manifest's CRC, and decoded
+into owned words (:meth:`PersistentLsmDB._load_sstable`).  Filter blocks
+are *deserialized* on reopen (never rebuilt from keys), so probe answers
+and their
 :class:`~repro.lsm.iostats.IOStats` accounting match the never-closed
 store bit for bit; deserialization time lands in the
 ``deserialization_s`` bucket (the Fig. 12.G cost the paper charges for
@@ -106,7 +111,6 @@ from repro.serial import (
     map_frame,
     pack_frame,
     peek_kind,
-    unpack_frame,
     unpack_frame_prefix,
 )
 
@@ -121,6 +125,8 @@ __all__ = [
 MANIFEST_NAME = "STORE.brf"
 _SST_SUFFIX = ".sst"
 _FILTER_SUFFIX = ".filter"
+# Read size for checksumming a run's value blob, whose bytes stay mapped.
+_CRC_CHUNK = 1 << 20
 
 
 # ----------------------------------------------------------------------
@@ -306,34 +312,14 @@ def _pack_sstable(sst: SSTable, compression: dict | None = None) -> bytes:
     return pack_frame(KIND_SSTABLE, header, *payloads)
 
 
-def _unpack_sstable(
-    data: bytes,
-    name: str,
-    *,
-    expected_codec: str | None = None,
-    cache: BlockCache | None = None,
-    stats=None,
-):
-    """Parse a KIND_SSTABLE frame back into ``(keys, values, tombstones)``.
-
-    Every internal inconsistency raises :class:`SerialError` naming the
-    offending file — a truncated, swapped, or cross-wired run file fails
-    loudly instead of reconstructing a different key set.
-    """
-    try:
-        header, payloads = unpack_frame(data, expect_kind=KIND_SSTABLE)
-    except SerialError as exc:
-        raise SerialError(f"corrupt SST file {name}: {exc}") from exc
-    return _decode_sstable(
-        header,
-        payloads,
-        name,
-        expected_codec=expected_codec,
-        cache=cache,
-        stats=stats,
-        verify_crc=True,
-        zero_copy=False,
-    )
+def _pread(fd: int, offset: int, size: int, name: str) -> bytes:
+    data = os.pread(fd, size, offset)
+    if len(data) != size:
+        raise SerialError(
+            f"corrupt SST file {name}: truncated: expected {size} bytes at "
+            f"offset {offset}, read {len(data)}"
+        )
+    return data
 
 
 def _map_sstable(
@@ -344,32 +330,60 @@ def _map_sstable(
     cache: BlockCache | None = None,
     stats=None,
 ):
-    """The mmap counterpart of :func:`_unpack_sstable` — O(header) work.
+    """Reopen one run file into ``(keys, values, tombstones)``.
 
-    Keys, tombstones, and the value blob come back as views over the
-    mapping (:func:`repro.serial.map_frame`), so bytes fault in only when
-    probed.  The whole-frame payload CRC is deliberately *not* verified —
-    that would read every page and turn reopen back into O(bytes); frame
-    structure is still fully validated, and version-2 (compressed) frames
-    keep per-block CRCs that are checked on first access to each block.
+    The frame is mapped (:func:`repro.serial.map_frame`) and its payload
+    CRC verified over bytes read with ``os.pread``, so a run altered after
+    it was written fails at open, and the pages read for the check never
+    count as this process's memory.  Keys, tombstones and the value index
+    decode from those reads into owned arrays (:func:`_unpack_sstable`);
+    only the value blob stays a view over the mapping, sliced — and, when
+    compressed, decompressed block by block — as lookups touch it.
     """
     try:
         frame = map_frame(path, expect_kind=KIND_SSTABLE)
     except SerialError as exc:
         raise SerialError(f"corrupt SST file {name}: {exc}") from exc
-    return _decode_sstable(
-        frame.header,
-        frame.payloads,
-        name,
-        expected_codec=expected_codec,
-        cache=cache,
-        stats=stats,
-        verify_crc=False,
-        zero_copy=True,
-    )
+    try:
+        lazy_blob = 3 if frame.header.get("has_values", False) else None
+        payloads: list = []
+        crc = 0
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            for index, (offset, size) in enumerate(frame.spans):
+                if index == lazy_blob:
+                    for start in range(0, size, _CRC_CHUNK):
+                        chunk = min(_CRC_CHUNK, size - start)
+                        crc = zlib.crc32(
+                            _pread(fd, offset + start, chunk, name), crc
+                        )
+                    payloads.append(frame.payloads[index])
+                else:
+                    data = _pread(fd, offset, size, name)
+                    crc = zlib.crc32(data, crc)
+                    payloads.append(data)
+        finally:
+            os.close(fd)
+        if crc != int(frame.header.get("crc32", -1)):
+            raise SerialError(
+                f"corrupt SST file {name}: payload checksum mismatch (the run "
+                "data was altered after it was written)"
+            )
+        return _unpack_sstable(
+            frame.header,
+            payloads,
+            name,
+            expected_codec=expected_codec,
+            cache=cache,
+            stats=stats,
+        )
+    finally:
+        # The value blob's view (if any) keeps the mapping alive; a run
+        # without values unmaps here.
+        frame.close()
 
 
-def _decode_sstable(
+def _unpack_sstable(
     header: dict,
     payloads: list,
     name: str,
@@ -377,10 +391,16 @@ def _decode_sstable(
     expected_codec: str | None,
     cache: BlockCache | None,
     stats,
-    verify_crc: bool,
-    zero_copy: bool,
 ):
-    """Shared v1/v2 payload decode behind the eager and mmap readers."""
+    """Decode a KIND_SSTABLE frame's payloads into ``(keys, values, tombstones)``.
+
+    Keys and tombstones come back as owned arrays; values as a lazy
+    :class:`~repro.lsm.blocks.SlicedValues` over payload 3 (through a
+    :class:`~repro.lsm.blocks.BlockedPayload` when compressed).  Every
+    internal inconsistency raises :class:`SerialError` naming the
+    offending file — a truncated, swapped, or cross-wired run file fails
+    loudly instead of reconstructing a different key set.
+    """
     has_values = bool(header.get("has_values", False))
     expected_payloads = 4 if has_values else 2
     if len(payloads) != expected_payloads:
@@ -394,11 +414,6 @@ def _decode_sstable(
             f"corrupt SST file {name}: frame compression codec {codec!r} "
             f"does not match the store manifest's {expected_codec!r} (the "
             "run belongs to a differently-configured store)"
-        )
-    if verify_crc and _payload_crc(payloads) != int(header.get("crc32", -1)):
-        raise SerialError(
-            f"corrupt SST file {name}: payload checksum mismatch (the run "
-            "data was altered after it was written)"
         )
     num_keys = int(header.get("num_keys", -1))
     tables = raw_lens = block_bytes = None
@@ -429,9 +444,7 @@ def _decode_sstable(
         keys_bytes, tomb_bytes = _raw(0), _raw(1)
     else:
         keys_bytes, tomb_bytes = payloads[0], payloads[1]
-    keys = np.frombuffer(keys_bytes, dtype="<u8")
-    if not zero_copy or codec is not None:
-        keys = keys.astype(np.uint64)
+    keys = np.frombuffer(keys_bytes, dtype="<u8").astype(np.uint64)
     if keys.size != num_keys:
         raise SerialError(
             f"corrupt SST file {name}: holds {keys.size} keys but its "
@@ -460,9 +473,10 @@ def _decode_sstable(
             )
         offsets = np.zeros(num_keys + 1, dtype=np.int64)
         np.cumsum(lengths.astype(np.int64), out=offsets[1:])
+        blob = payloads[3]
         if codec is not None:
             blob = BlockedPayload(
-                payloads[3],
+                blob,
                 tables[3],
                 blob_len,
                 block_bytes,
@@ -472,14 +486,7 @@ def _decode_sstable(
                 cache_key=(name, 3),
                 stats=stats,
             )
-            values = SlicedValues(blob, offsets)
-        elif zero_copy:
-            values = SlicedValues(payloads[3], offsets)
-        else:
-            blob = payloads[3]
-            values = [
-                blob[offsets[i] : offsets[i + 1]] for i in range(num_keys)
-            ]
+        values = SlicedValues(blob, offsets)
     return keys, values, tombstones
 
 
@@ -536,7 +543,6 @@ class PersistentLsmDB(LsmDB):
         compaction=None,
         compaction_scheduler=None,
         compression=None,
-        mmap: bool = False,
         block_cache_bytes: int | None = None,
         _manifest: dict | None = None,
         _block_cache: BlockCache | None = None,
@@ -613,7 +619,6 @@ class PersistentLsmDB(LsmDB):
             # Fail at open, not at first flush, when the codec is absent
             # (zstd without the optional zstandard package).
             require_codec(self._compression["codec"])
-        self._use_mmap = bool(mmap)
         self._block_cache = (
             _block_cache
             if _block_cache is not None
@@ -693,67 +698,39 @@ class PersistentLsmDB(LsmDB):
                     f"{path.name}"
                 )
         codec = self._compression["codec"] if self._compression else None
-        reader_kw = {
-            "expected_codec": codec,
-            "cache": self._block_cache,
-            "stats": self.stats,
-        }
-        if self._use_mmap:
-            keys, values, tombstones = _map_sstable(
-                sst_path, str(sst_path), **reader_kw
-            )
-        else:
-            keys, values, tombstones = _unpack_sstable(
-                sst_path.read_bytes(), str(sst_path), **reader_kw
-            )
+        keys, values, tombstones = _map_sstable(
+            sst_path,
+            str(sst_path),
+            expected_codec=codec,
+            cache=self._block_cache,
+            stats=self.stats,
+        )
         if keys.size != num_keys:
             raise SerialError(
                 f"corrupt SST file {sst_path}: holds {keys.size} keys but "
                 f"the store manifest records {num_keys}"
             )
-        if self._use_mmap:
-            # Zero-copy filter load: the frame is mapped, its structure
-            # validated, and the bit-array words become read-only views —
-            # a probe faults in only the pages test_bits touches.  The
-            # manifest's whole-blob CRC is *not* verified here (it would
-            # read every page); the eager path still checks it, and frame
-            # structure/kind damage fails loudly either way.
-            start = time.perf_counter()
-            try:
-                frame = map_frame(filter_path)
-                if frame.kind != filter_kind:
-                    raise SerialError(
-                        f"frame kind {frame.kind} does not match "
-                        f"the manifest's kind {filter_kind}"
-                    )
-                handle = handle_from_bytes(frame.view)
-            except SerialError as exc:
+        filter_blob = filter_path.read_bytes()
+        start = time.perf_counter()
+        try:
+            if peek_kind(filter_blob) != filter_kind:
                 raise SerialError(
-                    f"corrupt filter block {filter_path}: {exc}"
-                ) from exc
-            filter_blob = frame.view
-        else:
-            filter_blob = filter_path.read_bytes()
-            start = time.perf_counter()
-            try:
-                if peek_kind(filter_blob) != filter_kind:
-                    raise SerialError(
-                        f"frame kind {peek_kind(filter_blob)} does not match "
-                        f"the manifest's kind {filter_kind}"
-                    )
-                # The manifest pins each run's filter blob by checksum, so a
-                # same-kind blob swapped in from another run fails here
-                # instead of probing false negatives at query time.
-                if zlib.crc32(filter_blob) != filter_crc:
-                    raise SerialError(
-                        "blob checksum does not match the manifest (the block "
-                        "was altered or belongs to a different run)"
-                    )
-                handle = handle_from_bytes(filter_blob)
-            except SerialError as exc:
+                    f"frame kind {peek_kind(filter_blob)} does not match "
+                    f"the manifest's kind {filter_kind}"
+                )
+            # The manifest pins each run's filter blob by checksum, so a
+            # same-kind blob swapped in from another run fails here
+            # instead of probing false negatives at query time.
+            if zlib.crc32(filter_blob) != filter_crc:
                 raise SerialError(
-                    f"corrupt filter block {filter_path}: {exc}"
-                ) from exc
+                    "blob checksum does not match the manifest (the block "
+                    "was altered or belongs to a different run)"
+                )
+            handle = handle_from_bytes(filter_blob)
+        except SerialError as exc:
+            raise SerialError(
+                f"corrupt filter block {filter_path}: {exc}"
+            ) from exc
         self.stats.deserialization_s += time.perf_counter() - start
         try:
             return SSTable(
@@ -1184,7 +1161,6 @@ class PersistentShardedLsmDB(ShardedLsmDB):
         wal_group_commit: int = 1024,
         compaction=None,
         compression=None,
-        mmap: bool = False,
         block_cache_bytes: int | None = None,
         _manifest: dict | None = None,
     ) -> None:
@@ -1255,7 +1231,6 @@ class PersistentShardedLsmDB(ShardedLsmDB):
         # shared by all shards so the decompressed-block budget is
         # per-store, not per-shard.
         self._compression = normalize_compression(compression)
-        self._use_mmap = bool(mmap)
         self._block_cache = BlockCache(
             DEFAULT_CACHE_BYTES if block_cache_bytes is None else block_cache_bytes
         )
@@ -1300,7 +1275,6 @@ class PersistentShardedLsmDB(ShardedLsmDB):
             wal_sync=self._wal_sync,
             wal_group_commit=self._wal_group_commit,
             compression=self._compression,
-            mmap=self._use_mmap,
             _block_cache=self._block_cache,
             **kw,
         )
@@ -1466,9 +1440,9 @@ def _check_reopen_args(manifest: dict, directory: Path, args: dict) -> None:
             "to use the persisted configuration)"
         )
     # Compression compares in normalized dict form for the same reason;
-    # pre-compression manifests read as uncompressed via .get.  (mmap and
-    # block_cache_bytes are runtime read-tier knobs, not persisted state,
-    # so they are deliberately not conflict-checked — like device.)
+    # pre-compression manifests read as uncompressed via .get.
+    # (block_cache_bytes is a runtime knob, not persisted state, so it is
+    # deliberately not conflict-checked — like device.)
     stored_compression = normalize_compression(geometry.get("compression"))
     passed_compression = normalize_compression(args["compression"])
     if passed_compression is not None and passed_compression != stored_compression:
@@ -1525,7 +1499,6 @@ def open_persistent_store(
     wal_group_commit: int = 1024,
     compaction=None,
     compression=None,
-    mmap: bool = False,
     block_cache_bytes: int | None = None,
 ):
     """Create or reopen the on-disk store at ``path``.
@@ -1562,14 +1535,13 @@ def open_persistent_store(
                 "compression": compression,
             },
         )
-        # mmap and block_cache_bytes are runtime read-tier knobs (like
-        # device): they pass through on reopen rather than persisting.
+        # block_cache_bytes is a runtime knob (like device): it passes
+        # through on reopen rather than persisting.
         if engine == "lsm":
             return PersistentLsmDB(
                 path,
                 device=device,
                 wal_group_commit=wal_group_commit,
-                mmap=mmap,
                 block_cache_bytes=block_cache_bytes,
                 _manifest=manifest,
             )
@@ -1578,7 +1550,6 @@ def open_persistent_store(
             device=device,
             max_workers=max_workers,
             wal_group_commit=wal_group_commit,
-            mmap=mmap,
             block_cache_bytes=block_cache_bytes,
             _manifest=manifest,
         )
@@ -1599,7 +1570,6 @@ def open_persistent_store(
             wal_group_commit=wal_group_commit,
             compaction=compaction,
             compression=compression,
-            mmap=mmap,
             block_cache_bytes=block_cache_bytes,
         )
     return PersistentShardedLsmDB(
@@ -1618,6 +1588,5 @@ def open_persistent_store(
         wal_group_commit=wal_group_commit,
         compaction=compaction,
         compression=compression,
-        mmap=mmap,
         block_cache_bytes=block_cache_bytes,
     )

@@ -63,15 +63,11 @@ from __future__ import annotations
 import json
 import mmap as _mmap
 import os
-import zlib
-from typing import TYPE_CHECKING, Any, TypeVar
-
-if TYPE_CHECKING:
-    import numpy.typing as npt
+from typing import Any, TypeVar
 
 #: Frame parsing is generic over the buffer type: ``bytes`` input yields
-#: ``bytes`` payloads (the eager path), ``memoryview`` input yields
-#: zero-copy sub-views (the :func:`map_frame` path).
+#: ``bytes`` payloads, ``memoryview`` input (a mapped frame) yields
+#: zero-copy sub-views.
 _Buf = TypeVar("_Buf", bytes, memoryview)
 
 __all__ = [
@@ -182,14 +178,20 @@ def pack_frame(
     return b"".join(parts)
 
 
-def _take(data: _Buf, cursor: int, size: int, what: str) -> tuple[_Buf, int]:
-    """Slice ``size`` bytes at ``cursor`` (zero-copy for memoryview input)."""
+def _need(data: bytes | memoryview, cursor: int, size: int, what: str) -> int:
+    """The offset ``size`` bytes past ``cursor``, or a truncation error."""
     if cursor + size > len(data):
         raise SerialError(
             f"truncated filter frame: expected {size} more bytes for {what} "
             f"at offset {cursor}, have {len(data) - cursor}"
         )
-    return data[cursor : cursor + size], cursor + size
+    return cursor + size
+
+
+def _take(data: _Buf, cursor: int, size: int, what: str) -> tuple[_Buf, int]:
+    """Slice ``size`` bytes at ``cursor`` (zero-copy for memoryview input)."""
+    end = _need(data, cursor, size, what)
+    return data[cursor:end], end
 
 
 def unpack_frame(
@@ -264,11 +266,20 @@ def _unpack_any(data: _Buf) -> tuple[int, dict[str, Any], list[_Buf]]:
 
 
 def _unpack_at(data: _Buf, start: int) -> tuple[int, dict[str, Any], list[_Buf], int]:
-    """Parse one frame; ``data`` may be ``bytes`` or a ``memoryview``.
+    """Parse one frame into ``(kind, header, payloads, end)``."""
+    kind, header, spans, end = _parse_at(data, start)
+    return kind, header, [data[off : off + size] for off, size in spans], end
 
-    With a memoryview input (the :func:`map_frame` path) every returned
-    payload is a zero-copy sub-view of ``data`` — no payload byte is read,
-    so parsing a mapped frame faults in only its prefix and header pages.
+
+def _parse_at(
+    data: _Buf, start: int
+) -> tuple[int, dict[str, Any], list[tuple[int, int]], int]:
+    """Parse one frame's prefix, header and payload table.
+
+    Returns ``(kind, header, spans, end)`` where ``spans`` holds each
+    payload's ``(offset, length)`` within ``data``.  No payload byte is
+    read, so parsing a mapped frame faults in only the pages that hold
+    its prefix, header and payload lengths.
     """
     prefix, cursor = _take(data, start, _PREFIX_LEN, "frame prefix")
     _check_prefix(prefix)
@@ -284,39 +295,40 @@ def _unpack_at(data: _Buf, start: int) -> tuple[int, dict[str, Any], list[_Buf],
     if not isinstance(header, dict):
         raise SerialError("corrupt filter frame header: not a JSON object")
     count_bytes, cursor = _take(data, cursor, 4, "payload count")
-    payloads: list[_Buf] = []
+    spans: list[tuple[int, int]] = []
     for i in range(int.from_bytes(count_bytes, "little")):
         size_bytes, cursor = _take(data, cursor, 8, f"payload {i} length")
-        payload, cursor = _take(
-            data, cursor, int.from_bytes(size_bytes, "little"), f"payload {i}"
-        )
-        payloads.append(payload)
-    return kind, header, payloads, cursor
+        size = int.from_bytes(size_bytes, "little")
+        spans.append((cursor, size))
+        cursor = _need(data, cursor, size, f"payload {i}")
+    return kind, header, spans, cursor
 
 
 # ----------------------------------------------------------------------
-# zero-copy mapped frames
+# mapped frames
 # ----------------------------------------------------------------------
 class FrameView:
-    """One on-disk frame exposed as zero-copy views over an ``mmap``.
+    """One on-disk frame mapped read-only, with its payload spans.
 
-    Produced by :func:`map_frame`.  ``payloads`` are :class:`memoryview`
-    slices of the mapping: wrapping one in ``np.frombuffer`` yields an
-    array whose pages fault in only when touched, so a reopened store pays
-    O(header) work per run instead of O(bytes).  The views keep the
-    mapping alive — :meth:`close` drops the frame's own references and
-    the map itself is released once the last derived array dies (files
-    are immutable once sealed, and POSIX keeps unlinked-but-mapped pages
-    valid, so pruning a run never invalidates live views).
+    Produced by :func:`map_frame`.  ``spans`` holds each payload's
+    ``(offset, length)`` in the file and ``payloads`` the matching
+    :class:`memoryview` slices of the mapping.  The store's SST reader
+    uses both: it ``os.pread``-s the spans it decodes into owned arrays
+    (and to check the frame's payload CRC), and keeps a view only over
+    the value blob, whose bytes fault in when a lookup touches them.
+    Views keep the mapping alive — :meth:`close` drops the frame's own
+    references and the map itself is released once the last derived view
+    dies (files are immutable once sealed, and POSIX keeps
+    unlinked-but-mapped pages valid, so pruning a run never invalidates
+    live views).
 
-    Unlike :func:`unpack_frame`, mapping does **not** verify payload
-    checksums — that would fault in every page and defeat the lazy open.
-    Callers that want the eager guarantee call :meth:`payload_crc32`;
-    version-2 frames instead carry per-block CRCs that
-    :mod:`repro.lsm.blocks` verifies on first access to each block.
+    Mapping verifies no checksum; the reader of each frame kind decides
+    which bytes it checks and when.
     """
 
-    __slots__ = ("path", "kind", "version", "header", "payloads", "_mmap", "_view")
+    __slots__ = (
+        "path", "kind", "version", "header", "spans", "payloads", "_mmap", "_view",
+    )
 
     def __init__(
         self,
@@ -324,15 +336,16 @@ class FrameView:
         kind: int,
         version: int,
         header: dict[str, Any],
-        payloads: list[memoryview],
-        mm: _mmap.mmap | None,
-        view: memoryview | None,
+        spans: list[tuple[int, int]],
+        mm: _mmap.mmap,
+        view: memoryview,
     ) -> None:
         self.path = str(path)
         self.kind = kind
         self.version = version
         self.header = header
-        self.payloads: list[memoryview] = payloads
+        self.spans = spans
+        self.payloads: list[memoryview] = [view[off : off + n] for off, n in spans]
         self._mmap: _mmap.mmap | None = mm
         self._view: memoryview | None = view
 
@@ -341,25 +354,12 @@ class FrameView:
         """The whole-frame memoryview (for kind-dispatched reloading)."""
         return self._view
 
-    def payload_array(self, index: int, dtype: npt.DTypeLike) -> npt.NDArray[Any]:
-        """Payload ``index`` as a read-only zero-copy numpy view."""
-        import numpy as np
-
-        return np.frombuffer(self.payloads[index], dtype=dtype)
-
-    def payload_crc32(self) -> int:
-        """CRC32 chained over all payload bytes (faults in every page)."""
-        crc = 0
-        for payload in self.payloads:
-            crc = zlib.crc32(payload, crc)
-        return crc
-
     def close(self) -> None:
         """Drop this frame's own references to the mapping.
 
-        Arrays already derived from ``payloads`` stay valid: each holds
-        its own buffer reference, and the map is unmapped only when the
-        last one is garbage-collected (``mmap.close`` on a still-exported
+        Views already derived from ``payloads`` stay valid: each holds its
+        own buffer reference, and the map is unmapped only when the last
+        one is garbage-collected (``mmap.close`` on a still-exported
         buffer is a no-op here, not an error).
         """
         self.payloads = []
@@ -385,11 +385,11 @@ def map_frame(
 ) -> FrameView:
     """Map the single frame in ``path`` without reading its payloads.
 
-    The lazy counterpart of ``unpack_frame(path.read_bytes())``: the file
-    is ``mmap``-ed read-only, the prefix and JSON header are validated
-    eagerly, and the payloads come back as zero-copy views
-    (:class:`FrameView`).  Every failure raises :class:`SerialError`
-    naming the file and the offending offset.
+    The file is ``mmap``-ed read-only, the prefix, JSON header and
+    payload table are validated eagerly, and the payloads come back as
+    spans plus views over the mapping (:class:`FrameView`).  Every
+    failure raises :class:`SerialError` naming the file and the
+    offending offset.
     """
     path = os.fspath(path)
     try:
@@ -405,7 +405,7 @@ def map_frame(
         os.close(fd)
     view = memoryview(mm)
     try:
-        kind, header, payloads, end = _unpack_at(view, 0)
+        kind, header, spans, end = _parse_at(view, 0)
         if end != size:
             raise SerialError(
                 f"trailing garbage after filter frame "
@@ -420,7 +420,7 @@ def map_frame(
             pass
         raise SerialError(f"{path}: {exc}") from exc
     version = int.from_bytes(view[4:6], "little")
-    return FrameView(path, kind, version, header, payloads, mm, view)
+    return FrameView(path, kind, version, header, spans, mm, view)
 
 
 # ----------------------------------------------------------------------

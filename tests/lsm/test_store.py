@@ -19,6 +19,7 @@ import pytest
 
 from repro.api import FilterSpec, open_store
 from repro.lsm import LsmDB, PersistentLsmDB, PersistentShardedLsmDB, SpecPolicy
+from repro.lsm.blocks import SlicedValues
 
 SPEC = FilterSpec("bloomrf", {"bits_per_key": 16, "max_range": 1 << 16})
 CAPACITY = 1 << 9
@@ -353,15 +354,15 @@ class TestDurabilitySemantics:
 
 
 class TestReadTierExactness:
-    """The raw-speed read tier (mmap frames, per-block compression, block
-    cache) extends the exactness ladder: every knob combination answers
-    and accounts bit-identically to the eager uncompressed store."""
+    """The read tier (per-block compression, block cache) extends the
+    exactness ladder: every knob combination answers and accounts
+    bit-identically to the uncompressed store."""
 
     KNOBS = [
-        {"mmap": True},
+        {"block_cache_bytes": 1 << 12},
         {"compression": "zlib"},
-        {"compression": {"codec": "zlib", "block_bytes": 1 << 12}, "mmap": True},
-        {"compression": "zlib", "mmap": True, "block_cache_bytes": 1 << 12},
+        {"compression": {"codec": "zlib", "block_bytes": 1 << 12}},
+        {"compression": "zlib", "block_cache_bytes": 1 << 12},
     ]
 
     def _build(self, path, workload, **create_kw):
@@ -406,8 +407,8 @@ class TestReadTierExactness:
     def test_compressed_mmap_reopen_is_bit_identical(
         self, tmp_path, workload, shards
     ):
-        """A compressed + mmap'd reopen reproduces the still-open store's
-        answers and probe accounting exactly, sharded or not."""
+        """A compressed reopen reproduces the still-open store's answers
+        and probe accounting exactly, sharded or not."""
         keys, deleted, probes, bounds = workload
         live = apply_workload(
             open_store(
@@ -424,7 +425,7 @@ class TestReadTierExactness:
             live, probes, bounds
         )
         live.close()
-        with open_store(path=tmp_path / "db", mmap=True) as reopened:
+        with open_store(path=tmp_path / "db") as reopened:
             got, scanned, counters = drive_reads(reopened, probes, bounds)
             assert np.array_equal(got, live_got)
             assert np.array_equal(scanned, live_scanned)
@@ -441,7 +442,7 @@ class TestReadTierExactness:
             compression={"codec": "zlib", "block_bytes": 1 << 10},
         ) as db:
             db.put_many(keys, values)
-        with open_store(path=tmp_path / "db", mmap=True) as db:
+        with open_store(path=tmp_path / "db") as db:
             for k in keys[:200]:
                 assert db.get_value(int(k)) is not None
             first = db.stats.block_cache_misses
@@ -468,7 +469,7 @@ class TestReadTierExactness:
             compression={"codec": "zlib", "block_bytes": 1 << 10},
         ) as db:
             db.put_many(keys, values)
-        with open_store(path=tmp_path / "db", mmap=True) as db:
+        with open_store(path=tmp_path / "db") as db:
             old = db.reset_stats()
             assert old.block_cache_misses == 0
             for k in keys[:200]:
@@ -490,7 +491,7 @@ class TestReadTierExactness:
             store_values=True,
         ) as db:
             db.put_many(keys, [b"x" * 16] * keys.size)
-        with open_store(path=tmp_path / "db", mmap=True) as db:
+        with open_store(path=tmp_path / "db") as db:
             for k in keys[:100]:
                 assert db.get_value(int(k)) == b"x" * 16
             assert db.stats.block_cache_hits == 0
@@ -508,9 +509,7 @@ class TestReadTierExactness:
         ) as db:
             db.put_many(keys, values)
         # A budget below one block caches nothing; answers are unchanged.
-        with open_store(
-            path=tmp_path / "db", mmap=True, block_cache_bytes=64
-        ) as db:
+        with open_store(path=tmp_path / "db", block_cache_bytes=64) as db:
             for k, v in zip(keys[:100].tolist(), values[:100], strict=True):
                 assert db.get_value(k) == v
             assert db.stats.block_cache_hits == 0
@@ -537,28 +536,50 @@ class TestReadTierExactness:
     def test_read_tier_knobs_require_a_path(self):
         for kw in (
             {"compression": "zlib"},
-            {"mmap": True},
             {"block_cache_bytes": 1 << 20},
         ):
             with pytest.raises(ValueError, match="persistent store"):
                 open_store(filter=SPEC, **kw)
 
-    def test_mmap_reopen_skips_payload_byte_work(self, tmp_path, workload):
-        """The point of the tier: an mmap reopen does O(runs) metadata
-        work.  Proxy assertion (timing-free, CI-safe): reopening must not
-        read the key payloads eagerly — the arrays stay buffer views."""
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("compression", [None, "zlib"])
+    def test_reopen_owns_keys_and_filter_words_and_keeps_values_lazy(
+        self, tmp_path, workload, compression, shards
+    ):
+        """The one reopen path: run keys, tombstones and filter words are
+        owned, aligned arrays (probes never touch the mapping), while
+        values stay a lazy view over the run file.  There is no knob to
+        pick another path."""
         keys, deleted, _, _ = workload
-        self._build(tmp_path / "db", workload)
-        with open_store(path=tmp_path / "db", mmap=True) as db:
-            for sst in db.sstables:
-                assert not sst.keys.flags.owndata
-                assert not sst.keys.flags.writeable
+        with open_store(
+            path=tmp_path / "db",
+            filter=SPEC,
+            shards=shards,
+            memtable_capacity=CAPACITY,
+            store_values=True,
+            compression=compression,
+        ) as db:
+            db.put_many(keys, [b"v%d" % i for i in range(keys.size)])
+            db.delete_many(deleted)
+        with pytest.raises(TypeError, match="mmap"):
+            open_store(path=tmp_path / "db", mmap=True)
+        with open_store(path=tmp_path / "db") as db:
+            engines = db.shards if shards > 1 else [db]
+            runs = [sst for engine in engines for sst in engine.sstables]
+            assert runs
+            for sst in runs:
+                words = sst.filter._filter._bits.words
+                for array in (sst.keys, sst.tombstones, words):
+                    assert array.flags.owndata
+                    assert array.flags.aligned
+                assert isinstance(sst.values, SlicedValues)
             assert db.get(int(keys[400]))  # keys[:400] were deleted
+            assert db.get_value(int(keys[401])) == b"v401"
 
     def test_compaction_over_mmapped_compressed_runs(self, tmp_path):
-        """Compaction merges mmap'd runs and prunes their files while
-        views may still exist — POSIX keeps the mapped pages valid, and
-        the merged store answers exactly."""
+        """Compaction merges reopened runs and prunes their files while
+        value views over the mappings may still exist — POSIX keeps the
+        mapped pages valid, and the merged store answers exactly."""
         keys = np.arange(0, 4_000, 2, dtype=np.uint64)
         with open_store(
             path=tmp_path / "db",
@@ -568,11 +589,11 @@ class TestReadTierExactness:
             compression="zlib",
         ) as db:
             db.put_many(keys, [b"c%06d" % int(k) for k in keys])
-        with open_store(path=tmp_path / "db", mmap=True) as db:
+        with open_store(path=tmp_path / "db") as db:
             assert len(db.sstables) > 1
             db.compact()
             assert len(db.sstables) == 1
             assert db.get_value(2000) == b"c002000"
-        with open_store(path=tmp_path / "db", mmap=True) as db:
+        with open_store(path=tmp_path / "db") as db:
             assert db.get_value(2000) == b"c002000"
             assert db.get_value(2001) is None

@@ -58,10 +58,9 @@ class StoreMachine(RuleBasedStateMachine):
     shards: int
     compaction: object = "manual"
     # Read-tier machine parameters: the store under test may run block-
-    # compressed and/or over mmap'd frames (the shadow never does), so
-    # every comparison also pins the zero-copy tier to the eager answers.
+    # compressed under a block-cache budget (the shadow never does), so
+    # every comparison also pins the compressed tier to the plain answers.
     compression: object = None
-    mmap: bool = False
     block_cache_bytes: "int | None" = None
 
     def __init__(self):
@@ -88,7 +87,6 @@ class StoreMachine(RuleBasedStateMachine):
             store_values=True,
             compaction=self.compaction,
             compression=self.compression,
-            mmap=self.mmap,
             block_cache_bytes=self.block_cache_bytes,
         )
 
@@ -248,24 +246,22 @@ def test_store_model_with_background_compaction(name, compaction, shards):
     run_state_machine_as_test(machine_cls, settings=MACHINE_SETTINGS)
 
 
-# The zero-copy read tier under the same random churn: tiny blocks so
+# The compressed read tier under the same random churn: tiny blocks so
 # values span several compressed blocks, and one case with a cache budget
 # far below the working set so eviction interleaves with every rule.
 READ_TIER_CASES = [
-    ("mmap", None, True, None),
-    ("zlib", {"codec": "zlib", "block_bytes": 1 << 10}, False, None),
-    ("zlib-mmap", {"codec": "zlib", "block_bytes": 1 << 10}, True, None),
-    ("zlib-tiny-cache", {"codec": "zlib", "block_bytes": 1 << 10}, True, 1 << 11),
+    ("zlib", {"codec": "zlib", "block_bytes": 1 << 10}, None),
+    ("zlib-tiny-cache", {"codec": "zlib", "block_bytes": 1 << 10}, 1 << 11),
 ]
 
 
 @pytest.mark.parametrize("shards", [1, 4])
 @pytest.mark.parametrize(
-    "name,compression,mmap,cache",
+    "name,compression,cache",
     READ_TIER_CASES,
-    ids=[name for name, _, _, _ in READ_TIER_CASES],
+    ids=[name for name, _, _ in READ_TIER_CASES],
 )
-def test_store_model_read_tier(name, compression, mmap, cache, shards):
+def test_store_model_read_tier(name, compression, cache, shards):
     machine_cls = type(
         f"StoreMachine_{name}_{shards}",
         (StoreMachine,),
@@ -273,7 +269,6 @@ def test_store_model_read_tier(name, compression, mmap, cache, shards):
             "spec": CASES[0][1],
             "shards": shards,
             "compression": compression,
-            "mmap": mmap,
             "block_cache_bytes": cache,
         },
     )

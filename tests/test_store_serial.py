@@ -379,15 +379,19 @@ def compressed_dir(tmp_path):
 
 
 def _flip_byte_in_payload(sst_path, payload_index, offset=3):
-    """Flip one byte inside the given payload of an SST frame on disk."""
+    """Flip one byte inside the given payload of an SST frame on disk.
+
+    The byte is rewritten in place (same file, no truncation), so an open
+    store's read-only mapping of the run sees the flip too.
+    """
     from repro.serial import unpack_frame
 
     data = sst_path.read_bytes()
     target = bytes(unpack_frame(data)[1][payload_index])
     position = data.rindex(target) + offset
-    blob = bytearray(data)
-    blob[position] ^= 0x20
-    sst_path.write_bytes(bytes(blob))
+    with open(sst_path, "r+b") as fh:
+        fh.seek(position)
+        fh.write(bytes([data[position] ^ 0x20]))
 
 
 class TestCompressedFrameCorruption:
@@ -400,25 +404,22 @@ class TestCompressedFrameCorruption:
     ):
         victim = next(compressed_dir.glob("sst-*.sst"))
         _flip_byte_in_payload(victim, 0)  # keys decode eagerly at open
-        # The eager path catches it via the whole-frame checksum, the mmap
-        # path via the flipped block's own CRC — both name the file.
-        with pytest.raises(SerialError, match=f"{victim.name}.*checksum"):
-            open_store(path=compressed_dir)
+        # Reopen checks the whole-frame payload checksum before decoding.
         with pytest.raises(
-            SerialError,
-            match=f"{victim.name}.*block \\d+ checksum mismatch.*offset",
+            SerialError, match=f"{victim.name}.*payload checksum mismatch"
         ):
-            open_store(path=compressed_dir, mmap=True)
+            open_store(path=compressed_dir)
 
     def test_bit_flipped_value_block_raises_on_access_not_wrong_data(
         self, compressed_dir
     ):
-        """The value blob decompresses lazily: a flip there passes the
-        mmap open (which skips whole-payload reads by design) but must
-        fail loudly on the first lookup that touches the block."""
+        """The value blob decompresses lazily: a flip that lands after
+        open (past the whole-frame checksum) is seen through the run's
+        mapping and must fail loudly on the first lookup that touches the
+        block, never return wrong bytes."""
         victim = next(compressed_dir.glob("sst-*.sst"))
+        db = open_store(path=compressed_dir)
         _flip_byte_in_payload(victim, 3)  # the value blob payload
-        db = open_store(path=compressed_dir, mmap=True)
         with pytest.raises(
             SerialError,
             match=f"{victim.name}.*block \\d+ checksum mismatch.*offset",
@@ -445,11 +446,10 @@ class TestCompressedFrameCorruption:
                 version=FORMAT_VERSION_BLOCKS,
             )
         )
-        for mmap in (False, True):
-            with pytest.raises(
-                SerialError, match=f"{victim.name}.*truncated block table"
-            ):
-                open_store(path=compressed_dir, mmap=mmap)
+        with pytest.raises(
+            SerialError, match=f"{victim.name}.*truncated block table"
+        ):
+            open_store(path=compressed_dir)
 
     def test_codec_mismatch_vs_manifest_raises(self, compressed_dir):
         import json
@@ -460,12 +460,11 @@ class TestCompressedFrameCorruption:
         (compressed_dir / MANIFEST_NAME).write_bytes(
             pack_frame(KIND_STORE, header)
         )
-        for mmap in (False, True):
-            with pytest.raises(
-                SerialError,
-                match="codec 'zlib' does not match the store manifest",
-            ):
-                open_store(path=compressed_dir, mmap=mmap)
+        with pytest.raises(
+            SerialError,
+            match="codec 'zlib' does not match the store manifest",
+        ):
+            open_store(path=compressed_dir)
 
     def test_mmap_of_file_shorter_than_header_claims_raises(self, store_dir):
         victim = next(store_dir.glob("sst-*.sst"))
@@ -473,15 +472,15 @@ class TestCompressedFrameCorruption:
         with pytest.raises(
             SerialError, match=f"{victim.name}.*truncated.*offset"
         ):
-            open_store(path=store_dir, mmap=True)
+            open_store(path=store_dir)
 
     def test_mmap_of_empty_file_raises(self, store_dir):
         victim = next(store_dir.glob("sst-*.filter"))
         victim.write_bytes(b"")
         with pytest.raises(
-            SerialError, match=f"{victim.name}.*empty file"
+            SerialError, match=f"{victim.name}.*truncated"
         ):
-            open_store(path=store_dir, mmap=True)
+            open_store(path=store_dir)
 
     def test_mmap_trailing_garbage_raises(self, store_dir):
         victim = next(store_dir.glob("sst-*.sst"))
@@ -489,7 +488,7 @@ class TestCompressedFrameCorruption:
         with pytest.raises(
             SerialError, match=f"{victim.name}.*trailing"
         ):
-            open_store(path=store_dir, mmap=True)
+            open_store(path=store_dir)
 
     def test_zstd_store_without_the_extra_fails_loudly(
         self, tmp_path, monkeypatch
