@@ -18,8 +18,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_ops_pointbatch.py --quick  # CI smoke
 
 The full run uses a 10k-lookup workload and records the headline speedup
-(target: >= 10x).  ``--quick`` shrinks the workload and only asserts that
-batch throughput beats the scalar loop.
+(target: >= 10x).  ``--quick`` shrinks the workload.  Both modes exit
+non-zero on any answer or accounting mismatch, or when a speedup falls
+below its floor in ``SPEEDUP_FLOORS``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ from repro.core.bloomrf import BloomRF
 from repro.lsm import LsmDB, SpecPolicy
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_pointbatch.json"
+#: Exit-check floors on the batch-vs-scalar speedups: the committed full
+#: run's 14.94x and 25.78x (``BENCH_pointbatch.json``) divided by 4.0 for
+#: ``--quick`` and by 2.5 for a full run, rounded up; the full engine
+#: floor is the 10x target, which is higher.
+SPEEDUP_FLOORS = {
+    "quick": {"speedup": 3.735, "filter_speedup": 6.445},
+    "full": {"speedup": 10.0, "filter_speedup": 10.311},
+}
 
 
 def build_workload(
@@ -139,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: smaller workload, asserts batch >= scalar",
+        help="CI smoke mode: smaller workload, lower speedup floors",
     )
     parser.add_argument(
         "--output",
@@ -170,10 +179,10 @@ def main(argv: list[str] | None = None) -> int:
     if not result["filter_identical"]:
         print("FAIL: batched filter probes differ from the scalar loop")
         return 1
-    floor = 1.0 if args.quick else 10.0
-    if result["speedup"] < floor:
-        print(f"FAIL: speedup {result['speedup']:.2f}x below the {floor}x floor")
-        return 1
+    for name, floor in SPEEDUP_FLOORS[result["mode"]].items():
+        if result[name] < floor:
+            print(f"FAIL: {name} {result[name]:.2f}x below the {floor}x floor")
+            return 1
     return 0
 
 

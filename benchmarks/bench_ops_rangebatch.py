@@ -14,10 +14,10 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_ops_rangebatch.py          # full
     PYTHONPATH=src python benchmarks/bench_ops_rangebatch.py --quick  # CI smoke
 
-The full run uses a 10k-query workload and records the headline speedup
-(target: >= 5x).  ``--quick`` shrinks the workload and only asserts that
-batch throughput beats the scalar loop — a perf smoke cheap enough to run
-on every change.
+The full run uses a 10k-query workload and records the headline speedup.
+``--quick`` shrinks the workload — a perf smoke cheap enough to run on
+every change.  Both modes exit non-zero on any answer mismatch or when the
+speedup falls below its floor in ``SPEEDUP_FLOORS``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ from repro.workloads.queries import empty_range_queries
 U64 = (1 << 64) - 1
 EMPTY_RANGE_SIZES = (2, 16, 256, 4096, 1 << 14, 1 << 18, 1 << 22)
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_rangebatch.json"
+#: Exit-check floors on the batch-vs-scalar speedup: the committed full
+#: run's 23.41x (``BENCH_rangebatch.json``) divided by 4.0 for ``--quick``
+#: and by 2.5 for a full run, rounded up.
+SPEEDUP_FLOORS = {"quick": 5.853, "full": 9.365}
 
 
 def build_workload(
@@ -120,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: smaller workload, asserts batch >= scalar",
+        help="CI smoke mode: smaller workload, lower speedup floor",
     )
     parser.add_argument(
         "--output",
@@ -143,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     if not result["bit_identical"]:
         print("FAIL: batch results differ from scalar contains_range")
         return 1
-    floor = 1.0 if args.quick else 5.0
+    floor = SPEEDUP_FLOORS[result["mode"]]
     if result["speedup"] < floor:
         print(f"FAIL: speedup {result['speedup']:.2f}x below the {floor}x floor")
         return 1

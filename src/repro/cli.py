@@ -212,24 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s_recover.add_argument("path", help="store directory")
 
-    s_bench_server = store_sub.add_parser(
-        "bench-server",
-        help="many-client serving benchmark: coalesced vs per-request "
-        "dispatch over fresh stores created under PATH; prints JSON",
-    )
-    s_bench_server.add_argument(
-        "path", help="working directory (fresh stores are created inside)"
-    )
-    s_bench_server.add_argument(
-        "--clients", type=int, default=8,
-        help="concurrent asyncio clients per mode",
-    )
-    s_bench_server.add_argument(
-        "--requests", type=int, default=50,
-        help="requests per client per mode",
-    )
-    s_bench_server.add_argument("--seed", type=int, default=0)
-
     serve = sub.add_parser(
         "serve",
         help="serve a store over TCP (length-prefixed JSON frames) with "
@@ -240,10 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=8474, help="0 picks an ephemeral port"
-    )
-    serve.add_argument(
-        "--uncoalesced", action="store_true",
-        help="per-request dispatch: no batching, one ack barrier per write",
     )
     serve.add_argument(
         "--max-inflight", type=int, default=64,
@@ -804,42 +782,6 @@ def _cmd_store_recover(args) -> int:
     return 0
 
 
-def _cmd_store_bench_server(args) -> int:
-    import json
-    import shutil
-    from pathlib import Path
-
-    from repro.api import FilterSpec, open_store
-    from repro.server.bench import run_benchmark
-
-    base = Path(args.path)
-    base.mkdir(parents=True, exist_ok=True)
-    modes = iter(("coalesced", "uncoalesced"))
-
-    def make_store():
-        root = base / next(modes)
-        shutil.rmtree(root, ignore_errors=True)
-        return open_store(
-            path=root,
-            filter=FilterSpec(
-                "bloomrf", {"bits_per_key": 14, "max_range": 1 << 12}
-            ),
-            memtable_capacity=1 << 14,
-            store_values=True,
-            wal_sync="batch",
-            wal_group_commit=64,
-        )
-
-    result = run_benchmark(
-        make_store,
-        clients=args.clients,
-        requests_per_client=args.requests,
-        seed=args.seed,
-    )
-    print(json.dumps(result, indent=2))
-    return 0
-
-
 def _cmd_serve(args) -> int:
     import asyncio
     from pathlib import Path
@@ -853,9 +795,8 @@ def _cmd_serve(args) -> int:
         return 2
 
     def ready(host: str, port: int) -> None:
-        mode = "per-request dispatch" if args.uncoalesced else "coalescing"
         print(
-            f"serving {args.path} on {host}:{port} ({mode}); "
+            f"serving {args.path} on {host}:{port} (coalescing); "
             f"Ctrl-C drains and stops",
             flush=True,
         )
@@ -866,7 +807,6 @@ def _cmd_serve(args) -> int:
                 db,
                 args.host,
                 args.port,
-                coalesce=not args.uncoalesced,
                 max_inflight=args.max_inflight,
                 on_ready=ready,
             )
@@ -888,7 +828,6 @@ _STORE_COMMANDS = {
     "compact": _cmd_store_compact,
     "inspect": _cmd_store_inspect,
     "recover": _cmd_store_recover,
-    "bench-server": _cmd_store_bench_server,
 }
 
 def _cmd_lint(args) -> int:

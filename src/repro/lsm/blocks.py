@@ -39,7 +39,6 @@ from repro.serial import SerialError
 __all__ = [
     "DEFAULT_BLOCK_BYTES",
     "DEFAULT_CACHE_BYTES",
-    "available_codecs",
     "normalize_compression",
     "require_codec",
     "compress_payload",
@@ -62,14 +61,6 @@ def _zstd_module() -> Any:
     except ImportError:
         return None
     return zstandard
-
-
-def available_codecs() -> list[str]:
-    """Codec names usable in this environment (``zlib`` always is)."""
-    codecs = ["zlib"]
-    if _zstd_module() is not None:
-        codecs.append("zstd")
-    return codecs
 
 
 def require_codec(codec: str) -> str:

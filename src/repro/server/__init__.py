@@ -9,8 +9,8 @@ barrier.  See :mod:`repro.server.server` for the execution model and
 
 Entry points: ``repro serve PATH`` (CLI), :class:`StoreServer` /
 :func:`run_server` (embedding), :class:`StoreClient` /
-:class:`AsyncStoreClient` (clients), :func:`repro.server.bench.run_benchmark`
-(the many-client benchmark behind ``BENCH_server.json``).
+:class:`AsyncStoreClient` (clients).  ``perfbench``'s ``served`` workload
+measures the server end to end, against a separate ``repro serve`` process.
 """
 
 from repro.server.client import AsyncStoreClient, ServerError, StoreClient

@@ -100,20 +100,15 @@ class Coalescer:
     the single worker thread (adjacent same-class operations merged into
     one vectorized call, arrival order preserved), runs one
     ``commit_barrier()`` for the tick's writes, and only then resolves
-    the futures — the ack point.  With ``coalesce=False`` every
-    operation becomes its own engine call with its own barrier: the
-    per-request dispatch baseline the benchmark compares against.
+    the futures — the ack point.
 
     ``trace=True`` records the executed engine-call sequence (method,
     arguments, answers) — the serialization witness the exactness tests
     replay against a shadow store.
     """
 
-    def __init__(
-        self, store: Any, *, coalesce: bool = True, trace: bool = False
-    ) -> None:
+    def __init__(self, store: Any, *, trace: bool = False) -> None:
         self.store = store
-        self.coalesce = coalesce
         self.trace: list[tuple] | None = [] if trace else None
         self._pending: deque[_Op] = deque()
         self._wake = asyncio.Event()
@@ -122,7 +117,7 @@ class Coalescer:
         )
         self._task: asyncio.Task | None = None
         self._closed = False
-        # Accounting (read by StoreServer.info() / the benchmark):
+        # Accounting (read by StoreServer.info()):
         self.ticks = 0
         self.ops = 0
         self.engine_calls = 0
@@ -137,13 +132,6 @@ class Coalescer:
         (for writes: after the covering group commit)."""
         if self._closed:
             raise ConnectionResetError("server is draining")
-        if not self.coalesce:
-            # Per-request dispatch baseline: one executor round trip and
-            # (for writes) one ack barrier per operation.  The single
-            # worker thread still serializes store access.
-            return await asyncio.get_running_loop().run_in_executor(
-                self._executor, self._execute_one, kind, payload
-            )
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending.append(_Op(kind, payload, future))
         self._wake.set()
@@ -187,17 +175,6 @@ class Coalescer:
                     op.future.set_result(result)
 
     # -- executor-thread side ------------------------------------------
-    def _execute_one(self, kind: str, payload: Any) -> Any:
-        """The uncoalesced path: one op, one engine call, own barrier."""
-        answers = self._run_group(kind, [payload])
-        if kind in _WRITE_KINDS:
-            self.store.commit_barrier()
-            self.barriers += 1
-        self.ticks += 1
-        self.ops += 1
-        self.max_tick_ops = max(self.max_tick_ops, 1)
-        return answers[0]
-
     def _execute(self, batch: list[_Op]) -> list[Any]:
         results: list[Any] = [None] * len(batch)
         wrote = False
@@ -378,8 +355,7 @@ class StoreServer:
 
     ``port=0`` binds an ephemeral port; read :attr:`address` after
     :meth:`start`.  ``max_inflight`` caps in-flight requests per
-    connection (backpressure); ``coalesce=False`` switches to the
-    per-request dispatch baseline; ``trace=True`` records the executed
+    connection (backpressure); ``trace=True`` records the executed
     engine-call serialization for the exactness tests.
     """
 
@@ -389,7 +365,6 @@ class StoreServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        coalesce: bool = True,
         max_inflight: int = 64,
         trace: bool = False,
     ) -> None:
@@ -398,9 +373,8 @@ class StoreServer:
         self.store = store
         self.host = host
         self.port = port
-        self.coalesce = coalesce
         self.max_inflight = max_inflight
-        self.coalescer = Coalescer(store, coalesce=coalesce, trace=trace)
+        self.coalescer = Coalescer(store, trace=trace)
         self.address: tuple[str, int] | None = None
         self._server: asyncio.AbstractServer | None = None
         self._closing = asyncio.Event()
@@ -454,7 +428,6 @@ class StoreServer:
         """Server + coalescer accounting (also served by op ``stats``)."""
         c = self.coalescer
         return {
-            "coalesce": self.coalesce,
             "max_inflight": self.max_inflight,
             "connections": self.connections_total,
             "requests": self.requests_total,
@@ -667,7 +640,6 @@ async def run_server(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    coalesce: bool = True,
     max_inflight: int = 64,
     on_ready: Callable[[str, int], None] | None = None,
 ) -> StoreServer:
@@ -677,9 +649,7 @@ async def run_server(
     loop allows it, calls ``on_ready(host, port)`` once listening, and
     always runs the drain-flush shutdown on the way out.
     """
-    server = StoreServer(
-        store, host, port, coalesce=coalesce, max_inflight=max_inflight
-    )
+    server = StoreServer(store, host, port, max_inflight=max_inflight)
     await server.start()
     assert server.address is not None
     if on_ready is not None:

@@ -268,21 +268,6 @@ def test_pipelined_async_client_coalesces(running_server):
         store._inner.close()
 
 
-def test_uncoalesced_mode_round_trips(running_server):
-    store = open_store()
-    try:
-        with running_server(store, coalesce=False) as server:
-            host, port = server.address
-            with StoreClient(host, port) as c:
-                c.put_many([1, 2, 3])
-                assert c.get_many([1, 2, 3, 4]) == [True, True, True, False]
-                assert c.scan_nonempty(0, 10)
-            # every op was its own engine call
-            assert server.coalescer.engine_calls == server.coalescer.ops
-    finally:
-        store.close()
-
-
 def test_graceful_shutdown_preserves_acked_writes(tmp_path, running_server):
     """Stop the server while a client hammers it: every put acknowledged
     before the connection died must be durable after reopen."""
