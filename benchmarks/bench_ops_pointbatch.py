@@ -2,12 +2,12 @@
 
 The point counterpart of ``bench_ops_rangebatch.py``: a bulk-loaded LSM
 (bloomRF filter blocks, overlapping L0 runs) is probed with a mixed workload
-of present and absent keys, once through the seed-style scalar loop
-(``db.get`` per key) and once through the batched path (``db.get_many``,
-which consults every run's filter block once per batch and prunes settled
-keys from older runs).  Results — and the bit-identity + accounting-identity
-checks — land in ``BENCH_pointbatch.json`` at the repo root so future PRs
-can track the trajectory.
+of present and absent keys, once through a loop of one-key reads
+(``db.get`` per key, each a one-row batch) and once through the batched
+path (``db.get_many``, which consults every run's filter block once per
+batch and prunes settled keys from older runs).  Results — and the
+bit-identity + accounting-identity checks — land in ``BENCH_pointbatch.json``
+at the repo root so future PRs can track the trajectory.
 
 A second section measures the standalone filter: ``BloomRF.contains_point_many``
 against the scalar ``contains_point`` loop.
@@ -71,7 +71,8 @@ def build_workload(
 
 
 def scalar_loop(db: LsmDB, lookups: np.ndarray) -> np.ndarray:
-    """The seed read path: one Python-level ``get`` walk per key."""
+    """One ``get`` per key: each is a one-row batch, so every run's filter
+    handle sees one key at a time and loops the filter's scalar probe."""
     return np.fromiter(
         (db.get(int(key)) for key in lookups), dtype=bool, count=lookups.size
     )

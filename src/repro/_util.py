@@ -4,12 +4,14 @@ Every filter in this package works over fixed-width unsigned integer domains
 (``d`` bits, ``d <= 64``).  Python integers are unbounded, so the helpers here
 centralize the masking discipline that keeps intermediate values inside the
 domain.  They are deliberately tiny so the hot paths in :mod:`repro.core` can
-inline-call them without surprises; :func:`bulk_range_eval` is the one
-NumPy-facing helper (the shared scalar->bulk range-probe adapter).
+inline-call them without surprises.  The NumPy-facing helpers are the
+scalar->bulk probe adapters (:func:`bulk_point_eval`,
+:func:`bulk_range_eval`), the bounds-row check and :func:`one_row`.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 import numpy as np
@@ -28,7 +30,7 @@ def bulk_range_eval(
     """
     bounds = np.asarray(bounds)  # repro-lint: ignore[dtype-discipline] -- generic adapter: rows reach the scalar fn via int(), any integer dtype is welcome
     return np.fromiter(
-        (scalar_fn(int(lo), int(hi)) for lo, hi in bounds),
+        (scalar_fn(int(lo), int(hi)) for lo, hi in bounds.tolist()),
         dtype=bool,
         count=bounds.shape[0],
     )
@@ -46,7 +48,7 @@ def bulk_point_eval(
     """
     keys = np.asarray(keys)  # repro-lint: ignore[dtype-discipline] -- generic adapter: keys reach the scalar fn via int(), any integer dtype is welcome
     return np.fromiter(
-        (scalar_fn(int(key)) for key in keys.ravel()),
+        (scalar_fn(int(key)) for key in keys.ravel().tolist()),
         dtype=bool,
         count=keys.size,
     )
@@ -68,6 +70,22 @@ def check_bounds_rows(bounds: np.ndarray) -> np.ndarray:
                 f"empty query range [{int(bounds[i, 0])}, {int(bounds[i, 1])}]"
             )
     return bounds
+
+
+def one_row(*values: int) -> np.ndarray:
+    """One key, or one ``(lo, hi)`` bound pair, as a one-row uint64 batch.
+
+    The scalar reads enter the batched engines through here.  Each value
+    must be an integer in ``[0, 2**64)`` (``ValueError`` otherwise, as on
+    the batch paths), and the dtype is pinned, so a bound of ``2**64 - 1``
+    never promotes the row to float64.  One value gives shape ``(1,)``,
+    two give ``(1, 2)``.
+    """
+    row = [operator.index(value) for value in values]
+    for value in row:
+        if not 0 <= value <= MASK64:
+            raise ValueError(f"key {value!r} outside the 64-bit unsigned domain")
+    return np.array(row if len(row) == 1 else [row], dtype=np.uint64)
 
 
 def mask(bits: int) -> int:

@@ -586,7 +586,9 @@ class SerialDisciplineRule(Rule):
 
 class DtypeDisciplineRule(Rule):
     id = "dtype-discipline"
-    summary = "np.asarray/np.frombuffer on key/bounds arrays must pin a dtype"
+    summary = (
+        "np.asarray/np.array/np.frombuffer on key/bounds arrays must pin a dtype"
+    )
     invariant = (
         "an unpinned conversion silently promotes large uint64 keys to "
         "float64, corrupting them above 2**53 — the kind of bug the "
@@ -597,7 +599,14 @@ class DtypeDisciplineRule(Rule):
     paths = ()  # every scanned file
 
     _CONVERTERS = frozenset(
-        {"np.asarray", "numpy.asarray", "np.frombuffer", "numpy.frombuffer"}
+        {
+            "np.asarray",
+            "numpy.asarray",
+            "np.array",
+            "numpy.array",
+            "np.frombuffer",
+            "numpy.frombuffer",
+        }
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:

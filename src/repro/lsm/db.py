@@ -27,6 +27,7 @@ import threading
 
 import numpy as np
 
+from repro._util import one_row
 from repro.api import FilterSpec
 from repro.lsm.compaction import (
     CompactionScheduler,
@@ -403,7 +404,12 @@ class LsmDB:
         return self.get_value(key) is not None
 
     def get_value(self, key: int) -> bytes | None:
-        """Newest live value of ``key``, or None (absent or deleted)."""
+        """Newest live value of ``key``, or None (absent or deleted).
+
+        Walks the runs newest-first; each run answers through its one-row
+        :meth:`SSTable.get_many <repro.lsm.sstable.SSTable.get_many>`.
+        """
+        key = int(one_row(key)[0])
         buffered = self.memtable.get(key)
         if buffered is not None:
             return None if buffered is TOMBSTONE else buffered
@@ -431,12 +437,14 @@ class LsmDB:
     def get_many(self, keys: np.ndarray) -> np.ndarray:
         """Batched :meth:`get`: one boolean per key (newest version live?).
 
-        Bit-identical to looping :meth:`get` (asserted by the tests), with
-        identical filter-stats and I/O accounting, but every run's filter
-        block is consulted once per batch through its bulk interface.
-        Batch-wide pruning mirrors the scalar walk's early exit: a key
-        settled by the memtable or an earlier (newer) run stops probing
-        older runs, so each run only sees its still-unresolved keys.
+        Every run's filter block is consulted once per batch; its handle
+        picks the scalar or the vectorized kernel by batch size, so a
+        one-key batch costs what a scalar probe does.  Batch-wide pruning
+        mirrors :meth:`get_value`'s early exit: a key settled by the
+        memtable or an earlier (newer) run stops probing older runs, so
+        each run only sees its still-unresolved keys.  Answers and
+        ``IOStats.counters()`` equal those of one-key calls (asserted by
+        the tests).
         """
         keys = self._validated_keys(keys)
         n = keys.size
@@ -462,10 +470,9 @@ class LsmDB:
         """Batched filter-level membership probe: may ``key`` be present?
 
         The point counterpart of :meth:`scan_may_contain`: every run's
-        filter block is consulted through its bulk interface (one batch
-        probe per SST), then the memtable.  Pure filter CPU — no fence
-        lookups and no block reads are charged, and tombstones are *not*
-        resolved (a filter cannot un-insert).  A True is a *may-contain* —
+        filter block is consulted once per batch, then the memtable.  Pure
+        filter CPU — no fence lookups and no block reads are charged, and
+        tombstones are *not* resolved (a filter cannot un-insert).  A True is a *may-contain* —
         resolve with :meth:`get_many` when the exact answer matters.
         """
         keys = self._validated_keys(keys)
@@ -482,28 +489,15 @@ class LsmDB:
     def scan_nonempty(self, l_key: int, r_key: int) -> bool:
         """Does ``[l_key, r_key]`` hold any live key? (Exp. 1's probe shape).
 
-        Probes every run's filter (the paper's workloads are empty — the
-        worst case — and real scans must merge all overlapping runs), then
-        reconciles versions newest-first.
+        A one-row :meth:`scan_nonempty_many`.
         """
-        if l_key > r_key:
-            raise ValueError(f"empty query range [{l_key}, {r_key}]")
-        candidates = [
-            sst
-            for sst in self.sstables
-            if sst.scan(l_key, r_key, self.stats, self.device)
-        ]
-        if self.memtable.contains_range(l_key, r_key):
-            return True
-        if not candidates:
-            return False
-        return bool(self._merge_scan(l_key, r_key, candidates, limit=1))
+        return bool(self.scan_nonempty_many(one_row(l_key, r_key))[0])
 
     @staticmethod
     def _validated_bounds(bounds: np.ndarray) -> np.ndarray:
-        """Shared bounds validation for the batched scan paths: mirrors the
-        scalar scans' inverted-range rejection and refuses negative keys
-        instead of silently wrapping them into uint64."""
+        """Shared bounds validation for the scan paths: rejects inverted
+        ranges and refuses negative keys instead of silently wrapping them
+        into uint64."""
         arr = np.asarray(bounds)  # repro-lint: ignore[dtype-discipline] -- validation must see the caller's dtype to reject floats/negatives before astype(uint64)
         if arr.size == 0:
             return np.zeros((0, 2), dtype=np.uint64)
@@ -526,9 +520,8 @@ class LsmDB:
         """Batched filter-level emptiness probe: may ``[lo, hi]`` be non-empty?
 
         One boolean per ``(lo, hi)`` row; every run's filter block is
-        consulted through its bulk interface (one batch probe per SST
-        instead of one scalar probe per query per SST), then the memtable.
-        Pure filter CPU — no fence lookups and no block reads are charged.
+        consulted once per batch, then the memtable.  Pure filter CPU — no
+        fence lookups and no block reads are charged.
         A True is a *may-contain* — resolve with :meth:`scan_nonempty_many`
         or :meth:`scan` when the exact answer matters.
         """
@@ -543,11 +536,12 @@ class LsmDB:
         return result
 
     def scan_nonempty_many(self, bounds: np.ndarray) -> np.ndarray:
-        """Batched :meth:`scan_nonempty`: one boolean per ``(lo, hi)`` row.
+        """Does each ``(lo, hi)`` row hold any live key? One boolean per row.
 
-        Filter probes run batched per SST (the fast path the Fig. 9/12
-        benchmarks exercise); only filter-positive (query, run) pairs fall
-        back to the merging scan for version reconciliation.
+        Probes every run's filter (the paper's workloads are empty — the
+        worst case — and real scans must merge all overlapping runs), one
+        probe batch per SST; only filter-positive (query, run) pairs reach
+        the merging scan for version reconciliation.
         """
         bounds = self._validated_bounds(bounds)
         if bounds.size == 0:
@@ -567,14 +561,15 @@ class LsmDB:
     def scan(self, l_key: int, r_key: int, limit: int | None = None):
         """Merged live entries in range, newest version wins, sorted by key.
 
-        Returns ``[(key, value), ...]``; filters prune non-overlapping runs.
+        Returns ``[(key, value), ...]``; filters prune non-overlapping runs,
+        each run answering through its one-row
+        :meth:`SSTable.scan_many <repro.lsm.sstable.SSTable.scan_many>`.
         """
-        if l_key > r_key:
-            raise ValueError(f"empty query range [{l_key}, {r_key}]")
+        bounds = self._validated_bounds(one_row(l_key, r_key))
         candidates = [
             sst
             for sst in self.sstables
-            if sst.scan(l_key, r_key, self.stats, self.device)
+            if sst.scan_many(bounds, self.stats, self.device)[0]
         ]
         return self._merge_scan(l_key, r_key, candidates, limit)
 

@@ -13,10 +13,14 @@ semantics and probe accounting.  A compacted run is a new SST: its filter
 is built from its own surviving keys like a flushed run's, never derived
 from the input runs' filters.
 
-Every handle exposes bulk probe interfaces (``probe_point_many`` /
-``probe_range_many``): filters with a vectorized path are wired through; the
-rest fall back to a uniform scalar loop, so the DB's batched read paths work
-against every kind.
+A handle has one probe per query shape, batched: ``probe_point_many`` and
+``probe_range_many``.  A scalar read reaches them as a one-row batch.  The
+handle picks the kernel by batch size: below :data:`VECTOR_MIN_BATCH` items
+it loops the filter's scalar ``contains_*``, from there on it calls the
+vectorized ``contains_*_many``.  A filter without a bulk interface always
+takes the loop.  The answers are the same either way (the registry's
+scalar==bulk contract); only the cost differs, because a vectorized call
+pays a fixed NumPy setup per layer that a small batch never earns back.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from repro.api import (
 )
 
 __all__ = [
+    "VECTOR_MIN_BATCH",
     "FilterHandle",
     "FilterPolicy",
     "SpecPolicy",
@@ -48,14 +53,18 @@ __all__ = [
 ]
 
 
+#: Batch size from which a handle calls the filter's vectorized kernel
+#: instead of looping its scalar probe.  Measured on bloomRF runs of 2,560
+#: and 16,384 keys (2-vCPU VM): the vectorized point kernel wins from 16-24
+#: keys per call, the range kernel from 48-64 rows; 32 splits the
+#: difference (sweep table in CHANGES.md).
+VECTOR_MIN_BATCH = 32
+
+
 class FilterHandle(Protocol):
     """What the DB needs from a built filter block."""
 
-    def probe_point(self, key: int) -> bool: ...
-
     def probe_point_many(self, keys: np.ndarray) -> np.ndarray: ...
-
-    def probe_range(self, l_key: int, r_key: int) -> bool: ...
 
     def probe_range_many(self, bounds: np.ndarray) -> np.ndarray: ...
 
@@ -95,25 +104,19 @@ class _Handle:
         self._range_many = range_many
         self._serialize = serialize
 
-    def probe_point(self, key: int) -> bool:
-        return self._point(key)
-
     def probe_point_many(self, keys: np.ndarray) -> np.ndarray:
-        """Batched point probe; falls back to a scalar loop when the
-        underlying filter has no bulk interface."""
-        if self._point_many is not None:
-            return np.asarray(self._point_many(keys), dtype=bool)
-        return bulk_point_eval(self._point, keys)
-
-    def probe_range(self, l_key: int, r_key: int) -> bool:
-        return self._range(l_key, r_key)
+        """Point probe of a key batch: the scalar loop below
+        :data:`VECTOR_MIN_BATCH` keys, the vectorized kernel from there."""
+        if self._point_many is None or keys.size < VECTOR_MIN_BATCH:
+            return bulk_point_eval(self._point, keys)
+        return np.asarray(self._point_many(keys), dtype=bool)
 
     def probe_range_many(self, bounds: np.ndarray) -> np.ndarray:
-        """Batched range probe; falls back to a scalar loop when the
-        underlying filter has no bulk interface."""
-        if self._range_many is not None:
-            return np.asarray(self._range_many(bounds), dtype=bool)
-        return bulk_range_eval(self._range, bounds)
+        """Range probe of an ``(n, 2)`` bounds batch: the scalar loop below
+        :data:`VECTOR_MIN_BATCH` rows, the vectorized kernel from there."""
+        if self._range_many is None or bounds.shape[0] < VECTOR_MIN_BATCH:
+            return bulk_range_eval(self._range, bounds)
+        return np.asarray(self._range_many(bounds), dtype=bool)
 
     @property
     def size_bits(self) -> int:
@@ -126,8 +129,8 @@ class _Handle:
 def wrap_filter(filt) -> FilterHandle:
     """Adapt any :class:`repro.api.RangeFilter` into a :class:`FilterHandle`.
 
-    Bulk probe interfaces are wired through when the filter has them;
-    otherwise the handle falls back to the uniform scalar loop.  The
+    The handle keeps both the scalar and (when the filter has them) the
+    vectorized probes, and picks one per call by batch size.  The
     serialized form is the filter's own :mod:`repro.serial` frame.
     """
     return _Handle(

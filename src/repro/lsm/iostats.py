@@ -82,33 +82,26 @@ class IOStats:
         with self._hot_lock:
             self.block_cache_misses += n
 
-    def record_probe(self, positive: bool, truly_present: bool) -> None:
-        """Classify one filter probe against ground truth."""
-        self.filter_probes += 1
-        if positive:
-            self.filter_positives += 1
-            if truly_present:
-                self.filter_true_positives += 1
-            else:
-                self.filter_false_positives += 1
-        elif not truly_present:
-            self.filter_true_negatives += 1
-        # A negative on a truly-present key would be a false negative; every
-        # filter in this package guarantees none, and the DB asserts it.
+    def record_probes(self, positives, truths) -> int:
+        """Classify filter probes against ground truth (parallel boolean
+        arrays: the filter's answers, and whether the key or range is
+        really present).
 
-    def record_probes(self, positives, truths) -> None:
-        """Vectorized :meth:`record_probe` over parallel boolean arrays."""
+        Returns the number of false negatives (a truly present key the
+        filter rejected): every filter in this package guarantees none, and
+        the caller asserts it.
+        """
         positives = np.asarray(positives, dtype=bool)
         truths = np.asarray(truths, dtype=bool)
         n_pos = int(np.count_nonzero(positives))
         n_tp = int(np.count_nonzero(positives & truths))
-        self.filter_probes += int(positives.size)
+        missed = int(np.count_nonzero(truths)) - n_tp
+        self.filter_probes += positives.size
         self.filter_positives += n_pos
         self.filter_true_positives += n_tp
         self.filter_false_positives += n_pos - n_tp
-        self.filter_true_negatives += int(
-            np.count_nonzero(~positives & ~truths)
-        )
+        self.filter_true_negatives += positives.size - n_pos - missed
+        return missed
 
     @property
     def fpr(self) -> float:

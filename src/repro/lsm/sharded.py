@@ -49,6 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro._util import one_row
 from repro.api import FilterSpec
 from repro.lsm.compaction import (
     CompactionScheduler,
@@ -271,10 +272,11 @@ class ShardedLsmDB:
     # ------------------------------------------------------------------
     def get(self, key: int) -> bool:
         """Is a live version of ``key`` present? (owning shard only)."""
-        return self.shards[self.shard_of(key)].get(key)
+        return self.get_value(key) is not None
 
     def get_value(self, key: int) -> bytes | None:
         """Newest live value of ``key``, or None (absent or deleted)."""
+        key = int(one_row(key)[0])
         return self.shards[self.shard_of(key)].get_value(key)
 
     def get_many(self, keys: np.ndarray) -> np.ndarray:
@@ -311,11 +313,7 @@ class ShardedLsmDB:
 
     def scan_nonempty(self, l_key: int, r_key: int) -> bool:
         """Does ``[l_key, r_key]`` hold any live key? (exact answer)."""
-        return bool(
-            self.scan_nonempty_many(
-                np.array([[l_key, r_key]], dtype=np.uint64)
-            )[0]
-        )
+        return bool(self.scan_nonempty_many(one_row(l_key, r_key))[0])
 
     def scan_nonempty_many(self, bounds: np.ndarray) -> np.ndarray:
         """Batched range-emptiness: per-shard probes OR-ed per query.
@@ -354,9 +352,7 @@ class ShardedLsmDB:
         version conflicts: the per-shard merge scans concatenate into one
         key-sorted result (identical to the unsharded scan's).
         """
-        if l_key > r_key:
-            raise ValueError(f"empty query range [{l_key}, {r_key}]")
-        bounds = np.array([[l_key, r_key]], dtype=np.uint64)
+        bounds = LsmDB._validated_bounds(one_row(l_key, r_key))
         jobs = [
             (s, clipped)
             for s, _, clipped in self._partitioner.split_bounds(bounds)

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro._util import one_row
 from repro.baselines.fence import FencePointers
 from repro.lsm.filter_policy import FilterHandle, FilterPolicy
 from repro.lsm.iostats import IOStats, SimulatedDevice
@@ -105,84 +106,51 @@ class SSTable:
     # probe paths (stats-instrumented)
     # ------------------------------------------------------------------
     def get(self, key: int, stats: IOStats, device: SimulatedDevice):
-        """Point lookup: filter -> fences -> block read -> binary search.
+        """Point lookup of one key: a one-row :meth:`get_many` plus the
+        value fetch.
 
         Returns ``(found_entry, value_or_None, is_tombstone)`` where
         ``found_entry`` says whether this SST holds *any* version of key.
         """
-        index = self._index_of(key)
-        truly_present = index is not None
-        start = time.perf_counter()
-        positive = self.filter.probe_point(key)
-        stats.filter_cpu_s += time.perf_counter() - start
-        stats.record_probe(positive, truly_present)
-        assert positive or not truly_present, "filter produced a false negative"
-        if not positive:
+        row = one_row(key)
+        found, tombstone = self.get_many(row, stats, device)
+        if not found[0]:
             return False, None, False
-        blocks = self.fences.blocks_for_point(key)
-        if not blocks:
-            return False, None, False  # fences prune the FP without I/O
-        stats.blocks_read += len(blocks)
-        stats.io_wait_s += len(blocks) * device.read_latency_s
-        if index is None:
-            return False, None, False
-        if self.tombstones[index]:
+        if tombstone[0]:
             return True, None, True
-        value = self.values[index] if self.values is not None else b""
-        return True, value, False
+        if self.values is None:
+            return True, b"", False
+        return True, self.values[int(self.keys.searchsorted(row[0]))], False
 
     def scan(
         self, l_key: int, r_key: int, stats: IOStats, device: SimulatedDevice
     ) -> bool:
-        """Range emptiness probe: range filter -> fences -> block reads.
-
-        True when this SST holds any entry (live or tombstone) in range —
-        versions are reconciled by the DB's merging scan.
-        """
-        truly_present = self._has_entry_in_range(l_key, r_key)
-        start = time.perf_counter()
-        positive = self.filter.probe_range(l_key, r_key)
-        stats.filter_cpu_s += time.perf_counter() - start
-        stats.record_probe(positive, truly_present)
-        assert positive or not truly_present, "filter produced a false negative"
-        if not positive:
-            return False
-        blocks = self.fences.blocks_for_range(l_key, r_key)
-        if not blocks:
-            return False
-        stats.blocks_read += len(blocks)
-        stats.io_wait_s += len(blocks) * device.read_latency_s
-        return truly_present
+        """Range emptiness probe of one range: a one-row :meth:`scan_many`."""
+        return bool(self.scan_many(one_row(l_key, r_key), stats, device)[0])
 
     def get_many(
         self, keys: np.ndarray, stats: IOStats, device: SimulatedDevice
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`get` presence check: one filter probe batch per SST.
+        """Point lookup of a key batch: filter -> fences -> block reads.
 
         Returns ``(found, tombstone)`` boolean arrays — ``found[i]`` says
-        this SST holds *some* version of ``keys[i]``; value retrieval stays
-        on the scalar path.  The filter block is consulted once for the
-        whole batch through its bulk interface; fences and block reads are
-        charged per filter-positive key with the same accounting as the
-        scalar :meth:`get` (asserted by the tests).
+        this SST holds *some* version of ``keys[i]``; :meth:`get` fetches
+        the value of a one-key batch.  The filter block is consulted once
+        for the whole batch (its handle picks the kernel by batch size);
+        fences and block reads are charged per filter-positive key.
         """
         keys = np.asarray(keys, dtype=np.uint64)
-        n = keys.size
-        found = np.zeros(n, dtype=bool)
-        tombstone = np.zeros(n, dtype=bool)
-        if n == 0:
-            return found, tombstone
-        positive, idx, truly_present = self._probe_filter_points(keys, stats)
-        for i in np.nonzero(positive)[0]:
-            blocks = self.fences.blocks_for_point(int(keys[i]))
-            if not blocks:
-                continue  # fences prune the FP without I/O
-            stats.blocks_read += len(blocks)
-            stats.io_wait_s += len(blocks) * device.read_latency_s
-            if truly_present[i]:
-                found[i] = True
-                tombstone[i] = self.tombstones[idx[i]]
-        return found, tombstone
+        if keys.size == 0:
+            return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
+        positive, idx, found = self._probe_filter_points(keys, stats)
+        blocks = 0
+        for key in keys[positive].tolist():
+            blocks += len(self.fences.blocks_for_point(key))
+        stats.blocks_read += blocks
+        stats.io_wait_s += blocks * device.read_latency_s
+        # A present key always passes its filter and its fence, so the
+        # block read answers with the ground truth.
+        return found, found & self.tombstones.take(idx, mode="clip")
 
     def probe_filter_points_many(
         self, keys: np.ndarray, stats: IOStats
@@ -202,22 +170,16 @@ class SSTable:
     def _probe_filter_points(
         self, keys: np.ndarray, stats: IOStats
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Shared stats-charged bulk point probe.
+        """Shared stats-charged point probe of a non-empty key batch.
 
         Returns ``(positive, sorted_index, truly_present)`` where
         ``sorted_index[i]`` locates ``keys[i]`` in the sorted key array when
         ``truly_present[i]``.
         """
-        idx = np.searchsorted(self.keys, keys)
-        safe = np.minimum(idx, self.keys.size - 1)
-        truly_present = (idx < self.keys.size) & (self.keys[safe] == keys)
-        start = time.perf_counter()
-        positive = self.filter.probe_point_many(keys)
-        stats.filter_cpu_s += time.perf_counter() - start
-        stats.record_probes(positive, truly_present)
-        assert not np.any(truly_present & ~positive), (
-            "filter produced a false negative"
-        )
+        idx = self.keys.searchsorted(keys)
+        # Past the end, the clipped index holds the largest key: never equal.
+        truly_present = self.keys.take(idx, mode="clip") == keys
+        positive = self._probe(self.filter.probe_point_many, keys, truly_present, stats)
         return positive, idx, truly_present
 
     def probe_filter_many(
@@ -225,51 +187,64 @@ class SSTable:
     ) -> np.ndarray:
         """Batched filter-block range probe: pure filter CPU, no I/O.
 
-        Consults this SST's range filter once for the whole batch through
-        its bulk interface and records the probe outcomes against ground
-        truth; fences and block reads are left to the caller.
+        Consults this SST's range filter once for the whole batch and
+        records the probe outcomes against ground truth; fences and block
+        reads are left to the caller.
         """
         bounds = np.asarray(bounds, dtype=np.uint64)
         if bounds.shape[0] == 0:
             return np.zeros(0, dtype=bool)
-        idx = np.searchsorted(self.keys, bounds[:, 0])
-        truly_present = (idx < self.keys.size) & (
-            self.keys[np.minimum(idx, self.keys.size - 1)] <= bounds[:, 1]
-        )
+        positive, _ = self._probe_filter_ranges(bounds, stats)
+        return positive
+
+    def _probe_filter_ranges(
+        self, bounds: np.ndarray, stats: IOStats
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Shared stats-charged range probe of a non-empty bounds batch.
+
+        Returns ``(positive, truly_present)``: ``truly_present[i]`` says
+        this SST holds an entry (live or tombstone) in ``bounds[i]``.
+        """
+        # Some key lies in [lo, hi] iff fewer keys sort below lo than up to hi.
+        truly_present = self.keys.searchsorted(
+            bounds[:, 1], side="right"
+        ) > self.keys.searchsorted(bounds[:, 0])
+        positive = self._probe(self.filter.probe_range_many, bounds, truly_present, stats)
+        return positive, truly_present
+
+    @staticmethod
+    def _probe(probe_many, batch, truly_present, stats: IOStats) -> np.ndarray:
+        """One timed filter call, its outcomes recorded against the truth."""
         start = time.perf_counter()
-        positive = self.filter.probe_range_many(bounds)
+        positive = probe_many(batch)
         stats.filter_cpu_s += time.perf_counter() - start
-        stats.record_probes(positive, truly_present)
-        assert not np.any(truly_present & ~positive), (
-            "filter produced a false negative"
-        )
+        missed = stats.record_probes(positive, truly_present)
+        assert not missed, "filter produced a false negative"
         return positive
 
     def scan_many(
         self, bounds: np.ndarray, stats: IOStats, device: SimulatedDevice
     ) -> np.ndarray:
-        """Batched :meth:`scan`: one filter-block probe batch per SST.
+        """Range emptiness probe of a bounds batch: range filter -> fences
+        -> block reads.
 
-        Returns a boolean array (one entry per query) with the same
-        semantics and stats accounting as the scalar path; the range filter
-        is consulted once for the whole batch through its bulk interface.
+        One boolean per ``(lo, hi)`` row: does this SST hold any entry
+        (live or tombstone) in range?  Versions are reconciled by the DB's
+        merging scan.  The range filter is consulted once for the whole
+        batch (its handle picks the kernel by batch size).
         """
         bounds = np.asarray(bounds, dtype=np.uint64)
-        n = bounds.shape[0]
-        if n == 0:
+        if bounds.shape[0] == 0:
             return np.zeros(0, dtype=bool)
-        positive = self.probe_filter_many(bounds, stats)
-        lo = bounds[:, 0]
-        hi = bounds[:, 1]
-        out = np.zeros(n, dtype=bool)
-        for i in np.nonzero(positive)[0]:
-            blocks = self.fences.blocks_for_range(int(lo[i]), int(hi[i]))
-            if not blocks:
-                continue
-            stats.blocks_read += len(blocks)
-            stats.io_wait_s += len(blocks) * device.read_latency_s
-            out[i] = self._has_entry_in_range(int(lo[i]), int(hi[i]))
-        return out
+        positive, truly_present = self._probe_filter_ranges(bounds, stats)
+        blocks = 0
+        for lo, hi in bounds[positive].tolist():
+            blocks += len(self.fences.blocks_for_range(lo, hi))
+        stats.blocks_read += blocks
+        stats.io_wait_s += blocks * device.read_latency_s
+        # A non-empty range always passes its filter and its fences, so
+        # the block reads answer with the ground truth.
+        return truly_present
 
     def entries_in_range(self, l_key: int, r_key: int):
         """Yield ``(key, value, is_tombstone)`` for entries in range, sorted."""
@@ -278,19 +253,6 @@ class SSTable:
         for index in range(lo, hi):
             value = self.values[index] if self.values is not None else b""
             yield int(self.keys[index]), value, bool(self.tombstones[index])
-
-    # ------------------------------------------------------------------
-    # exact helpers (ground truth for stats; also the "block read" result)
-    # ------------------------------------------------------------------
-    def _index_of(self, key: int) -> int | None:
-        idx = int(np.searchsorted(self.keys, np.uint64(key)))
-        if idx < self.keys.size and int(self.keys[idx]) == key:
-            return idx
-        return None
-
-    def _has_entry_in_range(self, l_key: int, r_key: int) -> bool:
-        idx = int(np.searchsorted(self.keys, np.uint64(l_key)))
-        return idx < self.keys.size and int(self.keys[idx]) <= r_key
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -277,6 +277,10 @@ DTYPE_BAD = """
 
     def decode(key_bytes):
         return np.frombuffer(key_bytes)
+
+    def one_row(l_key, r_key):
+        # A bound of 2**64 - 1 makes this row float64.
+        return np.array([[l_key, r_key]])
 """
 
 DTYPE_GOOD = """
@@ -294,6 +298,12 @@ DTYPE_GOOD = """
 
     def widths(values):
         return np.asarray(values)  # not a key/bounds argument
+
+    def one_row(l_key, r_key):
+        return np.array([[l_key, r_key]], dtype=np.uint64)
+
+    def sizes(values):
+        return np.array(values)  # not a key/bounds argument
 """
 
 
@@ -302,7 +312,26 @@ def test_dtype_flags_unpinned_key_conversions(tmp_path):
         tmp_path, "repro/some_module.py", DTYPE_BAD, [DtypeDisciplineRule]
     )
     assert rule_ids(report) == ["dtype-discipline"]
-    assert len(report.findings) == 2
+    assert len(report.findings) == 3
+    assert any("np.array()" in f.message for f in report.findings)
+
+
+def test_dtype_flags_the_unaliased_numpy_module(tmp_path):
+    source = """
+        import numpy
+
+        def one_row(l_key, r_key):
+            return numpy.array([[l_key, r_key]])
+
+        def pinned(keys):
+            return numpy.array(keys, dtype=numpy.uint64)
+    """
+    report = lint_snippet(
+        tmp_path, "repro/some_module.py", source, [DtypeDisciplineRule]
+    )
+    assert rule_ids(report) == ["dtype-discipline"]
+    assert len(report.findings) == 1
+    assert "numpy.array()" in report.findings[0].message
 
 
 def test_dtype_passes_pinned_and_non_key_twin(tmp_path):

@@ -14,6 +14,7 @@ from repro.lsm import (
     SSTable,
     policy_by_name,
 )
+from repro.lsm.filter_policy import VECTOR_MIN_BATCH
 
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 U64 = (1 << 64) - 1
@@ -248,15 +249,30 @@ class TestLsmDB:
 class TestIOStats:
     def test_fpr_definition(self):
         stats = IOStats()
-        stats.record_probe(True, False)
-        stats.record_probe(False, False)
-        stats.record_probe(True, True)
+        missed = stats.record_probes([True, False, True], [False, False, True])
+        assert missed == 0
         assert stats.fpr == pytest.approx(0.5)
+        assert stats.record_probes([False], [True]) == 1
+
+    def test_record_probes_classifies_every_outcome(self):
+        stats = IOStats()
+        positives = [True, True, False, False, False]
+        truths = [True, False, False, False, True]
+        assert stats.record_probes(positives, truths) == 1
+        assert stats.filter_probes == 5
+        assert stats.filter_positives == 2
+        assert stats.filter_true_positives == 1
+        assert stats.filter_false_positives == 1
+        assert stats.filter_true_negatives == 2
+        # An empty batch records nothing.
+        before = stats.counters()
+        assert stats.record_probes([], []) == 0
+        assert stats.counters() == before
 
     def test_merge(self):
         a, b = IOStats(), IOStats()
-        a.record_probe(True, False)
-        b.record_probe(False, False)
+        a.record_probes([True], [False])
+        b.record_probes([False], [False])
         b.io_wait_s = 1.0
         a.merge(b)
         assert a.filter_probes == 2
@@ -293,10 +309,19 @@ class TestPolicies:
         rng = np.random.default_rng(11)
         keys = np.unique(rng.integers(0, 1 << 64, 3_000, dtype=np.uint64))
         handle = policy.build(keys)
-        for key in keys[:300]:
-            key = int(key)
-            assert handle.probe_point(key)
-            assert handle.probe_range(max(0, key - 3), min(U64, key + 3))
+        probed = keys[:300]
+        bounds = np.stack(
+            [
+                np.maximum(probed, np.uint64(3)) - np.uint64(3),
+                np.minimum(probed, np.uint64(U64 - 3)) + np.uint64(3),
+            ],
+            axis=1,
+        )
+        # One item takes the scalar kernel, 300 the vectorized one.
+        assert probed.size >= VECTOR_MIN_BATCH
+        for n in (1, probed.size):
+            assert handle.probe_point_many(probed[:n]).all()
+            assert handle.probe_range_many(bounds[:n]).all()
         assert handle.size_bits >= 0
 
     def test_bloomrf_policy_serialization(self):
@@ -304,8 +329,9 @@ class TestPolicies:
         keys = np.arange(0, 5_000, 7, dtype=np.uint64)
         handle = policy.build(keys)
         restored = policy.deserialize(handle.serialize())
-        for key in keys[:200]:
-            assert restored.probe_point(int(key))
+        assert keys[:200].size >= VECTOR_MIN_BATCH
+        for n in (1, 200):
+            assert restored.probe_point_many(keys[:n]).all()
 
 
 class TestKvSemantics:

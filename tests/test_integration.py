@@ -16,6 +16,7 @@ from repro.bench.harness import (
     measure_range_fpr,
 )
 from repro.lsm import LsmDB, SpecPolicy
+from repro.lsm.filter_policy import VECTOR_MIN_BATCH
 from repro.workloads import (
     empty_point_queries,
     empty_range_queries,
@@ -154,6 +155,13 @@ class TestLsmWithEveryPolicy:
         policy = SpecPolicy("bloomrf", bits_per_key=16, max_range=1 << 20)
         handle = policy.build(keys)
         restored = policy.deserialize(handle.serialize())
-        queries = empty_range_queries(keys, 200, range_size=1 << 10, seed=41)
-        for lo, hi in queries:
-            assert handle.probe_range(lo, hi) == restored.probe_range(lo, hi)
+        bounds = empty_range_queries(
+            keys, 200, range_size=1 << 10, seed=41
+        ).bounds
+        assert bounds.shape[0] >= VECTOR_MIN_BATCH
+        # One row takes the scalar kernel, 200 rows the vectorized one.
+        for n in (1, bounds.shape[0]):
+            assert np.array_equal(
+                handle.probe_range_many(bounds[:n]),
+                restored.probe_range_many(bounds[:n]),
+            )

@@ -16,6 +16,7 @@ from repro import serial
 from repro.baselines.bloom import BloomFilter
 from repro.core.bloomrf import BloomRF
 from repro.lsm.filter_policy import (
+    VECTOR_MIN_BATCH,
     SpecPolicy,
     handle_from_bytes,
     load_handle,
@@ -260,7 +261,12 @@ class TestHandlePersistence:
         handle = SpecPolicy("none").build(np.arange(10, dtype=np.uint64))
         restored = load_handle(save_handle(handle, tmp_path / "none.brf"))
         assert restored.size_bits == 0
-        assert restored.probe_point(7) and restored.probe_range(1, 5)
+        # One item takes the scalar kernel, VECTOR_MIN_BATCH the vectorized.
+        for n in (1, VECTOR_MIN_BATCH):
+            keys = np.full(n, 7, dtype=np.uint64)
+            bounds = np.tile(np.array([[1, 5]], dtype=np.uint64), (n, 1))
+            assert restored.probe_point_many(keys).all()
+            assert restored.probe_range_many(bounds).all()
 
     def test_empty_serialization_rejected(self, tmp_path):
         # A handle whose filter has no persisted form is still refused
