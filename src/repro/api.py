@@ -638,7 +638,6 @@ def open_store(
     memtable_capacity: int = 1 << 16,
     value_bytes: int = 512,
     block_bytes: int = 4096,
-    device=None,
     store_values: bool = False,
     max_workers: int | None = None,
     domain_bits: int = 64,
@@ -669,11 +668,16 @@ def open_store(
     with the persisted configuration raise :class:`ValueError`, and any
     corruption raises :class:`~repro.serial.SerialError` naming the
     offending file.  ``flush()``/``close()`` (or the context manager)
-    make all writes durable; on-disk stores require a spec-driven
+    make all writes durable: a flush writes its run files, then rewrites
+    the manifest whole in one atomic replace.  On-disk stores require a
+    spec-driven
     ``filter`` (a :class:`FilterSpec`, a
     :class:`~repro.lsm.filter_policy.SpecPolicy`, or None).
 
-    Persistent stores write every ``put``/``delete`` to a per-directory
+    A scalar ``put``/``delete`` is a one-key ``put_many``/``delete_many``,
+    so every write validates its keys (integers in ``[0, 2**64)``) before
+    anything is buffered or logged.  Persistent stores write every
+    ``put``/``delete`` to a per-directory
     (per-shard) write-ahead log before the memtable mutates, so
     acknowledged writes survive ``kill -9`` and are replayed on reopen.
     ``wal_sync`` picks the fsync policy — ``"always"`` (every write call),
@@ -730,7 +734,6 @@ def open_store(
             memtable_capacity=memtable_capacity,
             value_bytes=value_bytes,
             block_bytes=block_bytes,
-            device=device,
             store_values=store_values,
             max_workers=max_workers,
             domain_bits=domain_bits,
@@ -758,7 +761,6 @@ def open_store(
             memtable_capacity=memtable_capacity,
             value_bytes=value_bytes,
             block_bytes=block_bytes,
-            device=device,
             store_values=store_values,
             compaction=compaction_policy,
         )
@@ -769,7 +771,6 @@ def open_store(
         memtable_capacity=memtable_capacity,
         value_bytes=value_bytes,
         block_bytes=block_bytes,
-        device=device,
         store_values=store_values,
         max_workers=max_workers,
         domain_bits=domain_bits,

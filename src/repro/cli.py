@@ -606,6 +606,7 @@ def _cmd_store_inspect(args) -> int:
     from repro.lsm.filter_policy import handle_from_bytes
     from repro.lsm.store import (
         _FILTER_SUFFIX,
+        MANIFEST_NAME,
         _manifest_field,
         _shard_dir_name,
         read_store_manifest,
@@ -616,37 +617,38 @@ def _cmd_store_inspect(args) -> int:
     root = Path(args.path)
     try:
         manifest = read_store_manifest(root)
-        engine = manifest["engine"]
+        where = root / MANIFEST_NAME
+        engine = _manifest_field(manifest, "engine", where)
         print(f"engine: {engine} (store format v{FORMAT_VERSION})")
         if engine == "sharded-lsm":
-            where = root
             specs = [
                 FilterSpec.from_dict(d)
                 for d in _manifest_field(manifest, "specs", where)
             ]
-            print(f"shards: {manifest['num_shards']} "
-                  f"({manifest['partition']} partition)")
+            num_shards = int(_manifest_field(manifest, "num_shards", where))
+            partition = _manifest_field(manifest, "partition", where)
+            print(f"shards: {num_shards} ({partition} partition)")
             if len({spec.to_json() for spec in specs}) == 1:
                 print(f"filter: {specs[0]!r}")
             else:
                 for i, spec in enumerate(specs):
                     print(f"filter[shard {i}]: {spec!r}")
-            shard_dirs = [
-                root / _shard_dir_name(i)
-                for i in range(int(manifest["num_shards"]))
-            ]
+            shard_dirs = [root / _shard_dir_name(i) for i in range(num_shards)]
             shard_manifests = [read_store_manifest(d) for d in shard_dirs]
         else:
-            print(f"filter: {FilterSpec.from_dict(manifest['spec'])!r}")
+            spec = FilterSpec.from_dict(_manifest_field(manifest, "spec", where))
+            print(f"filter: {spec!r}")
             shard_dirs = [root]
             shard_manifests = [manifest]
-        geometry = manifest["geometry"]
-        print(f"geometry: memtable_capacity="
-              f"{geometry['memtable_capacity']}, "
-              f"value_bytes={geometry['value_bytes']}, "
-              f"block_bytes={geometry['block_bytes']}, "
-              f"store_values={geometry['store_values']}")
-        compression = geometry.get("compression")
+        geometry = _manifest_field(manifest, "geometry", where)
+        print("geometry: " + ", ".join(
+            f"{name}={_manifest_field(geometry, name, where)}"
+            for name in (
+                "memtable_capacity", "value_bytes", "block_bytes",
+                "store_values",
+            )
+        ))
+        compression = _manifest_field(geometry, "compression", where)
         if compression:
             print(f"compression: {compression['codec']} "
                   f"(block_bytes={compression['block_bytes']})")
@@ -656,17 +658,20 @@ def _cmd_store_inspect(args) -> int:
         filter_bits = 0
         for directory, shard_manifest in zip(shard_dirs, shard_manifests, strict=True):
             run_keys = []
-            for entry in shard_manifest.get("runs", []):
-                name = _manifest_field(entry, "file", directory)
-                run_keys.append(int(_manifest_field(entry, "num_keys",
-                                                    directory)))
+            shard_where = directory / MANIFEST_NAME
+            for entry in _manifest_field(shard_manifest, "runs", shard_where):
+                name = _manifest_field(entry, "file", shard_where)
+                run_keys.append(
+                    int(_manifest_field(entry, "num_keys", shard_where))
+                )
+                kind = int(_manifest_field(entry, "filter_kind", shard_where))
                 filter_path = directory / (name + _FILTER_SUFFIX)
                 try:
                     frame = map_frame(filter_path)
-                    if frame.kind != int(entry.get("filter_kind", frame.kind)):
+                    if frame.kind != kind:
                         raise SerialError(
                             f"frame kind {frame.kind} does not match the "
-                            f"manifest's kind {entry['filter_kind']}"
+                            f"manifest's kind {kind}"
                         )
                     filter_bits += handle_from_bytes(frame.view).size_bits
                 except SerialError as exc:
@@ -679,9 +684,9 @@ def _cmd_store_inspect(args) -> int:
         bits_per_key = filter_bits / total_keys if total_keys else 0.0
         print(f"runs: {total_runs}, keys: {total_keys}, "
               f"filter bits: {filter_bits} ({bits_per_key:.2f} bits/key)")
-        # Pre-compaction manifests lack the geometry field entirely:
-        # coerce .get(...) so they inspect as manual instead of failing.
-        policy = coerce_compaction(geometry.get("compaction"))
+        policy = coerce_compaction(
+            _manifest_field(geometry, "compaction", where)
+        )
         policy_dict = compaction_to_dict(policy)
         params = ", ".join(
             f"{k}={v}" for k, v in policy_dict["params"].items()
@@ -732,14 +737,18 @@ def _cmd_store_inspect(args) -> int:
             epoch = max(epoch, log_epoch)
             wal_bytes += valid_end
             torn_any = torn_any or torn
-            manifest_epoch = int(shard_manifest.get("wal_epoch", 0))
+            manifest_epoch = int(
+                _manifest_field(shard_manifest, "wal_epoch",
+                                directory / MANIFEST_NAME)
+            )
             if log_epoch >= manifest_epoch:
                 records += len(recs)
                 replay_records += len(recs)
                 replay_ops += sum(int(rec.keys.size) for rec in recs)
             else:
                 stale += len(recs)
-        print(f"wal: sync={geometry['wal_sync']}, epoch={epoch}, "
+        wal_sync = _manifest_field(geometry, "wal_sync", where)
+        print(f"wal: sync={wal_sync}, epoch={epoch}, "
               f"pending records: {records} ({wal_bytes} bytes)")
         if replay_records or torn_any:
             torn = " (torn tail truncated)" if torn_any else ""

@@ -1,8 +1,8 @@
 """LSM-tree substrate — the RocksDB stand-in for the system experiments.
 
 Memtable + L0 SSTables with per-SST full filter blocks (through
-:mod:`repro.lsm.filter_policy`), fence pointers, a simulated block device
-whose read costs surface in :class:`repro.lsm.iostats.IOStats`, and
+:mod:`repro.lsm.filter_policy`), fence pointers, a fixed simulated latency
+per block read that surfaces in :class:`repro.lsm.iostats.IOStats`, and
 pluggable background compaction (:mod:`repro.lsm.compaction`: size-tiered
 and leveled policies behind a worker-thread scheduler, manual by default).
 """
@@ -23,7 +23,7 @@ from repro.lsm.filter_policy import (
     save_handle,
     wrap_filter,
 )
-from repro.lsm.iostats import IOStats, SimulatedDevice
+from repro.lsm.iostats import IOStats
 from repro.lsm.memtable import MemTable
 from repro.lsm.sharded import ShardedLsmDB
 from repro.lsm.sstable import SSTable
@@ -39,7 +39,6 @@ __all__ = [
     "MemTable",
     "SSTable",
     "IOStats",
-    "SimulatedDevice",
     "SpecPolicy",
     "wrap_filter",
     "policy_by_name",

@@ -3,9 +3,15 @@
 This is the system harness for Experiments 1, 2 and the Fig. 12.C/G
 measurements — and a usable KV store: point gets, deletes via tombstones,
 and merging range scans (newest version wins) that walk the SSTs
-newest-first, consulting each SST's filter block, fence pointers, and the
-(simulated) device.  All probe outcomes and time buckets land in
-:class:`~repro.lsm.iostats.IOStats`.
+newest-first, consulting each SST's filter block and fence pointers and
+charging a fixed simulated latency per block read.  All probe outcomes
+and time buckets land in :class:`~repro.lsm.iostats.IOStats`.
+
+Every write takes one path: ``put``/``delete`` are one-key
+``put_many``/``delete_many`` calls, validated like any batch, and one
+chunk loop (:meth:`LsmDB._write`) buffers each memtable-sized chunk
+through :meth:`LsmDB._buffer` — the one method the persistent engine
+overrides to log the chunk first.
 
 Compaction is disabled by default, matching the paper's RocksDB setup
 (overlapping L0 runs are exactly what makes per-SST filters matter);
@@ -36,7 +42,7 @@ from repro.lsm.compaction import (
     compaction_to_dict,
 )
 from repro.lsm.filter_policy import FilterPolicy, coerce_policy
-from repro.lsm.iostats import IOStats, SimulatedDevice
+from repro.lsm.iostats import IOStats
 from repro.lsm.memtable import TOMBSTONE, MemTable
 from repro.lsm.sstable import SSTable
 
@@ -59,7 +65,6 @@ class LsmDB:
         memtable_capacity: int = 1 << 16,
         value_bytes: int = 512,
         block_bytes: int = 4096,
-        device: SimulatedDevice | None = None,
         store_values: bool = False,
         compaction=None,
         compaction_scheduler: CompactionScheduler | None = None,
@@ -69,7 +74,6 @@ class LsmDB:
         self.sstables: list[SSTable] = []
         self.value_bytes = value_bytes
         self.block_bytes = block_bytes
-        self.device = device if device is not None else SimulatedDevice()
         self.store_values = store_values
         self.stats = IOStats()
         # Background compaction: ``compaction`` picks merge windows (None
@@ -129,33 +133,42 @@ class LsmDB:
     # writes
     # ------------------------------------------------------------------
     def put(self, key: int, value: bytes = b"") -> None:
-        """Insert or overwrite one key; flushes the memtable when full."""
-        self.memtable.put(key, value)
-        if self.memtable.is_full:
-            self.flush()
+        """Insert or overwrite one key: a one-key :meth:`put_many`."""
+        self.put_many(one_row(key), [value])
 
     def delete(self, key: int) -> None:
-        """Delete via tombstone (shadows older versions until compaction)."""
-        self.memtable.delete(key)
-        if self.memtable.is_full:
-            self.flush()
+        """Delete one key via tombstone: a one-key :meth:`delete_many`."""
+        self.delete_many(one_row(key))
 
     def put_many(
         self, keys: np.ndarray, values: list[bytes] | None = None
     ) -> None:
-        """Bulk :meth:`put`: chunked memtable fills with flushes in between.
+        """Insert or overwrite a key batch; flushes whenever the memtable fills.
 
-        Each chunk fills the memtable to capacity through
-        :meth:`MemTable.put_many` (one dict update, no per-key Python), then
-        flushes — so for distinct keys the resulting run layout is identical
-        to the scalar ``put`` loop's (asserted by the tests).  Duplicate
-        keys within a batch overwrite exactly like sequential puts; only
-        the flush boundaries may then differ (the memtable holds fewer
-        entries than keys consumed), which changes no answer.
+        Duplicate keys within a batch overwrite exactly like sequential
+        puts (see :meth:`_write` for the flush boundaries).
         """
         keys = self._validated_keys(keys)
         if values is not None and len(values) != keys.size:
             raise ValueError("values must align with keys")
+        self._write(keys, values, delete=False)
+
+    def delete_many(self, keys: np.ndarray) -> None:
+        """Tombstone a key batch (shadows older versions until compaction)."""
+        self._write(self._validated_keys(keys), None, delete=True)
+
+    def _write(
+        self, keys: np.ndarray, values: list[bytes] | None, *, delete: bool
+    ) -> None:
+        """The one chunk loop behind every write.
+
+        Each chunk fills the memtable to capacity through :meth:`_buffer`
+        (one dict update, no per-key Python), then flushes — so for
+        distinct keys the run layout is identical to one-key calls'
+        (asserted by the tests).  With duplicate keys only the flush
+        boundaries may differ (the memtable holds fewer entries than keys
+        consumed), which changes no answer.
+        """
         n = keys.size
         start = 0
         while start < n:
@@ -164,29 +177,34 @@ class LsmDB:
                 self.flush()
                 continue
             stop = min(start + room, n)
-            self.memtable.put_many(
+            self._buffer(
                 keys[start:stop],
                 values[start:stop] if values is not None else None,
+                delete=delete,
+                last=stop == n,
             )
             start = stop
             if self.memtable.is_full:
                 self.flush()
 
-    def delete_many(self, keys: np.ndarray) -> None:
-        """Bulk :meth:`delete`: chunked tombstone writes, same flush rule."""
-        keys = self._validated_keys(keys)
-        n = keys.size
-        start = 0
-        while start < n:
-            room = self.memtable.capacity - len(self.memtable)
-            if room <= 0:
-                self.flush()
-                continue
-            stop = min(start + room, n)
-            self.memtable.delete_many(keys[start:stop])
-            start = stop
-            if self.memtable.is_full:
-                self.flush()
+    def _buffer(
+        self,
+        keys: np.ndarray,
+        values: list[bytes] | None,
+        *,
+        delete: bool,
+        last: bool,
+    ) -> None:
+        """Apply one chunk of a write to the memtable.
+
+        ``last`` marks the write call's final chunk; the persistent engine
+        logs every chunk before it mutates the memtable and commits its
+        write-ahead log after the last one.
+        """
+        if delete:
+            self.memtable.delete_many(keys)
+        else:
+            self.memtable.put_many(keys, values)
 
     def flush(self) -> None:
         """Flush the memtable into a new L0 SSTable (newest first).
@@ -414,7 +432,7 @@ class LsmDB:
         if buffered is not None:
             return None if buffered is TOMBSTONE else buffered
         for sst in self.sstables:
-            found, value, is_tombstone = sst.get(key, self.stats, self.device)
+            found, value, is_tombstone = sst.get(key, self.stats)
             if found:
                 return None if is_tombstone else value
         return None
@@ -460,7 +478,7 @@ class LsmDB:
             if not unresolved.any():
                 break
             idx = np.nonzero(unresolved)[0]
-            found, tombstone = sst.get_many(keys[idx], self.stats, self.device)
+            found, tombstone = sst.get_many(keys[idx], self.stats)
             settled = idx[found]
             result[settled] = ~tombstone[found]
             unresolved[settled] = False
@@ -549,7 +567,7 @@ class LsmDB:
         n = bounds.shape[0]
         candidates: list[list[SSTable]] = [[] for _ in range(n)]
         for sst in self.sstables:
-            hits = sst.scan_many(bounds, self.stats, self.device)
+            hits = sst.scan_many(bounds, self.stats)
             for i in np.nonzero(hits)[0]:
                 candidates[i].append(sst)
         out = self.memtable.contains_range_many(bounds)
@@ -569,7 +587,7 @@ class LsmDB:
         candidates = [
             sst
             for sst in self.sstables
-            if sst.scan_many(bounds, self.stats, self.device)[0]
+            if sst.scan_many(bounds, self.stats)[0]
         ]
         return self._merge_scan(l_key, r_key, candidates, limit)
 

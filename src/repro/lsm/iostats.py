@@ -16,15 +16,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-__all__ = ["IOStats", "SimulatedDevice"]
+__all__ = ["BLOCK_READ_LATENCY_S", "IOStats"]
 
-
-@dataclass
-class SimulatedDevice:
-    """Fixed-cost storage device: ``read_latency_s`` per block read."""
-
-    read_latency_s: float = 100e-6
-    block_bytes: int = 4096
+#: Simulated latency charged to ``io_wait_s`` per block read.
+BLOCK_READ_LATENCY_S = 100e-6
 
 
 @dataclass

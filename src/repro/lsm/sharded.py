@@ -58,7 +58,7 @@ from repro.lsm.compaction import (
 )
 from repro.lsm.db import LsmDB
 from repro.lsm.filter_policy import FilterPolicy, coerce_policy
-from repro.lsm.iostats import IOStats, SimulatedDevice
+from repro.lsm.iostats import IOStats
 from repro.parallel import (
     ShardPool,
     group_by_owner,
@@ -103,7 +103,6 @@ class ShardedLsmDB:
         memtable_capacity: int = 1 << 16,
         value_bytes: int = 512,
         block_bytes: int = 4096,
-        device: SimulatedDevice | None = None,
         store_values: bool = False,
         max_workers: int | None = None,
         domain_bits: int = 64,
@@ -112,7 +111,6 @@ class ShardedLsmDB:
         self._partitioner = make_partitioner(partition, num_shards, domain_bits)
         self.num_shards = num_shards
         self.partition = partition
-        self.device = device if device is not None else SimulatedDevice()
         policies = _coerce_shard_policies(policy, num_shards)
         self.store_values = store_values
         # One shared scheduler for every shard: per-shard merges fan out
@@ -150,7 +148,7 @@ class ShardedLsmDB:
     def _build_shard(self, index: int, policy, **kw) -> LsmDB:
         """One per-shard engine (the persistent store overrides this to
         back each shard with its own on-disk sub-store)."""
-        return LsmDB(policy=policy, device=self.device, **kw)
+        return LsmDB(policy=policy, **kw)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -191,12 +189,12 @@ class ShardedLsmDB:
     # writes
     # ------------------------------------------------------------------
     def put(self, key: int, value: bytes = b"") -> None:
-        """Insert or overwrite one key on its owning shard."""
-        self.shards[self.shard_of(key)].put(key, value)
+        """Insert or overwrite one key: a one-key :meth:`put_many`."""
+        self.put_many(one_row(key), [value])
 
     def delete(self, key: int) -> None:
-        """Tombstone one key on its owning shard."""
-        self.shards[self.shard_of(key)].delete(key)
+        """Tombstone one key: a one-key :meth:`delete_many`."""
+        self.delete_many(one_row(key))
 
     def put_many(
         self, keys: np.ndarray, values: list[bytes] | None = None

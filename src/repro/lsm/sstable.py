@@ -22,7 +22,7 @@ import numpy as np
 from repro._util import one_row
 from repro.baselines.fence import FencePointers
 from repro.lsm.filter_policy import FilterHandle, FilterPolicy
-from repro.lsm.iostats import IOStats, SimulatedDevice
+from repro.lsm.iostats import BLOCK_READ_LATENCY_S, IOStats
 
 __all__ = ["SSTable"]
 
@@ -105,7 +105,7 @@ class SSTable:
     # ------------------------------------------------------------------
     # probe paths (stats-instrumented)
     # ------------------------------------------------------------------
-    def get(self, key: int, stats: IOStats, device: SimulatedDevice):
+    def get(self, key: int, stats: IOStats):
         """Point lookup of one key: a one-row :meth:`get_many` plus the
         value fetch.
 
@@ -113,7 +113,7 @@ class SSTable:
         ``found_entry`` says whether this SST holds *any* version of key.
         """
         row = one_row(key)
-        found, tombstone = self.get_many(row, stats, device)
+        found, tombstone = self.get_many(row, stats)
         if not found[0]:
             return False, None, False
         if tombstone[0]:
@@ -122,14 +122,12 @@ class SSTable:
             return True, b"", False
         return True, self.values[int(self.keys.searchsorted(row[0]))], False
 
-    def scan(
-        self, l_key: int, r_key: int, stats: IOStats, device: SimulatedDevice
-    ) -> bool:
+    def scan(self, l_key: int, r_key: int, stats: IOStats) -> bool:
         """Range emptiness probe of one range: a one-row :meth:`scan_many`."""
-        return bool(self.scan_many(one_row(l_key, r_key), stats, device)[0])
+        return bool(self.scan_many(one_row(l_key, r_key), stats)[0])
 
     def get_many(
-        self, keys: np.ndarray, stats: IOStats, device: SimulatedDevice
+        self, keys: np.ndarray, stats: IOStats
     ) -> tuple[np.ndarray, np.ndarray]:
         """Point lookup of a key batch: filter -> fences -> block reads.
 
@@ -147,7 +145,7 @@ class SSTable:
         for key in keys[positive].tolist():
             blocks += len(self.fences.blocks_for_point(key))
         stats.blocks_read += blocks
-        stats.io_wait_s += blocks * device.read_latency_s
+        stats.io_wait_s += blocks * BLOCK_READ_LATENCY_S
         # A present key always passes its filter and its fence, so the
         # block read answers with the ground truth.
         return found, found & self.tombstones.take(idx, mode="clip")
@@ -222,9 +220,7 @@ class SSTable:
         assert not missed, "filter produced a false negative"
         return positive
 
-    def scan_many(
-        self, bounds: np.ndarray, stats: IOStats, device: SimulatedDevice
-    ) -> np.ndarray:
+    def scan_many(self, bounds: np.ndarray, stats: IOStats) -> np.ndarray:
         """Range emptiness probe of a bounds batch: range filter -> fences
         -> block reads.
 
@@ -241,7 +237,7 @@ class SSTable:
         for lo, hi in bounds[positive].tolist():
             blocks += len(self.fences.blocks_for_range(lo, hi))
         stats.blocks_read += blocks
-        stats.io_wait_s += blocks * device.read_latency_s
+        stats.io_wait_s += blocks * BLOCK_READ_LATENCY_S
         # A non-empty range always passes its filter and its fences, so
         # the block reads answer with the ground truth.
         return truly_present

@@ -26,18 +26,20 @@ mutates.
 
 Durability contract
 -------------------
-* ``put``/``delete`` (scalar and batched) — the operation is in the
-  write-ahead log (in the kernel, via ``os.write``) before the call
-  returns: an **acknowledged write survives process death** (``kill -9``)
+* ``put``/``delete`` (one-key calls of the batched ``put_many``/
+  ``delete_many``) — the operation is in the write-ahead log (in the
+  kernel, via ``os.write``) before the call returns: an **acknowledged
+  write survives process death** (``kill -9``)
   in every ``wal_sync`` mode, and survives power loss once fsynced
   (``wal_sync="always"``: every call; ``"batch"``: every
   ``wal_group_commit`` operations; ``"off"``: at flush only).
 * ``flush()`` — drains the memtable into a new run *and* makes every run
   durable: new ``.sst``/``.filter`` files are written, then the manifest
-  is updated (an appended run delta when the run set only grew, an atomic
-  write-temp + ``os.replace`` rewrite otherwise), then the write-ahead
-  log is rotated to a new epoch and unreferenced run files are pruned.
-  When ``flush()`` returns, a reopen reproduces the store exactly.
+  is rewritten whole by one atomic write-temp + ``os.replace`` (the one
+  way every manifest update is made, compaction commits included), then
+  the write-ahead log is rotated to a new epoch and unreferenced run
+  files are pruned.  When ``flush()`` returns, a reopen reproduces the
+  store exactly.
 * ``close()`` (and the context manager) — ``flush()`` + release resources.
 * Reopening after a crash replays the write-ahead log into the memtable:
   a torn record at the log's tail (the expected artifact of dying
@@ -46,7 +48,8 @@ Durability contract
   runs) is discarded silently, and any other damage raises
   :class:`~repro.serial.SerialError` naming the file and offset.
 
-Every reader-side failure — truncated or bit-flipped manifest, version
+Every reader-side failure — truncated or bit-flipped manifest, a
+manifest that is not exactly one frame, a missing manifest field, version
 skew, a missing shard directory or run file, an SST/filter frame of the
 wrong kind, a run whose contents contradict the manifest — raises
 :class:`~repro.serial.SerialError` naming the offending file; a damaged
@@ -111,7 +114,7 @@ from repro.serial import (
     map_frame,
     pack_frame,
     peek_kind,
-    unpack_frame_prefix,
+    unpack_frame,
 )
 
 __all__ = [
@@ -156,43 +159,21 @@ def _atomic_write(path: Path, data: bytes) -> None:
 def read_store_manifest(directory: str | Path) -> dict:
     """The manifest header of the store at ``directory``.
 
-    Raises :class:`SerialError` naming the manifest file when it is
-    missing, truncated, bit-flipped, of a stale format version, or not a
-    store-manifest frame at all.
+    ``STORE.brf`` is exactly one frame: every update rewrites it whole
+    (:meth:`PersistentLsmDB.sync`).  Raises :class:`SerialError` naming
+    the manifest file when it is missing, truncated, bit-flipped, of a
+    stale format version, not a store-manifest frame at all, or followed
+    by any further bytes (such as a run-delta frame appended by release
+    1.13 or earlier).
     """
-    header = _read_manifest_file(Path(directory))
-    header.pop("_valid_bytes", None)
-    return header
-
-
-def _read_manifest_file(directory: Path) -> dict:
-    """Parse ``STORE.brf``: one base frame plus appended run deltas.
-
-    ``flush()`` grows the run set by prepending, so instead of rewriting
-    the whole manifest it appends a small ``{"delta": 1, "new_runs": ...}``
-    frame (see :meth:`PersistentLsmDB.sync`).  This reader folds the
-    deltas back into the base header, newest runs first.  The *base* frame
-    must parse completely (any damage raises).  A delta cut short at the
-    file's tail is the artifact of a crash mid-append and is ignored —
-    safely, because every delta also advances the WAL epoch, so a log
-    whose records were dropped that way replays on reopen, and a manifest
-    truncated after the fact fails the epoch cross-check loudly.  A
-    complete-but-damaged delta raises naming the file and offset.
-
-    The returned header carries the parsed byte count under
-    ``"_valid_bytes"`` (consumed by the store, stripped by
-    :func:`read_store_manifest`).
-    """
+    directory = Path(directory)
     path = directory / MANIFEST_NAME
     if not path.is_file():
         raise SerialError(
             f"{directory} holds no store manifest ({MANIFEST_NAME} is missing)"
         )
-    data = path.read_bytes()
     try:
-        header, payloads, cursor = unpack_frame_prefix(
-            data, 0, expect_kind=KIND_STORE
-        )
+        header, payloads = unpack_frame(path.read_bytes(), expect_kind=KIND_STORE)
     except SerialError as exc:
         raise SerialError(f"corrupt store manifest {path}: {exc}") from exc
     if payloads:
@@ -200,31 +181,6 @@ def _read_manifest_file(directory: Path) -> dict:
             f"corrupt store manifest {path}: carries {len(payloads)} "
             "payloads, expected 0"
         )
-    while cursor < len(data):
-        try:
-            delta, delta_payloads, end = unpack_frame_prefix(
-                data, cursor, expect_kind=KIND_STORE
-            )
-        except SerialError as exc:
-            if "truncated" in str(exc):
-                break  # torn tail of an appended delta (crash mid-append)
-            raise SerialError(
-                f"corrupt store manifest {path}: bad run delta at byte "
-                f"offset {cursor}: {exc}"
-            ) from exc
-        if delta_payloads or delta.get("delta") != 1:
-            raise SerialError(
-                f"corrupt store manifest {path}: appended frame at byte "
-                f"offset {cursor} is not a run delta"
-            )
-        header["runs"] = list(delta.get("new_runs", [])) + list(
-            header.get("runs", [])
-        )
-        for field in ("next_file_id", "wal_epoch"):
-            if field in delta:
-                header[field] = delta[field]
-        cursor = end
-    header["_valid_bytes"] = cursor
     return header
 
 
@@ -536,7 +492,6 @@ class PersistentLsmDB(LsmDB):
         memtable_capacity: int = 1 << 16,
         value_bytes: int = 512,
         block_bytes: int = 4096,
-        device=None,
         store_values: bool = False,
         wal_sync: str = "batch",
         wal_group_commit: int = 1024,
@@ -550,7 +505,7 @@ class PersistentLsmDB(LsmDB):
         directory = Path(directory)
         manifest = _manifest
         if manifest is None and (directory / MANIFEST_NAME).is_file():
-            manifest = _read_manifest_file(directory)
+            manifest = read_store_manifest(directory)
         if manifest is not None:
             engine = manifest.get("engine")
             if engine != "lsm":
@@ -578,18 +533,10 @@ class PersistentLsmDB(LsmDB):
                 _manifest_field(geometry, "store_values", where)
             )
             wal_sync = str(_manifest_field(geometry, "wal_sync", where))
-            # Stores persisted before the compressed read tier have no
-            # compression field: .get reads them as uncompressed.
-            compression = geometry.get("compression")
+            compression = _manifest_field(geometry, "compression", where)
+            compaction = _manifest_field(geometry, "compaction", where)
             wal_seal = str(_manifest_field(manifest, "wal_seal", where))
             wal_epoch = int(_manifest_field(manifest, "wal_epoch", where))
-            # Manifests written before the compaction subsystem carry no
-            # policy field: default to manual via .get (never a KeyError),
-            # unless the caller (e.g. the sharded parent, whose top
-            # manifest is authoritative) passed a config explicitly.
-            stored_compaction = geometry.get("compaction")
-            if stored_compaction is not None:
-                compaction = stored_compaction
         else:
             if any(directory.glob("sst-*")):
                 raise SerialError(
@@ -607,7 +554,6 @@ class PersistentLsmDB(LsmDB):
             memtable_capacity=memtable_capacity,
             value_bytes=value_bytes,
             block_bytes=block_bytes,
-            device=device,
             store_values=store_values,
             compaction=compaction,
             compaction_scheduler=compaction_scheduler,
@@ -634,7 +580,6 @@ class PersistentLsmDB(LsmDB):
         # no manifest yet): sync() short-circuits when it still matches.
         self._synced_runs: list[str] | None = None
         self._synced_epoch: int | None = None
-        self._manifest_valid_bytes = 0
         self._compacting = False
         self._wal: WriteAheadLog | None = None
         self._wal_seal = wal_seal
@@ -648,9 +593,6 @@ class PersistentLsmDB(LsmDB):
             "recovered_torn_tail": False,
         }
         if manifest is not None:
-            self._manifest_valid_bytes = int(
-                manifest.get("_valid_bytes", 0)
-            )
             self._load_runs(manifest)
             self._synced_epoch = wal_epoch
             self._recover_wal()
@@ -673,9 +615,9 @@ class PersistentLsmDB(LsmDB):
     # ------------------------------------------------------------------
     def _load_runs(self, manifest: dict) -> None:
         where = self.directory / MANIFEST_NAME
-        self._next_file_id = int(manifest.get("next_file_id", 0))
+        self._next_file_id = int(_manifest_field(manifest, "next_file_id", where))
         names = []
-        for entry in manifest.get("runs", []):
+        for entry in _manifest_field(manifest, "runs", where):
             sst = self._load_sstable(entry)
             self.sstables.append(sst)
             name = _manifest_field(entry, "file", where)
@@ -754,9 +696,10 @@ class PersistentLsmDB(LsmDB):
         replays full).  A log at an *older* epoch is the crash window
         between the manifest update and the log rotation: its records are
         already durable in runs, so it is discarded (never resurrected).
-        A *newer* log means the manifest lost a run delta after the fact —
-        raise.  Seal mismatches (a log from another store or shard) and
-        non-tail corruption raise; a torn tail is truncated silently.
+        A *newer* log means the manifest is older than the log (restored
+        or replaced after the fact) — raise.  Seal mismatches (a log from
+        another store or shard) and non-tail corruption raise; a torn tail
+        is truncated silently.
         """
         wal_path = self.directory / WAL_NAME
         where = self.directory / MANIFEST_NAME
@@ -831,70 +774,36 @@ class PersistentLsmDB(LsmDB):
     # ------------------------------------------------------------------
     # the write path (log first, then the memtable)
     # ------------------------------------------------------------------
-    def put(self, key: int, value: bytes = b"") -> None:
-        """Insert one key, durably: logged before the memtable mutates."""
-        self._wal.append_put(
-            np.array([key], dtype=np.uint64), [value] if value else None
-        )
-        super().put(key, value)
-        self._wal.commit()
-
-    def delete(self, key: int) -> None:
-        """Tombstone one key, durably: logged before the memtable mutates."""
-        self._wal.append_delete(np.array([key], dtype=np.uint64))
-        super().delete(key)
-        self._wal.commit()
-
-    def put_many(
-        self, keys: np.ndarray, values: list[bytes] | None = None
+    def _buffer(
+        self,
+        keys: np.ndarray,
+        values: list[bytes] | None,
+        *,
+        delete: bool,
+        last: bool,
     ) -> None:
-        """Bulk :meth:`put` with per-chunk logging.
+        """Log one chunk of a write, then apply it to the memtable.
 
-        Mirrors :meth:`LsmDB.put_many`'s chunk loop, logging each chunk
-        just before it enters the memtable — *not* the whole batch up
-        front, because an interior flush rotates (truncates) the log and
-        would drop the still-unapplied suffix of an up-front record.  A
-        crash mid-batch therefore recovers exactly the chunks that reached
-        the kernel: a prefix of the batch, never a gap.
+        :meth:`LsmDB._write <repro.lsm.db.LsmDB._write>` calls this per
+        memtable-sized chunk, so each chunk is logged just before it
+        enters the memtable — *not* the whole batch up front, because an
+        interior flush rotates (truncates) the log and would drop the
+        still-unapplied suffix of an up-front record.  A crash mid-batch
+        therefore recovers exactly the chunks that reached the kernel: a
+        prefix of the batch, never a gap.  The log is committed (the
+        ``wal_sync`` policy applied) once per write call, after its last
+        chunk — unless that chunk filled the memtable: the flush that
+        follows persists it in a run and rotates the log, so an fsync of
+        the log would be wasted.
         """
-        keys = self._validated_keys(keys)
-        if values is not None and len(values) != keys.size:
-            raise ValueError("values must align with keys")
-        n = keys.size
-        start = 0
-        while start < n:
-            room = self.memtable.capacity - len(self.memtable)
-            if room <= 0:
-                self.flush()
-                continue
-            stop = min(start + room, n)
-            chunk_values = (
-                values[start:stop] if values is not None else None
-            )
-            self._wal.append_put(keys[start:stop], chunk_values)
-            self.memtable.put_many(keys[start:stop], chunk_values)
-            start = stop
-            if self.memtable.is_full:
-                self.flush()
-        self._wal.commit()
-
-    def delete_many(self, keys: np.ndarray) -> None:
-        """Bulk :meth:`delete` with per-chunk logging (see :meth:`put_many`)."""
-        keys = self._validated_keys(keys)
-        n = keys.size
-        start = 0
-        while start < n:
-            room = self.memtable.capacity - len(self.memtable)
-            if room <= 0:
-                self.flush()
-                continue
-            stop = min(start + room, n)
-            self._wal.append_delete(keys[start:stop])
-            self.memtable.delete_many(keys[start:stop])
-            start = stop
-            if self.memtable.is_full:
-                self.flush()
-        self._wal.commit()
+        if delete:
+            self._wal.append_delete(keys)
+            self.memtable.delete_many(keys)
+        else:
+            self._wal.append_put(keys, values)
+            self.memtable.put_many(keys, values)
+        if last and not self.memtable.is_full:
+            self._wal.commit()
 
     # ------------------------------------------------------------------
     # durability
@@ -915,16 +824,14 @@ class PersistentLsmDB(LsmDB):
         """Make the current run set durable.
 
         Unpersisted runs get ``.sst``/``.filter`` files first, then the
-        manifest is updated, then run files no longer referenced (dropped
-        by compaction) are pruned — in that order, so a crash at any point
-        leaves a reopenable store.  When the run set only *grew* (the
-        flush path, which also advances the WAL epoch) the update is an
-        appended run-delta frame — one small ``os.write`` + fsync, keeping
-        flush O(1) in the run count; anything else (compaction removing
-        runs, a previous torn delta tail) atomically rewrites the whole
-        manifest.  When the run set and epoch already match the manifest
-        (e.g. a read-only open/close cycle) nothing is written at all, so
-        pure reads never touch the directory.
+        manifest is rewritten whole by one atomic write-temp +
+        ``os.replace``, then run files no longer referenced (dropped by
+        compaction) are pruned — in that order, so a crash at any point
+        reopens to either the old or the new run set.  Flushes and
+        compaction commits persist the run set this one way.  When the run
+        set and WAL epoch already match the manifest (e.g. a read-only
+        open/close cycle) nothing is written at all, so pure reads never
+        touch the directory.
         """
         with self._maintenance_lock:
             self._sync_locked()
@@ -960,66 +867,27 @@ class PersistentLsmDB(LsmDB):
         names = [run["file"] for run in runs]
         if names == self._synced_runs and self._wal_epoch == self._synced_epoch:
             return
-        path = self.directory / MANIFEST_NAME
-        # A delta is appended only when the old run list survives as a
-        # suffix of the new one (runs are newest-first; flush prepends)
-        # AND this sync advances the WAL epoch — that pairing is what lets
-        # the reader ignore a torn delta: a dropped delta means a dropped
-        # epoch bump, so either the log still holds the records (crash
-        # before rotation: replay) or it is ahead of the manifest
-        # (post-hoc damage: loud failure).  The file-size check rewrites
-        # over any torn garbage a previous crash left at the tail.
-        grew = (
-            self._synced_runs is not None
-            and self._wal_epoch != self._synced_epoch
-            and len(names) > len(self._synced_runs)
-            and names[len(names) - len(self._synced_runs) :]
-            == self._synced_runs
+        blob = pack_frame(
+            KIND_STORE,
+            {
+                "engine": "lsm",
+                "spec": self.spec.to_dict(),
+                "geometry": {
+                    "memtable_capacity": self.memtable.capacity,
+                    "value_bytes": self.value_bytes,
+                    "block_bytes": self.block_bytes,
+                    "store_values": self.store_values,
+                    "wal_sync": self._wal_sync,
+                    "compaction": compaction_to_dict(self.compaction),
+                    "compression": self._compression,
+                },
+                "runs": runs,
+                "next_file_id": self._next_file_id,
+                "wal_seal": self._wal_seal,
+                "wal_epoch": self._wal_epoch,
+            },
         )
-        if (
-            grew
-            and path.is_file()
-            and path.stat().st_size == self._manifest_valid_bytes
-        ):
-            delta = pack_frame(
-                KIND_STORE,
-                {
-                    "delta": 1,
-                    "new_runs": runs[: len(names) - len(self._synced_runs)],
-                    "next_file_id": self._next_file_id,
-                    "wal_epoch": self._wal_epoch,
-                },
-            )
-            fd = os.open(path, os.O_WRONLY | os.O_APPEND)
-            try:
-                os.write(fd, delta)  # repro-lint: ignore[durability-discipline] -- O_APPEND manifest run-delta: fsync'd below before the flush is acknowledged
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            self._manifest_valid_bytes += len(delta)
-        else:
-            blob = pack_frame(
-                KIND_STORE,
-                {
-                    "engine": "lsm",
-                    "spec": self.spec.to_dict(),
-                    "geometry": {
-                        "memtable_capacity": self.memtable.capacity,
-                        "value_bytes": self.value_bytes,
-                        "block_bytes": self.block_bytes,
-                        "store_values": self.store_values,
-                        "wal_sync": self._wal_sync,
-                        "compaction": compaction_to_dict(self.compaction),
-                        "compression": self._compression,
-                    },
-                    "runs": runs,
-                    "next_file_id": self._next_file_id,
-                    "wal_seal": self._wal_seal,
-                    "wal_epoch": self._wal_epoch,
-                },
-            )
-            _atomic_write(path, blob)
-            self._manifest_valid_bytes = len(blob)
+        _atomic_write(self.directory / MANIFEST_NAME, blob)
         self._synced_runs = names
         self._synced_epoch = self._wal_epoch
         self._prune_orphans(set(names))
@@ -1094,13 +962,12 @@ class PersistentLsmDB(LsmDB):
     def _commit_merge(self) -> None:
         """Make a background merge durable (maintenance lock held).
 
-        The run set *shrank*, which the manifest's append-only run-delta
-        frames cannot express, so :meth:`sync` takes its atomic-rewrite
-        path: merged run files are written and fsynced first, then one
-        ``os.replace`` swaps the manifest — a crash at any point reopens
-        to either the pre- or the post-merge run set, never a mix.  The
-        WAL epoch is untouched: the memtable did not change, so the live
-        log must keep replaying against both outcomes.
+        The same path as a flush's (:meth:`sync`): merged run files are
+        written and fsynced first, then one ``os.replace`` swaps the whole
+        manifest — a crash at any point reopens to either the pre- or the
+        post-merge run set, never a mix.  The WAL epoch is untouched: the
+        memtable did not change, so the live log must keep replaying
+        against both outcomes.
         """
         self._sync_locked()
 
@@ -1153,7 +1020,6 @@ class PersistentShardedLsmDB(ShardedLsmDB):
         memtable_capacity: int = 1 << 16,
         value_bytes: int = 512,
         block_bytes: int = 4096,
-        device=None,
         store_values: bool = False,
         max_workers: int | None = None,
         domain_bits: int = 64,
@@ -1167,7 +1033,7 @@ class PersistentShardedLsmDB(ShardedLsmDB):
         directory = Path(directory)
         manifest = _manifest
         if manifest is None and (directory / MANIFEST_NAME).is_file():
-            manifest = _read_manifest_file(directory)
+            manifest = read_store_manifest(directory)
         if manifest is not None:
             engine = manifest.get("engine")
             if engine != "sharded-lsm":
@@ -1193,10 +1059,8 @@ class PersistentShardedLsmDB(ShardedLsmDB):
                 _manifest_field(geometry, "store_values", where)
             )
             wal_sync = str(_manifest_field(geometry, "wal_sync", where))
-            # Pre-compaction manifests lack the field: manual via .get.
-            compaction = geometry.get("compaction", compaction)
-            # Likewise pre-compression manifests read as uncompressed.
-            compression = geometry.get("compression")
+            compaction = _manifest_field(geometry, "compaction", where)
+            compression = _manifest_field(geometry, "compression", where)
             for index in range(num_shards):
                 shard_manifest = directory / _shard_dir_name(index) / MANIFEST_NAME
                 if not shard_manifest.is_file():
@@ -1258,7 +1122,6 @@ class PersistentShardedLsmDB(ShardedLsmDB):
             memtable_capacity=memtable_capacity,
             value_bytes=value_bytes,
             block_bytes=block_bytes,
-            device=device,
             store_values=store_values,
             max_workers=max_workers,
             domain_bits=domain_bits,
@@ -1271,7 +1134,6 @@ class PersistentShardedLsmDB(ShardedLsmDB):
         return PersistentLsmDB(
             self.directory / _shard_dir_name(index),
             policy.spec,
-            device=self.device,
             wal_sync=self._wal_sync,
             wal_group_commit=self._wal_group_commit,
             compression=self._compression,
@@ -1420,10 +1282,9 @@ def _check_reopen_args(manifest: dict, directory: Path, args: dict) -> None:
             )
     # The compaction policy compares in normalized (dict) form so every
     # accepted spelling — name string, params dict, policy instance —
-    # matches the persisted manifest entry; manifests written before the
-    # compaction subsystem read as manual via .get.
+    # matches the persisted manifest entry.
     stored_compaction = compaction_to_dict(
-        coerce_compaction(geometry.get("compaction"))
+        coerce_compaction(_manifest_field(geometry, "compaction", where))
     )
     passed_compaction = compaction_to_dict(coerce_compaction(args["compaction"]))
     default_compaction = compaction_to_dict(
@@ -1439,11 +1300,12 @@ def _check_reopen_args(manifest: dict, directory: Path, args: dict) -> None:
             f"{passed_compaction!r} conflicts (leave it at the default "
             "to use the persisted configuration)"
         )
-    # Compression compares in normalized dict form for the same reason;
-    # pre-compression manifests read as uncompressed via .get.
+    # Compression compares in normalized dict form for the same reason.
     # (block_cache_bytes is a runtime knob, not persisted state, so it is
-    # deliberately not conflict-checked — like device.)
-    stored_compression = normalize_compression(geometry.get("compression"))
+    # deliberately not conflict-checked.)
+    stored_compression = normalize_compression(
+        _manifest_field(geometry, "compression", where)
+    )
     passed_compression = normalize_compression(args["compression"])
     if passed_compression is not None and passed_compression != stored_compression:
         raise ValueError(
@@ -1491,7 +1353,6 @@ def open_persistent_store(
     memtable_capacity: int = 1 << 16,
     value_bytes: int = 512,
     block_bytes: int = 4096,
-    device=None,
     store_values: bool = False,
     max_workers: int | None = None,
     domain_bits: int = 64,
@@ -1512,7 +1373,7 @@ def open_persistent_store(
     """
     path = Path(path)
     if (path / MANIFEST_NAME).is_file():
-        manifest = _read_manifest_file(path)
+        manifest = read_store_manifest(path)
         engine = manifest.get("engine")
         if engine not in ("lsm", "sharded-lsm"):
             raise SerialError(
@@ -1535,19 +1396,17 @@ def open_persistent_store(
                 "compression": compression,
             },
         )
-        # block_cache_bytes is a runtime knob (like device): it passes
-        # through on reopen rather than persisting.
+        # block_cache_bytes is a runtime knob: it passes through on
+        # reopen rather than persisting.
         if engine == "lsm":
             return PersistentLsmDB(
                 path,
-                device=device,
                 wal_group_commit=wal_group_commit,
                 block_cache_bytes=block_cache_bytes,
                 _manifest=manifest,
             )
         return PersistentShardedLsmDB(
             path,
-            device=device,
             max_workers=max_workers,
             wal_group_commit=wal_group_commit,
             block_cache_bytes=block_cache_bytes,
@@ -1564,7 +1423,6 @@ def open_persistent_store(
             memtable_capacity=memtable_capacity,
             value_bytes=value_bytes,
             block_bytes=block_bytes,
-            device=device,
             store_values=store_values,
             wal_sync=wal_sync,
             wal_group_commit=wal_group_commit,
@@ -1580,7 +1438,6 @@ def open_persistent_store(
         memtable_capacity=memtable_capacity,
         value_bytes=value_bytes,
         block_bytes=block_bytes,
-        device=device,
         store_values=store_values,
         max_workers=max_workers,
         domain_bits=domain_bits,

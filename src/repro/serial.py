@@ -214,7 +214,7 @@ def unpack_frame_prefix(
 
     The streaming counterpart of :func:`unpack_frame` for files that hold
     a *sequence* of frames (the write-ahead log header followed by its
-    records, a store manifest followed by appended run deltas): returns
+    records; a store manifest is always exactly one frame): returns
     ``(header, payloads, end)`` where ``end`` is the offset one past the
     parsed frame, ready to hand back as the next ``start``.  Failures
     raise exactly like :func:`unpack_frame`.

@@ -9,7 +9,6 @@ from repro.lsm import (
     IOStats,
     LsmDB,
     MemTable,
-    SimulatedDevice,
     SpecPolicy,
     SSTable,
     policy_by_name,
@@ -101,8 +100,8 @@ class TestSSTable:
 
     def test_get_present_key(self):
         sst = self.make()
-        stats, device = IOStats(), SimulatedDevice()
-        found, value, dead = sst.get(37, stats, device)
+        stats = IOStats()
+        found, value, dead = sst.get(37, stats)
         assert found and not dead
         assert stats.filter_true_positives == 1
         assert stats.blocks_read >= 1
@@ -110,8 +109,8 @@ class TestSSTable:
 
     def test_get_absent_key_counts_outcome(self):
         sst = self.make()
-        stats, device = IOStats(), SimulatedDevice()
-        found, value, dead = sst.get(38, stats, device)
+        stats = IOStats()
+        found, value, dead = sst.get(38, stats)
         assert not found and value is None
         assert stats.filter_probes == 1
         assert stats.filter_true_negatives + stats.filter_false_positives == 1
@@ -124,9 +123,9 @@ class TestSSTable:
             values=[b"a", b"b", b"c"],
             tombstones=np.array([False, True, False]),
         )
-        stats, device = IOStats(), SimulatedDevice()
-        assert sst.get(10, stats, device) == (True, b"a", False)
-        assert sst.get(20, stats, device) == (True, None, True)
+        stats = IOStats()
+        assert sst.get(10, stats) == (True, b"a", False)
+        assert sst.get(20, stats) == (True, None, True)
         assert sst.num_live_keys == 2
         entries = list(sst.entries_in_range(0, 100))
         assert entries == [(10, b"a", False), (20, b"b", True), (30, b"c", False)]
@@ -138,9 +137,9 @@ class TestSSTable:
 
     def test_scan(self):
         sst = self.make()
-        stats, device = IOStats(), SimulatedDevice()
-        assert sst.scan(30, 40, stats, device)  # contains 37
-        assert not sst.scan(38, 40, stats, device) or True  # FP possible
+        stats = IOStats()
+        assert sst.scan(30, 40, stats)  # contains 37
+        assert not sst.scan(38, 40, stats) or True  # FP possible
         assert stats.filter_probes == 2
 
     def test_build_times_recorded(self):
@@ -522,13 +521,12 @@ class TestBatchedScans:
         keys = np.arange(0, 4_000, 4, dtype=np.uint64)
         sst = SSTable(keys, policy=SpecPolicy("bloomrf", bits_per_key=16))
         stats = IOStats()
-        device = SimulatedDevice()
         bounds = np.array(
             [[0, 10], [1, 3], [4001, 4100], [3996, 3996]], dtype=np.uint64
         )
-        got = sst.scan_many(bounds, stats, device)
+        got = sst.scan_many(bounds, stats)
         expected = [
-            sst.scan(int(lo), int(hi), IOStats(), device) for lo, hi in bounds
+            sst.scan(int(lo), int(hi), IOStats()) for lo, hi in bounds
         ]
         assert got.tolist() == expected
         assert stats.filter_probes == 4

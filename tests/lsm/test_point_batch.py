@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.lsm import (
     IOStats,
     LsmDB,
-    SimulatedDevice,
     SpecPolicy,
     SSTable,
     policy_by_name,
@@ -184,11 +183,10 @@ class TestSSTablePointBatch:
         lookups = np.concatenate(
             [keys[:200], rng.integers(0, 1 << 64, 300, dtype=np.uint64)]
         )
-        device = SimulatedDevice()
         scalar_stats = IOStats()
-        expected = [sst.get(int(key), scalar_stats, device)[:1] for key in lookups]
+        expected = [sst.get(int(key), scalar_stats)[:1] for key in lookups]
         batch_stats = IOStats()
-        found, tombstone = sst.get_many(lookups, batch_stats, device)
+        found, tombstone = sst.get_many(lookups, batch_stats)
         assert found.tolist() == [e[0] for e in expected]
         assert not tombstone.any()
         assert batch_stats.filter_probes == scalar_stats.filter_probes
@@ -205,9 +203,7 @@ class TestSSTablePointBatch:
             policy=SpecPolicy("bloomrf", bits_per_key=14),
             tombstones=np.array([False, True, False]),
         )
-        found, tombstone = sst.get_many(
-            keys, IOStats(), SimulatedDevice()
-        )
+        found, tombstone = sst.get_many(keys, IOStats())
         assert found.all()
         assert tombstone.tolist() == [False, True, False]
 
@@ -224,7 +220,7 @@ class TestSSTablePointBatch:
         sst, _ = self.make_sst()
         stats = IOStats()
         found, tombstone = sst.get_many(
-            np.array([], dtype=np.uint64), stats, SimulatedDevice()
+            np.array([], dtype=np.uint64), stats
         )
         assert found.shape == (0,) and tombstone.shape == (0,)
         assert stats.filter_probes == 0

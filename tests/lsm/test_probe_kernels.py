@@ -10,7 +10,8 @@ changes an answer or an ``IOStats.counters()`` value:
 * for every registered kind, the handle's probes at 1 and at T items equal
   the filter's own ``contains_*_many``, and an empty batch answers with an
   empty boolean array;
-* the scalar reads validate their keys like the batch reads do.
+* the scalar reads and writes validate their keys like the batch calls
+  do, in memory and on disk.
 """
 
 import numpy as np
@@ -164,9 +165,11 @@ def test_handle_picks_the_kernel_by_batch_size():
     assert filt.calls == ["point_many", "range_many"]
 
 
+@pytest.mark.parametrize("persistent", [False, True], ids=["memory", "path"])
 @pytest.mark.parametrize("shards", [1, 2])
-def test_scalar_reads_validate_keys_like_batch_reads(shards):
+def test_scalar_reads_validate_keys_like_batch_reads(shards, persistent, tmp_path):
     with open_store(
+        tmp_path / "db" if persistent else None,
         filter=standard_spec("bloomrf", bits_per_key=14),
         shards=shards,
         store_values=True,
@@ -199,3 +202,25 @@ def test_scalar_reads_validate_keys_like_batch_reads(shards):
                 db.scan_nonempty(lo, hi)
             with pytest.raises(ValueError, match="empty query range"):
                 db.scan(lo, hi)
+        # Scalar writes are one-key batches: a key outside the domain, or
+        # not an integer, is refused before anything is buffered or logged,
+        # and the next flush still succeeds with the answers unchanged.
+        def state():
+            logged = db.wal_info() if persistent else {}
+            return (
+                db.num_keys,
+                db.scan(0, U64),
+                db.get_many(np.arange(12, dtype=np.uint64)).tolist(),
+                logged.get("records"),
+                logged.get("bytes"),
+            )
+
+        before = state()
+        for bad in (-1, 1 << 64, 1.5):
+            with pytest.raises((ValueError, TypeError)):
+                db.put(bad, b"x")
+            with pytest.raises((ValueError, TypeError)):
+                db.delete(bad)
+        assert state() == before
+        db.flush()
+        assert state()[:3] == before[:3]

@@ -317,9 +317,13 @@ class TestDurabilitySemantics:
         }
         assert after == before
 
-    def test_compact_writes_the_manifest_once(self, tmp_path, monkeypatch):
-        """The memtable drain inside compact skips its interim sync: one
-        compact = one manifest replace, not two plus a discarded run."""
+    @pytest.mark.parametrize("op", ["compact", "flush"])
+    def test_compact_writes_the_manifest_once(self, tmp_path, monkeypatch, op):
+        """One flush or one compact rewrites the manifest exactly once.
+
+        The memtable drain inside compact skips its interim sync (one
+        replace, not two plus a discarded run), and a flush persists the
+        grown run set the same way as compaction: one whole-frame rewrite."""
         import repro.lsm.store as store_mod
 
         db = open_store(path=tmp_path / "db", filter=SPEC,
@@ -338,7 +342,7 @@ class TestDurabilitySemantics:
                 real(path, data),
             )[-1],
         )
-        db.compact()
+        getattr(db, op)()
         assert len(manifest_writes) == 1
         db.close()
         with open_store(path=tmp_path / "db") as reopened:

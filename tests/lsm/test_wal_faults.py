@@ -18,11 +18,17 @@ operations only:
   (recovery is idempotent, not destructive).
 
 Crash points are sampled per configuration from the dry-run syscall count
-so coverage spreads over WAL appends, fsyncs, SST writes, manifest delta
-appends, and manifest/WAL rotation replaces.  ``REPRO_CRASH_POINTS``
+so coverage spreads over WAL appends, fsyncs, SST writes, and the
+manifest and WAL rotation replaces.  ``REPRO_CRASH_POINTS``
 (default 34 → 6 configs × 34 = 204 points ≥ the 200-point acceptance
 floor) and ``REPRO_CRASH_SEED`` (default 0; CI randomizes nightly)
 control volume and placement.
+
+One flush is also crashed exhaustively, at every syscall it makes: its
+run files, its one atomic manifest rewrite, and the WAL rotation.  Each
+outcome must reopen to the pre-flush state (the log replays the buffered
+keys) or the post-flush state (one more run, the log discarded), with
+every acknowledged key readable and no other key present.
 """
 
 import os
@@ -245,6 +251,52 @@ def test_zero_acked_write_loss_across_crash_points(kind, shards, tmp_path):
             # Crash point landed in close(); everything was acked.
             assert len(acked) == len(ops)
         _check_recovered(root, acked, in_flight, store_values)
+
+
+def test_flush_crash_is_pre_or_post(tmp_path):
+    """Crash at every syscall boundary of one flush.  The store must
+    reopen with the pre-flush run set and the buffered keys replayed from
+    the log, or with exactly one more run and an empty memtable — every
+    acknowledged key readable with its value, no other key present."""
+    rng = random.Random(SEED)
+    keys = np.array(sorted(rng.sample(range(1 << 20), 144)), dtype=np.uint64)
+    values = [b"f%d" % k for k in keys.tolist()]
+    absent = keys + np.uint64(1 << 20)
+    buffered = 16
+
+    def build(root):
+        db = _open(root, "bloomrf", 1, store_values=True)
+        db.put_many(keys[:128], values[:128])  # four runs of 32
+        db.put_many(keys[128:], values[128:])  # acked, still in the memtable
+        assert len(db.memtable) == buffered
+        return db
+
+    dry = build(tmp_path / "dry")
+    pre_runs = len(dry.sstables)
+    with FaultInjector(tmp_path / "dry") as counter:
+        dry.flush()
+    flush_syscalls = counter.count
+    dry.close()
+    assert flush_syscalls > 6, f"flush made only {flush_syscalls} syscalls"
+
+    for crash_at in range(1, flush_syscalls + 1):
+        root = tmp_path / f"flush-{crash_at}"
+        db = build(root)
+        torn = random.Random(rng.randrange(1 << 30))
+        with pytest.raises(InjectedCrash):
+            with FaultInjector(root, crash_at=crash_at, rng=torn):
+                db.flush()
+        _abandon(db)
+        with open_store(path=root) as back:
+            layout = (len(back.sstables), len(back.memtable))
+            assert layout in ((pre_runs, buffered), (pre_runs + 1, 0)), (
+                f"crash at {crash_at} reopened to {layout} "
+                f"(runs, buffered) from {pre_runs} runs"
+            )
+            assert back.get_many(keys).all()
+            assert not back.get_many(absent).any()
+            for key, value in zip(keys.tolist(), values, strict=True):
+                assert back.get_value(key) == value
 
 
 def test_real_process_kill_preserves_acked_writes(tmp_path):

@@ -405,21 +405,29 @@ class TestStoreCompactionCli:
         assert main(["store", "compact", str(tmp_path / "nope")]) == 2
         assert "no store" in capsys.readouterr().out
 
-    def test_inspect_handles_pre_compaction_manifest(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "shards,section,field",
+        [(1, "geometry", "compaction"), (2, None, "num_shards"),
+         (2, "geometry", "store_values")],
+    )
+    def test_inspect_handles_pre_compaction_manifest(
+        self, tmp_path, capsys, shards, section, field
+    ):
         """Manifests written before the compaction subsystem lack the
-        geometry field entirely; inspect must read them as manual, not
-        fail with a KeyError."""
+        geometry's compaction field.  The store reads one manifest format
+        only, so inspect and compact refuse a manifest missing that or any
+        other field, naming the manifest file and the field."""
         from repro.serial import KIND_STORE, pack_frame, unpack_frame
 
         store = tmp_path / "db"
-        assert main(["store", "init", str(store)]) == 0
+        assert main(["store", "init", str(store), "--shards", str(shards)]) == 0
         manifest = store / "STORE.brf"
         header, _ = unpack_frame(manifest.read_bytes(), expect_kind=KIND_STORE)
-        assert header["geometry"].pop("compaction") is not None
+        (header if section is None else header[section]).pop(field)
         manifest.write_bytes(pack_frame(KIND_STORE, header))
-        capsys.readouterr()
-        assert main(["store", "inspect", str(store)]) == 0
-        out = capsys.readouterr().out
-        assert "compaction: manual" in out
-        # and the same old store still accepts a foreground pass
-        assert main(["store", "compact", str(store)]) == 0
+        for command in ("inspect", "compact"):
+            capsys.readouterr()
+            assert main(["store", command, str(store)]) == 2
+            out = capsys.readouterr().out
+            assert str(manifest) in out
+            assert f"missing field {field!r}" in out

@@ -88,6 +88,26 @@ class TestManifestCorruption:
         with pytest.raises(SerialError, match="unknown engine 'btree'"):
             open_store(path=store_dir)
 
+    def test_appended_run_delta_frame_raises(self, store_dir):
+        """Releases up to 1.13 appended a run-delta frame on flush; the
+        manifest is now exactly one frame, so such a file is refused."""
+        manifest = store_dir / MANIFEST_NAME
+        header = read_store_manifest(store_dir)
+        delta = pack_frame(
+            KIND_STORE,
+            {
+                "delta": 1,
+                "new_runs": header["runs"][:1],
+                "next_file_id": header["next_file_id"],
+                "wal_epoch": header["wal_epoch"] + 1,
+            },
+        )
+        manifest.write_bytes(manifest.read_bytes() + delta)
+        with pytest.raises(SerialError, match="STORE.brf.*trailing"):
+            read_store_manifest(store_dir)
+        with pytest.raises(SerialError, match="STORE.brf.*trailing"):
+            open_store(path=store_dir)
+
     def test_engine_mismatch_raises(self, store_dir, sharded_dir):
         with pytest.raises(SerialError, match="not a 'sharded-lsm' store"):
             PersistentShardedLsmDB(store_dir)
