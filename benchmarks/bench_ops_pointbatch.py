@@ -3,14 +3,21 @@
 The point counterpart of ``bench_ops_rangebatch.py``: a bulk-loaded LSM
 (bloomRF filter blocks, overlapping L0 runs) is probed with a mixed workload
 of present and absent keys, once through a loop of one-key reads
-(``db.get`` per key, each a one-row batch) and once through the batched
-path (``db.get_many``, which consults every run's filter block once per
-batch and prunes settled keys from older runs).  Results — and the
-bit-identity + accounting-identity checks — land in ``BENCH_pointbatch.json``
-at the repo root so future PRs can track the trajectory.
+(``db.get`` per key, each a one-key batch) and once through the batched
+path (``db.get_many``, one filter pass over every run for the whole
+batch).  Results — and the bit-identity + accounting-identity checks —
+land in ``BENCH_pointbatch.json`` at the repo root so future PRs can track
+the trajectory.
 
 A second section measures the standalone filter: ``BloomRF.contains_point_many``
 against the scalar ``contains_point`` loop.
+
+A third section gates request cost against the run count: a 16-key
+``get_many`` (12 absent keys) over the same keys in 1 run and in 28 runs
+(``served``'s shard shape: 2,560-key runs, bloomRF at 14 bits/key,
+``max_range`` 2^20).  One filter pass per request keeps the ratio near 2x;
+probing run by run made it ~20x.  The script exits non-zero above
+``MAX_RUN_COST_RATIO``.
 
 Usage::
 
@@ -45,6 +52,12 @@ SPEEDUP_FLOORS = {
     "quick": {"speedup": 3.735, "filter_speedup": 6.445},
     "full": {"speedup": 10.0, "filter_speedup": 10.311},
 }
+#: Exit-check ceiling on the 16-key ``get_many`` time at 28 runs over its
+#: time at 1 run, in both modes: the target is ~2x, and 4x leaves room for
+#: the ~1.5x timing swings of a shared 2-vCPU VM.
+MAX_RUN_COST_RATIO = 4.0
+RUN_COUNTS = (1, 28)
+RUN_KEYS = 2_560
 
 
 def build_workload(
@@ -71,11 +84,47 @@ def build_workload(
 
 
 def scalar_loop(db: LsmDB, lookups: np.ndarray) -> np.ndarray:
-    """One ``get`` per key: each is a one-row batch, so every run's filter
-    handle sees one key at a time and loops the filter's scalar probe."""
+    """One ``get`` per key: each is a one-key batch, so every call pays
+    the filter pass, the per-run truth and the accounting for one key."""
     return np.fromiter(
         (db.get(int(key)) for key in lookups), dtype=bool, count=lookups.size
     )
+
+
+def run_count_cost(rounds: int) -> dict:
+    """Median 16-key ``get_many`` time at each of :data:`RUN_COUNTS` runs.
+
+    Every store holds the same keys; calls alternate between the stores so
+    a slow spell of the machine hits both alike.
+    """
+    rng = np.random.default_rng(31)
+    keys = np.unique(
+        rng.integers(0, 1 << 64, max(RUN_COUNTS) * RUN_KEYS, dtype=np.uint64)
+    )
+    policy = SpecPolicy("bloomrf", bits_per_key=14, max_range=1 << 20)
+    stores = {}
+    for runs in RUN_COUNTS:
+        stores[runs] = LsmDB(policy=policy)
+        stores[runs].bulk_load(rng.permutation(keys), num_sstables=runs)
+    batches = []
+    for _ in range(64):
+        batch = rng.integers(0, 1 << 64, 16, dtype=np.uint64)
+        batch[:4] = rng.choice(keys, 4)
+        batches.append(batch)
+    times: dict[int, list[float]] = {runs: [] for runs in RUN_COUNTS}
+    for i in range(rounds):
+        batch = batches[i % len(batches)]
+        for runs, db in stores.items():
+            start = time.perf_counter()
+            db.get_many(batch)
+            times[runs].append(time.perf_counter() - start)
+    medians = {runs: float(np.median(t[len(batches):])) for runs, t in times.items()}
+    low, high = min(RUN_COUNTS), max(RUN_COUNTS)
+    return {
+        "run_counts": list(RUN_COUNTS),
+        "get_many16_us": {str(r): medians[r] * 1e6 for r in RUN_COUNTS},
+        "run_cost_ratio": medians[high] / medians[low],
+    }
 
 
 def run(quick: bool) -> dict:
@@ -122,6 +171,7 @@ def run(quick: bool) -> dict:
     filter_batch = filt.contains_point_many(lookups)
     filter_batch_s = time.perf_counter() - start
     filter_identical = bool(np.array_equal(filter_scalar, filter_batch))
+    run_cost = run_count_cost(rounds=600 if quick else 3_000)
 
     return {
         "benchmark": "pointbatch",
@@ -141,6 +191,7 @@ def run(quick: bool) -> dict:
         "filter_batch_qps": n_lookups / filter_batch_s,
         "filter_speedup": filter_scalar_s / filter_batch_s,
         "filter_identical": filter_identical,
+        **run_cost,
     }
 
 
@@ -168,7 +219,10 @@ def main(argv: list[str] | None = None) -> int:
         f"scalar {result['scalar_qps']:,.0f} q/s | "
         f"batch {result['batch_qps']:,.0f} q/s | "
         f"speedup {result['speedup']:.1f}x | "
-        f"filter-only {result['filter_speedup']:.1f}x -> {args.output}"
+        f"filter-only {result['filter_speedup']:.1f}x | "
+        f"16-key get_many at {RUN_COUNTS[-1]} runs "
+        f"{result['run_cost_ratio']:.2f}x its time at {RUN_COUNTS[0]} -> "
+        f"{args.output}"
     )
 
     if not result["bit_identical"]:
@@ -184,6 +238,12 @@ def main(argv: list[str] | None = None) -> int:
         if result[name] < floor:
             print(f"FAIL: {name} {result[name]:.2f}x below the {floor}x floor")
             return 1
+    if result["run_cost_ratio"] > MAX_RUN_COST_RATIO:
+        print(
+            f"FAIL: run_cost_ratio {result['run_cost_ratio']:.2f}x above "
+            f"the {MAX_RUN_COST_RATIO}x ceiling"
+        )
+        return 1
     return 0
 
 

@@ -31,6 +31,17 @@ Operations
   NumPy-vectorized bulk paths computing bit-identical answers to the scalar
   ones (asserted by the tests), including the same domain validation.
 
+Stacked point probes
+--------------------
+Filters built from one :class:`BloomRFConfig` share every hash function
+and every word count, so a key's bit positions are the same in each of
+them.  :class:`BloomRFStack` stores such filters' words bit-sliced (row
+``w`` holds word ``w`` of every filter) and answers a key batch for all of
+them at once: one hash of each key per (layer, replica) and one gather of
+whole rows — the Flat-Bloofi layout (Crainiceanu & Lemire), with
+bloomRF's per-layer segments as the partitions.  ``contains_point_many``
+is the one-filter case of the same kernel.
+
 Batched range-query engine
 --------------------------
 Bulk range lookups separate *plan compilation* from *probe execution*:
@@ -76,9 +87,9 @@ from repro._util import check_key, domain_max
 from repro.bitarray import BitArray
 from repro.core.config import BloomRFConfig
 from repro.dyadic import two_path_range_lookup
-from repro.hashing import splitmix64, splitmix64_array
+from repro.hashing import splitmix64, splitmix64_array, splitmix64_multi_seed
 
-__all__ = ["BloomRF"]
+__all__ = ["BloomRF", "BloomRFStack"]
 
 # Probing an enormous prefix range word-by-word (possible only for queries
 # far beyond the configured range budget) is cut off conservatively: the
@@ -90,6 +101,28 @@ _MAX_MASK_GROUPS = 1 << 16
 _SCALAR_MASK_GROUPS = 4
 
 _U64_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+# The stacked point kernel hashes every remaining (layer, replica) of the
+# surviving keys in one pass once its (probe, key, filter) cells fit this
+# budget (2 MiB of gathered words); above it, it walks one layer at a time
+# and drops the keys that every filter has rejected, which bounds its
+# temporaries and skips hashing dead keys on the upper layers.
+_STACKED_CELLS = 1 << 18
+
+
+def _all_bits(sliced: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``(keys, rows)``: are all of a key's probed bits set in a row?
+
+    ``sliced`` holds the stacked words bit-sliced, one row per word index
+    and one column per filter, so a gather of word ``w`` reads it from
+    every filter at once.  ``positions`` holds one bit position per
+    ``(probe, key)``; the AND over the probes runs on the shifted words.
+    """
+    gathered = np.take(sliced, positions >> np.uint64(6), axis=0)
+    gathered >>= (positions & np.uint64(63))[:, :, None]
+    both = gathered[0] if len(gathered) == 1 else np.bitwise_and.reduce(gathered)
+    both &= np.uint64(1)
+    return both.astype(bool)
 
 
 def _concat(a: np.ndarray | None, b: np.ndarray) -> np.ndarray:
@@ -113,7 +146,6 @@ class _Layer:
         "num_words",
         "seeds",
         "guard_seed",
-        "u_level",
         "u_offset_bits",
         "u_offset_mask",
         "u_word_bits",
@@ -142,12 +174,55 @@ class _Layer:
         # Guard hash seed is per layer, not per replica.
         self.guard_seed = self.seeds[0] ^ 0xA5A5
         # np.uint64 constants hoisted out of the vectorized inner loops.
-        self.u_level = np.uint64(level)
         self.u_offset_bits = np.uint64(self.offset_bits)
         self.u_offset_mask = np.uint64(self.offset_mask)
         self.u_word_bits = np.uint64(self.word_bits)
         self.u_num_words = np.uint64(self.num_words)
         self.u_seg_base = np.uint64(self.seg_base)
+
+
+class _PointProbes:
+    """Every (layer, replica) hash function of a config, flattened.
+
+    One ``(P, 1)`` uint64 column per geometry field, bottom-up, so a slice
+    of probes broadcasts against a key vector into a ``(P', keys)``
+    position matrix.  ``layer_end[p]`` is the index after the last probe
+    of probe ``p``'s layer.
+    """
+
+    __slots__ = (
+        "count",
+        "layer_end",
+        "level",
+        "offset_bits",
+        "offset_mask",
+        "num_words",
+        "word_bits",
+        "seg_base",
+        "seed",
+        "guard_seed",
+    )
+
+    def __init__(self, layers: Sequence[_Layer]) -> None:
+        probes = [(layer, seed) for layer in layers for seed in layer.seeds]
+
+        def column(values: list[int]) -> np.ndarray:
+            return np.array(values, dtype=np.uint64)[:, None]
+
+        self.count = len(probes)
+        self.layer_end: list[int] = []
+        end = 0
+        for layer in layers:
+            end += len(layer.seeds)
+            self.layer_end.extend([end] * len(layer.seeds))
+        self.level = column([layer.level for layer, _ in probes])
+        self.offset_bits = column([layer.offset_bits for layer, _ in probes])
+        self.offset_mask = column([layer.offset_mask for layer, _ in probes])
+        self.num_words = column([layer.num_words for layer, _ in probes])
+        self.word_bits = column([layer.word_bits for layer, _ in probes])
+        self.seg_base = column([layer.seg_base for layer, _ in probes])
+        self.seed = column([seed for _, seed in probes])
+        self.guard_seed = column([layer.guard_seed for layer, _ in probes])
 
 
 class BloomRF:
@@ -214,6 +289,7 @@ class BloomRF:
             self._exact_layer_index = len(self._planner_levels)
             self._planner_levels.append(config.exact_level)
 
+        self._probes = _PointProbes(self._layers)
         self._num_keys = 0
         self._guard = config.degenerate_guard
 
@@ -312,14 +388,13 @@ class BloomRF:
         keys = self._validated_keys(keys)
         if keys.size == 0:
             return
-        for layer in self._layers:
-            prefix = keys >> layer.u_level
-            group = prefix >> layer.u_offset_bits
-            offset = self._offsets_array(layer, prefix, group)
-            base = layer.u_seg_base + offset
-            for seed in layer.seeds:
-                word_index = splitmix64_array(group, seed=seed) % layer.u_num_words
-                self._bits.set_bits(base + word_index * layer.u_word_bits)
+        # The probes' own positions, one layer at a time: every layer at
+        # once would hold (layers x replicas x keys) positions.
+        start = 0
+        while start < self._probes.count:
+            stop = self._probes.layer_end[start]
+            self._bits.set_bits(self._probe_positions(keys, start, stop).ravel())
+            start = stop
         if self._exact is not None:
             self._exact.set_bits(keys >> np.uint64(self.config.exact_level))
         self._num_keys += int(keys.size)
@@ -391,24 +466,71 @@ class BloomRF:
         return True
 
     def contains_point_many(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized point lookup: boolean array per key."""
-        keys = self._validated_keys(keys)
-        result = np.ones(keys.size, dtype=bool)
-        if self._exact is not None:
-            result &= self._exact.test_bits(
-                keys >> np.uint64(self.config.exact_level)
-            )
-        for layer in self._layers:
-            if not result.any():
-                break
-            prefix = keys >> layer.u_level
-            group = prefix >> layer.u_offset_bits
-            offset = self._offsets_array(layer, prefix, group)
-            base = layer.u_seg_base + offset
-            for seed in layer.seeds:
-                word_index = splitmix64_array(group, seed=seed) % layer.u_num_words
-                result &= self._bits.test_bits(base + word_index * layer.u_word_bits)
-        return result
+        """Vectorized point lookup: boolean array per key.
+
+        The one-filter case of :meth:`BloomRFStack.contains_point_many`:
+        the same kernel over a one-column view of this filter's words.
+        """
+        return BloomRFStack([self]).contains_point_many(keys)[0]
+
+    def _contains_point_sliced(
+        self, sliced: np.ndarray, exact: np.ndarray | None, keys: np.ndarray
+    ) -> np.ndarray:
+        """The stacked point kernel: ``(keys, filters)`` answers.
+
+        ``sliced`` (and ``exact``, the exact-level bitmaps) hold the words
+        of filters of this filter's config, one column per filter;
+        ``keys`` are validated.  The exact bitmap goes first, then the
+        PMHF layers bottom-up.  Before each step, keys that every filter
+        has rejected leave the batch.  While the remaining
+        ``(probe, key, filter)`` cells exceed :data:`_STACKED_CELLS`, a
+        step is one layer; once they fit, one step hashes every remaining
+        (layer, replica) and tests them all with one gather.  A small
+        batch therefore takes two steps, and a large one never hashes a
+        key on a layer above the one where every filter rejected it.
+        """
+        n, width = keys.size, sliced.shape[1]
+        if exact is not None:
+            shift = np.uint64(self.config.exact_level)
+            live = _all_bits(exact, (keys >> shift)[None, :])
+        else:
+            live = np.ones((n, width), dtype=bool)
+        probes = self._probes
+        kept: np.ndarray | None = None  # surviving key indices, once pruned
+        start = 0
+        while start < probes.count:
+            alive = live.any(axis=1)
+            if not alive.all():
+                kept = np.nonzero(alive)[0] if kept is None else kept[alive]
+                keys = keys[alive]
+                live = live[alive]
+                if keys.size == 0:
+                    break
+            if (probes.count - start) * keys.size * width <= _STACKED_CELLS:
+                stop = probes.count
+            else:
+                stop = probes.layer_end[start]
+            live &= _all_bits(sliced, self._probe_positions(keys, start, stop))
+            start = stop
+        if kept is None:
+            return live
+        out = np.zeros((n, width), dtype=bool)
+        out[kept] = live
+        return out
+
+    def _probe_positions(self, keys: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Bit positions of probes ``start:stop`` for every key: one
+        multi-seed hash computes every probe's word at once."""
+        p = self._probes
+        sl = slice(start, stop)
+        prefix = keys >> p.level[sl]
+        group = prefix >> p.offset_bits[sl]
+        offset = prefix & p.offset_mask[sl]
+        if self._guard:
+            flip = splitmix64_multi_seed(group, p.guard_seed[sl]) & np.uint64(1)
+            offset = np.where(flip.astype(bool), p.offset_mask[sl] - offset, offset)
+        word = splitmix64_multi_seed(group, p.seed[sl]) % p.num_words[sl]
+        return p.seg_base[sl] + offset + word * p.word_bits[sl]
 
     __contains__ = contains_point
 
@@ -852,6 +974,43 @@ class BloomRF:
         )
 
 
-def max_supported_key(filt: BloomRF) -> int:
-    """Largest key the filter's domain admits (helper for workloads)."""
-    return domain_max(filt.domain_bits)
+class BloomRFStack:
+    """Same-config bloomRF filters probed as one: the stacked point kernel.
+
+    The filters' words are stored bit-sliced (Flat-Bloofi style): row
+    ``w`` holds word ``w`` of every filter, so one gather serves all of
+    them.  Row ``i`` of every answer belongs to ``filters[i]``.  A
+    one-filter stack is a view of that filter's words; a larger one copies
+    them, so stack only filters that no longer change (an SST's filter
+    block).
+    """
+
+    __slots__ = ("_layout", "_sliced", "_exact")
+
+    def __init__(self, filters: Sequence[BloomRF]) -> None:
+        if not filters:
+            raise ValueError("a BloomRFStack needs at least one filter")
+        layout = filters[0]
+        if any(filt.config != layout.config for filt in filters):
+            raise ValueError("stacked bloomRF filters must share one config")
+        self._layout = layout
+        self._sliced = _slice_words([filt._bits for filt in filters])
+        self._exact = (
+            None
+            if layout._exact is None
+            else _slice_words([filt._exact for filt in filters])
+        )
+
+    def contains_point_many(self, keys: np.ndarray) -> np.ndarray:
+        """``(filters, keys)`` answers: row ``i`` equals
+        ``filters[i].contains_point_many(keys)``, with the same domain
+        validation."""
+        keys = self._layout._validated_keys(keys)
+        return self._layout._contains_point_sliced(self._sliced, self._exact, keys).T
+
+
+def _slice_words(arrays: Sequence[BitArray]) -> np.ndarray:
+    """Bit-slice same-size bit arrays: ``(words, arrays)``, a view for one."""
+    if len(arrays) == 1:
+        return arrays[0].words[:, None]
+    return np.stack([bits.words for bits in arrays], axis=1)

@@ -36,7 +36,7 @@ itself (coverings contain the query bounds; mask ranges partition the query).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro._util import floor_log2
 
@@ -109,12 +109,6 @@ def covering_prefix_range(lo: int, hi: int, level: int) -> tuple[int, int]:
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
     return lo >> level, hi >> level
-
-
-def iter_prefixes(key: int, levels: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Yield ``(level, prefix)`` for ``key`` on each level of ``levels``."""
-    for level in levels:
-        yield level, key >> level
 
 
 def two_path_range_lookup(

@@ -21,6 +21,7 @@ from repro._util import MASK64
 __all__ = [
     "splitmix64",
     "splitmix64_array",
+    "splitmix64_multi_seed",
     "HashFamily",
     "double_hash_positions",
     "double_hash_positions_array",
@@ -52,9 +53,11 @@ def splitmix64_array(values: np.ndarray, seed: int = 0) -> np.ndarray:
 def splitmix64_multi_seed(values: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """:func:`splitmix64` with a *per-element* seed array.
 
-    Computes bit-identical results to ``splitmix64(values[i], seeds[i])``
-    element-wise; used to hash one key through every (layer, replica) hash
-    function in a single vector operation.
+    ``seeds`` (uint64) broadcasts against ``values``; each element equals
+    ``splitmix64(value, seed)`` of its pair.  bloomRF's stacked point
+    kernel passes a ``(probes, 1)`` seed column and a ``(probes, keys)``
+    group matrix, hashing every key through every (layer, replica) hash
+    function in one vector operation.
     """
     z = values.astype(np.uint64, copy=True)
     z += seeds * np.uint64(_GOLDEN) + np.uint64(_GOLDEN)

@@ -226,10 +226,6 @@ class BlockCache:
             for key in stale:
                 self._used -= len(self._blocks.pop(key))
 
-    @property
-    def used_bytes(self) -> int:
-        return self._used
-
     def __len__(self) -> int:
         return len(self._blocks)
 

@@ -7,6 +7,16 @@ newest-first, consulting each SST's filter block and fence pointers and
 charging a fixed simulated latency per block read.  All probe outcomes
 and time buckets land in :class:`~repro.lsm.iostats.IOStats`.
 
+Point reads make one filter pass per request, not one per run: a
+:class:`~repro.lsm.filter_policy.RunSetFilter` over the run list answers
+a runs x keys "maybe" matrix (one hash per key and hash function for all
+same-config runs), and a per-run ``searchsorted`` gives the matching
+truth matrix.  ``get_many``, ``get_value`` and ``may_contain_many`` are
+reductions of the two, and they charge ``IOStats`` exactly the probes,
+outcomes and block reads of the newest-first walk that stops at a key's
+newest version.  The run-set filter is cached against the identity of
+the copy-on-write run list, together with its own run tuple.
+
 Every write takes one path: ``put``/``delete`` are one-key
 ``put_many``/``delete_many`` calls, validated like any batch, and one
 chunk loop (:meth:`LsmDB._write`) buffers each memtable-sized chunk
@@ -30,6 +40,7 @@ cycles and on unlocked run-list swaps at runtime.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 
@@ -41,12 +52,33 @@ from repro.lsm.compaction import (
     coerce_compaction,
     compaction_to_dict,
 )
-from repro.lsm.filter_policy import FilterPolicy, coerce_policy
-from repro.lsm.iostats import IOStats
+from repro.lsm.filter_policy import FilterPolicy, RunSetFilter, coerce_policy
+from repro.lsm.iostats import BLOCK_READ_LATENCY_S, IOStats
 from repro.lsm.memtable import TOMBSTONE, MemTable
 from repro.lsm.sstable import SSTable
 
 __all__ = ["LsmDB"]
+
+
+class _RunSet:
+    """A run list's filter pass, paired with the runs it was built from.
+
+    ``source`` is the list object it was built for (the cache key: the run
+    list is only ever swapped, never mutated); ``runs`` is its own tuple,
+    so a reader always pairs rows of the "maybe" matrix with the right
+    runs even if the list is swapped meanwhile.  The groups of stacked
+    filter words that ``previous`` already built are reused.
+    """
+
+    __slots__ = ("source", "runs", "filters")
+
+    def __init__(self, source: list[SSTable], previous: "_RunSet | None" = None) -> None:
+        self.source = source
+        self.runs = tuple(source)
+        self.filters = RunSetFilter(
+            [sst.filter for sst in self.runs],
+            previous=None if previous is None else previous.filters,
+        )
 
 
 class LsmDB:
@@ -84,6 +116,7 @@ class LsmDB:
         # get an immutable snapshot without taking any lock.
         self.compaction = coerce_compaction(compaction)
         self._maintenance_lock = threading.RLock()
+        self._run_set = _RunSet(self.sstables)
         self._owns_scheduler = False
         self._scheduler = compaction_scheduler
         if self.compaction is not None and self._scheduler is None:
@@ -424,18 +457,22 @@ class LsmDB:
     def get_value(self, key: int) -> bytes | None:
         """Newest live value of ``key``, or None (absent or deleted).
 
-        Walks the runs newest-first; each run answers through its one-row
-        :meth:`SSTable.get_many <repro.lsm.sstable.SSTable.get_many>`.
+        The memtable answers first; otherwise one filter pass over every
+        run (a one-key :meth:`_newest_versions`) finds the newest run
+        holding the key, and only that run's value is fetched.
         """
-        key = int(one_row(key)[0])
-        buffered = self.memtable.get(key)
+        row = one_row(key)
+        buffered = self.memtable.get(int(row[0]))
         if buffered is not None:
             return None if buffered is TOMBSTONE else buffered
-        for sst in self.sstables:
-            found, value, is_tombstone = sst.get(key, self.stats)
-            if found:
-                return None if is_tombstone else value
-        return None
+        runs, holder = self._newest_versions(row)
+        if holder[0] < 0:
+            return None
+        sst = runs[holder[0]]
+        slot = int(sst.keys.searchsorted(row[0]))
+        if sst.tombstones[slot]:
+            return None
+        return sst.values[slot] if sst.values is not None else b""
 
     @staticmethod
     def _validated_keys(keys: np.ndarray) -> np.ndarray:
@@ -455,50 +492,120 @@ class LsmDB:
     def get_many(self, keys: np.ndarray) -> np.ndarray:
         """Batched :meth:`get`: one boolean per key (newest version live?).
 
-        Every run's filter block is consulted once per batch; its handle
-        picks the scalar or the vectorized kernel by batch size, so a
-        one-key batch costs what a scalar probe does.  Batch-wide pruning
-        mirrors :meth:`get_value`'s early exit: a key settled by the
-        memtable or an earlier (newer) run stops probing older runs, so
-        each run only sees its still-unresolved keys.  Answers and
-        ``IOStats.counters()`` equal those of one-key calls (asserted by
-        the tests).
+        The memtable settles what it holds; the other keys take one filter
+        pass over every run (:meth:`_newest_versions`), and each key's
+        answer is its newest run version's tombstone flag.  Answers and
+        ``IOStats.counters()`` equal those of a newest-first walk of
+        one-key probes per run (asserted by the tests).
         """
         keys = self._validated_keys(keys)
         n = keys.size
         result = np.zeros(n, dtype=bool)
         if n == 0:
             return result
-        unresolved = np.ones(n, dtype=bool)
+        # Probing in key order makes each run's searchsorted cache-friendly.
+        pending = np.argsort(keys)
         if len(self.memtable):
             known, live = self.memtable.lookup_many(keys)
             result[known] = live[known]
-            unresolved &= ~known
-        for sst in self.sstables:
-            if not unresolved.any():
-                break
-            idx = np.nonzero(unresolved)[0]
-            found, tombstone = sst.get_many(keys[idx], self.stats)
-            settled = idx[found]
-            result[settled] = ~tombstone[found]
-            unresolved[settled] = False
+            pending = pending[~known[pending]]
+            if pending.size == 0:
+                return result
+        runs, holder = self._newest_versions(keys[pending])
+        for run in set(holder[holder >= 0].tolist()):
+            mine = pending[holder == run]
+            sst = runs[run]
+            result[mine] = ~sst.tombstones[sst.keys.searchsorted(keys[mine])]
         return result
+
+    def _newest_versions(
+        self, keys: np.ndarray
+    ) -> tuple[tuple[SSTable, ...], np.ndarray]:
+        """Find each key's newest run version with one filter pass.
+
+        Returns ``(runs, holder)``: ``runs[holder[i]]`` is the newest run
+        holding ``keys[i]`` (``holder[i]`` is -1 when none does).  The
+        truth comes first (:meth:`_presence`); the filter pass then probes
+        each key in the runs down to its holder (all of them when it has
+        none), which are the cells the newest-first walk probes.
+        ``IOStats`` is charged for those cells and for the block reads of
+        their positives: a present key's fence always holds it, so each
+        true positive reads one block, and a false positive reads one when
+        a fence spans the key.
+        """
+        run_set = self._current_run_set()
+        runs = run_set.runs
+        if not runs:
+            return runs, np.full(keys.size, -1)
+        found = self._presence(runs, keys)
+        held = found.any(axis=0)
+        holder = np.where(held, found.argmax(axis=0), -1)
+        depth = np.where(held, holder + 1, len(runs))
+        maybe = self._filter_pass(run_set, keys, depth)
+        probed = np.arange(len(runs))[:, None] < depth
+        self._record(maybe[probed], found[probed])
+        blocks = int(np.count_nonzero(held))
+        rows, cols = np.nonzero(maybe & probed & ~found)
+        for row, key in zip(rows.tolist(), keys[cols].tolist(), strict=True):
+            blocks += len(runs[row].fences.blocks_for_point(key))
+        self.stats.blocks_read += blocks
+        self.stats.io_wait_s += blocks * BLOCK_READ_LATENCY_S
+        return runs, holder
+
+    @staticmethod
+    def _presence(runs: tuple[SSTable, ...], keys: np.ndarray) -> np.ndarray:
+        """``(runs, keys)``: does the run hold the key? (a ``searchsorted``
+        per run)."""
+        # Past the end, the clipped index holds the largest key: never equal.
+        return np.array(
+            [sst.keys.take(sst.keys.searchsorted(keys), mode="clip") == keys for sst in runs],
+            dtype=bool,
+        ).reshape(len(runs), keys.size)
+
+    def _current_run_set(self) -> _RunSet:
+        """The run-set filter of the current run list, rebuilt after a swap."""
+        run_set = self._run_set
+        if run_set.source is not self.sstables:
+            run_set = self._run_set = _RunSet(self.sstables, run_set)
+        return run_set
+
+    def _filter_pass(
+        self, run_set: _RunSet, keys: np.ndarray, depth: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The run set's ``(runs, keys)`` "maybe" matrix, timed into
+        ``filter_cpu_s`` (see :meth:`RunSetFilter.probe_point_many
+        <repro.lsm.filter_policy.RunSetFilter.probe_point_many>`)."""
+        start = time.perf_counter()
+        maybe = run_set.filters.probe_point_many(keys, depth)
+        self.stats.filter_cpu_s += time.perf_counter() - start
+        return maybe
+
+    def _record(self, maybe: np.ndarray, found: np.ndarray) -> None:
+        """Record probe outcomes against the truth; a filter never misses."""
+        missed = self.stats.record_probes(maybe, found)
+        assert not missed, "filter produced a false negative"
 
     def may_contain_many(self, keys: np.ndarray) -> np.ndarray:
         """Batched filter-level membership probe: may ``key`` be present?
 
-        The point counterpart of :meth:`scan_may_contain`: every run's
-        filter block is consulted once per batch, then the memtable.  Pure
+        The point counterpart of :meth:`scan_may_contain`: one filter pass
+        probes every key in every run (all cells are charged, against a
+        ``searchsorted`` per run), then the memtable is consulted.  Pure
         filter CPU — no fence lookups and no block reads are charged, and
-        tombstones are *not* resolved (a filter cannot un-insert).  A True is a *may-contain* —
-        resolve with :meth:`get_many` when the exact answer matters.
+        tombstones are *not* resolved (a filter cannot un-insert).  A True
+        is a *may-contain* — resolve with :meth:`get_many` when the exact
+        answer matters.
         """
         keys = self._validated_keys(keys)
         if keys.size == 0:
             return np.zeros(0, dtype=bool)
-        result = np.zeros(keys.size, dtype=bool)
-        for sst in self.sstables:
-            result |= sst.probe_filter_points_many(keys, self.stats)
+        order = np.argsort(keys)  # key order: see get_many
+        ordered = keys[order]
+        run_set = self._current_run_set()
+        maybe = self._filter_pass(run_set, ordered)
+        self._record(maybe, self._presence(run_set.runs, ordered))
+        result = np.empty(keys.size, dtype=bool)
+        result[order] = maybe.any(axis=0)
         if len(self.memtable):
             known, _ = self.memtable.lookup_many(keys)
             result |= known

@@ -15,12 +15,22 @@ from the input runs' filters.
 
 A handle has one probe per query shape, batched: ``probe_point_many`` and
 ``probe_range_many``.  A scalar read reaches them as a one-row batch.  The
-handle picks the kernel by batch size: below :data:`VECTOR_MIN_BATCH` items
-it loops the filter's scalar ``contains_*``, from there on it calls the
-vectorized ``contains_*_many``.  A filter without a bulk interface always
-takes the loop.  The answers are the same either way (the registry's
-scalar==bulk contract); only the cost differs, because a vectorized call
-pays a fixed NumPy setup per layer that a small batch never earns back.
+handle picks the kernel by batch size: below :data:`VECTOR_MIN_BATCH` keys
+(:data:`VECTOR_MIN_ROWS` ranges) it loops the filter's scalar
+``contains_*``, from there on it calls the vectorized ``contains_*_many``.
+A filter without a bulk interface always takes the loop.  The answers are
+the same either way (the registry's scalar==bulk contract); only the cost
+differs, because a vectorized call pays a fixed NumPy setup that a small
+batch never earns back.
+
+Point probes of a whole run list go through one :class:`RunSetFilter`:
+it groups the runs' bloomRF filters by identical config and probes each
+group with one stacked kernel (:class:`~repro.core.bloomrf.BloomRFStack`:
+one hash of each key per (layer, replica), one gather across the group's
+stacked words), so a request pays one filter pass, not one per run.  The
+same :data:`VECTOR_MIN_BATCH` switch decides per group on keys x runs.
+Other filter kinds loop their handles behind the same call.  Range probes
+stay per run (``probe_range_many``).
 """
 
 from __future__ import annotations
@@ -38,11 +48,14 @@ from repro.api import (
     registered_kind,
     standard_spec,
 )
+from repro.core.bloomrf import BloomRF, BloomRFStack
 
 __all__ = [
     "VECTOR_MIN_BATCH",
+    "VECTOR_MIN_ROWS",
     "FilterHandle",
     "FilterPolicy",
+    "RunSetFilter",
     "SpecPolicy",
     "coerce_policy",
     "policy_by_name",
@@ -53,12 +66,20 @@ __all__ = [
 ]
 
 
-#: Batch size from which a handle calls the filter's vectorized kernel
-#: instead of looping its scalar probe.  Measured on bloomRF runs of 2,560
-#: and 16,384 keys (2-vCPU VM): the vectorized point kernel wins from 16-24
-#: keys per call, the range kernel from 48-64 rows; 32 splits the
-#: difference (sweep table in CHANGES.md).
-VECTOR_MIN_BATCH = 32
+#: Point cells (keys x runs of one config group; keys for one handle) from
+#: which a point probe calls the stacked vectorized kernel instead of
+#: looping the filters' scalar probe.  Measured on 2,540-key bloomRF runs
+#: (14 bits/key, max_range 2^20, a quarter of the keys present; 2-vCPU
+#: VM; sweep table in CHANGES.md): the stacked kernel costs ~25 us when
+#: the exact bitmap rejects every key and ~60-75 us otherwise, the scalar
+#: loop ~2-8 us per cell, so they cross at 8-12 cells.
+VECTOR_MIN_BATCH = 8
+
+#: Rows from which a range probe calls the vectorized range kernel.  The
+#: range kernel pays a much larger fixed setup than the point kernel: on
+#: the same runs it costs ~240 us at 8-16 rows, against 28-56 us for the
+#: scalar loop, and wins from 48-64 rows (CHANGES.md).
+VECTOR_MIN_ROWS = 32
 
 
 class FilterHandle(Protocol):
@@ -113,8 +134,8 @@ class _Handle:
 
     def probe_range_many(self, bounds: np.ndarray) -> np.ndarray:
         """Range probe of an ``(n, 2)`` bounds batch: the scalar loop below
-        :data:`VECTOR_MIN_BATCH` rows, the vectorized kernel from there."""
-        if self._range_many is None or bounds.shape[0] < VECTOR_MIN_BATCH:
+        :data:`VECTOR_MIN_ROWS` rows, the vectorized kernel from there."""
+        if self._range_many is None or bounds.shape[0] < VECTOR_MIN_ROWS:
             return bulk_range_eval(self._range, bounds)
         return np.asarray(self._range_many(bounds), dtype=bool)
 
@@ -124,6 +145,64 @@ class _Handle:
 
     def serialize(self) -> bytes:
         return self._serialize()
+
+
+class RunSetFilter:
+    """One point probe across the filter blocks of a run list.
+
+    The bloomRF handles are grouped by identical config, and each group
+    is probed as one :class:`~repro.core.bloomrf.BloomRFStack` (built
+    here, once: a one-run group is a view of that run's words, a larger
+    one a copy).  A group whose filters equal one of ``previous``'s groups
+    reuses its stack, so a flush or a merge copies only the groups it
+    changed.  A group whose keys x runs cells stay below
+    :data:`VECTOR_MIN_BATCH` loops its filters' scalar probe instead.
+    Every other handle answers through its own ``probe_point_many``.
+    """
+
+    __slots__ = ("_num_runs", "_stacks", "_loose")
+
+    def __init__(self, handles, previous: "RunSetFilter | None" = None) -> None:
+        groups: dict = {}
+        self._loose: list[tuple[int, FilterHandle]] = []
+        for row, handle in enumerate(handles):
+            filt = handle._filter if isinstance(handle, _Handle) else None
+            if isinstance(filt, BloomRF):
+                groups.setdefault(filt.config, []).append((row, filt))
+            else:
+                self._loose.append((row, handle))
+        self._num_runs = len(handles)
+        built = {} if previous is None else {f: st for _, f, st in previous._stacks}
+        self._stacks = []
+        for members in groups.values():
+            rows, filters = zip(*members, strict=True)
+            stack = built.get(filters) or BloomRFStack(filters)
+            self._stacks.append((list(rows), filters, stack))
+
+    def probe_point_many(
+        self, keys: np.ndarray, depth: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``(runs, keys)`` "maybe" matrix: row ``i`` equals
+        ``handles[i].probe_point_many(keys)``.
+
+        With ``depth``, key ``j`` needs only its first ``depth[j]`` rows
+        (a newest-first walk that stops at the key's newest version), and
+        only those cells are answered: a group skips the keys none of its
+        rows needs, and the other cells hold no meaning.
+        """
+        out = np.zeros((self._num_runs, keys.size), dtype=bool)
+        every = np.arange(keys.size)
+        for rows, filters, stack in self._stacks:
+            cols = every if depth is None else np.nonzero(depth > rows[0])[0]
+            if cols.size * len(rows) < VECTOR_MIN_BATCH:
+                for row, filt in zip(rows, filters, strict=True):
+                    out[row, cols] = bulk_point_eval(filt.contains_point, keys[cols])
+            else:
+                out[np.ix_(rows, cols)] = stack.contains_point_many(keys[cols])
+        for row, handle in self._loose:
+            cols = every if depth is None else np.nonzero(depth > row)[0]
+            out[row, cols] = handle.probe_point_many(keys[cols])
+        return out
 
 
 def wrap_filter(filt) -> FilterHandle:

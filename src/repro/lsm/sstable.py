@@ -94,20 +94,17 @@ class SSTable:
     def num_live_keys(self) -> int:
         return int(self.keys.size - np.sum(self.tombstones))
 
-    @property
-    def min_key(self) -> int:
-        return int(self.keys[0])
-
-    @property
-    def max_key(self) -> int:
-        return int(self.keys[-1])
-
     # ------------------------------------------------------------------
     # probe paths (stats-instrumented)
     # ------------------------------------------------------------------
     def get(self, key: int, stats: IOStats):
-        """Point lookup of one key: a one-row :meth:`get_many` plus the
-        value fetch.
+        """Point lookup of one key in this run alone: a one-row
+        :meth:`get_many` plus the value fetch.
+
+        The store's reads probe every run in one pass instead
+        (:meth:`LsmDB.get_value <repro.lsm.db.LsmDB.get_value>`); a
+        newest-first loop of this method is the per-run walk whose
+        answers and accounting that pass reproduces.
 
         Returns ``(found_entry, value_or_None, is_tombstone)`` where
         ``found_entry`` says whether this SST holds *any* version of key.
@@ -135,12 +132,17 @@ class SSTable:
         this SST holds *some* version of ``keys[i]``; :meth:`get` fetches
         the value of a one-key batch.  The filter block is consulted once
         for the whole batch (its handle picks the kernel by batch size);
-        fences and block reads are charged per filter-positive key.
+        fences and block reads are charged per filter-positive key.  This
+        is the one-run form of the store's run-set pass
+        (:meth:`LsmDB.get_many <repro.lsm.db.LsmDB.get_many>`).
         """
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
-        positive, idx, found = self._probe_filter_points(keys, stats)
+        idx = self.keys.searchsorted(keys)
+        # Past the end, the clipped index holds the largest key: never equal.
+        found = self.keys.take(idx, mode="clip") == keys
+        positive = self._probe(self.filter.probe_point_many, keys, found, stats)
         blocks = 0
         for key in keys[positive].tolist():
             blocks += len(self.fences.blocks_for_point(key))
@@ -149,36 +151,6 @@ class SSTable:
         # A present key always passes its filter and its fence, so the
         # block read answers with the ground truth.
         return found, found & self.tombstones.take(idx, mode="clip")
-
-    def probe_filter_points_many(
-        self, keys: np.ndarray, stats: IOStats
-    ) -> np.ndarray:
-        """Batched filter-block point probe: pure filter CPU, no I/O.
-
-        The point counterpart of :meth:`probe_filter_many` — consults the
-        filter once for the whole key batch and records the probe outcomes
-        against ground truth; fences and block reads are left to the caller.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return np.zeros(0, dtype=bool)
-        positive, _, _ = self._probe_filter_points(keys, stats)
-        return positive
-
-    def _probe_filter_points(
-        self, keys: np.ndarray, stats: IOStats
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Shared stats-charged point probe of a non-empty key batch.
-
-        Returns ``(positive, sorted_index, truly_present)`` where
-        ``sorted_index[i]`` locates ``keys[i]`` in the sorted key array when
-        ``truly_present[i]``.
-        """
-        idx = self.keys.searchsorted(keys)
-        # Past the end, the clipped index holds the largest key: never equal.
-        truly_present = self.keys.take(idx, mode="clip") == keys
-        positive = self._probe(self.filter.probe_point_many, keys, truly_present, stats)
-        return positive, idx, truly_present
 
     def probe_filter_many(
         self, bounds: np.ndarray, stats: IOStats

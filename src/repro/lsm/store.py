@@ -617,12 +617,17 @@ class PersistentLsmDB(LsmDB):
         where = self.directory / MANIFEST_NAME
         self._next_file_id = int(_manifest_field(manifest, "next_file_id", where))
         names = []
+        runs = []
         for entry in _manifest_field(manifest, "runs", where):
             sst = self._load_sstable(entry)
-            self.sstables.append(sst)
+            runs.append(sst)
             name = _manifest_field(entry, "file", where)
             self._run_files[sst] = name
             names.append(name)
+        # Swapped whole like every run-list update: readers cache their
+        # run-set filter against the list's identity.
+        with self._maintenance_lock:
+            self.sstables = runs
         self._synced_runs = names
 
     def _load_sstable(self, entry: dict) -> SSTable:

@@ -219,16 +219,6 @@ def read_wal(path: str | Path) -> tuple[dict[str, Any], list[WalRecord], int, bo
     return header, records, valid_end, torn
 
 
-def _header_field(header: dict[str, Any], name: str, path: Path) -> Any:
-    try:
-        return header[name]
-    except (KeyError, TypeError):
-        raise SerialError(
-            f"corrupt write-ahead log {path}: header is missing field "
-            f"{name!r}"
-        ) from None
-
-
 class WriteAheadLog:
     """Append-only operation log for one :class:`PersistentLsmDB` directory.
 

@@ -260,7 +260,8 @@ def _unpack_any(data: _Buf) -> tuple[int, dict[str, Any], list[_Buf]]:
     kind, header, payloads, cursor = _unpack_at(data, 0)
     if cursor != len(data):
         raise SerialError(
-            f"trailing garbage after filter frame ({len(data) - cursor} bytes)"
+            f"trailing garbage after {KIND_NAMES[kind]} frame "
+            f"({len(data) - cursor} bytes)"
         )
     return kind, header, payloads
 
@@ -408,7 +409,7 @@ def map_frame(
         kind, header, spans, end = _parse_at(view, 0)
         if end != size:
             raise SerialError(
-                f"trailing garbage after filter frame "
+                f"trailing garbage after {KIND_NAMES[kind]} frame "
                 f"({size - end} bytes at offset {end})"
             )
         _check_kind(kind, expect_kind)

@@ -1,8 +1,10 @@
 """Perf smoke for the batched point-lookup engine (CI tooling).
 
 Runs ``benchmarks/bench_ops_pointbatch.py --quick``: asserts both batch
-speedups clear the script's quick floors and that answers *and stats
-accounting* are identical to the scalar ``get`` loop.  Writes its JSON to a
+speedups clear the script's quick floors, that answers *and stats
+accounting* are identical to the scalar ``get`` loop, and that a 16-key
+``get_many`` at 28 runs costs at most ``MAX_RUN_COST_RATIO`` times its
+cost at 1 run.  Writes its JSON to a
 temp path so it never clobbers the repo-root ``BENCH_pointbatch.json``
 (that trajectory artifact holds the *full*-mode run; refresh it with
 ``PYTHONPATH=src python benchmarks/bench_ops_pointbatch.py``).
@@ -41,4 +43,5 @@ def test_quick_mode_batch_beats_scalar(tmp_path):
     assert result["accounting_identical"] is True
     assert result["filter_identical"] is True
     assert result["batch_qps"] >= result["scalar_qps"]
+    assert result["run_cost_ratio"] <= bench.MAX_RUN_COST_RATIO
     assert result["mode"] == "quick"

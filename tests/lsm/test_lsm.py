@@ -13,7 +13,7 @@ from repro.lsm import (
     SSTable,
     policy_by_name,
 )
-from repro.lsm.filter_policy import VECTOR_MIN_BATCH
+from repro.lsm.filter_policy import VECTOR_MIN_BATCH, VECTOR_MIN_ROWS
 
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 U64 = (1 << 64) - 1
@@ -317,7 +317,7 @@ class TestPolicies:
             axis=1,
         )
         # One item takes the scalar kernel, 300 the vectorized one.
-        assert probed.size >= VECTOR_MIN_BATCH
+        assert probed.size >= max(VECTOR_MIN_BATCH, VECTOR_MIN_ROWS)
         for n in (1, probed.size):
             assert handle.probe_point_many(probed[:n]).all()
             assert handle.probe_range_many(bounds[:n]).all()

@@ -164,6 +164,17 @@ class TestMayContainMany:
         db.may_contain_many(keys[:100])
         assert db.stats.filter_probes == 100 * 5
 
+    def test_one_run_accounting(self):
+        keys = np.arange(0, 40_000, 7, dtype=np.uint64)
+        db = LsmDB(policy=SpecPolicy("bloomrf", bits_per_key=16))
+        db.bulk_load(keys, num_sstables=1)
+        db.reset_stats()
+        assert db.may_contain_many(keys[:50]).all()  # inserted keys are never missed
+        stats = db.reset_stats()
+        assert stats.filter_probes == 50
+        assert stats.filter_true_positives == 50
+        assert stats.blocks_read == 0
+
     def test_sees_memtable_including_tombstones(self):
         db = LsmDB(policy=SpecPolicy("bloomrf", bits_per_key=16), memtable_capacity=64)
         db.put(1_000)
@@ -206,15 +217,6 @@ class TestSSTablePointBatch:
         found, tombstone = sst.get_many(keys, IOStats())
         assert found.all()
         assert tombstone.tolist() == [False, True, False]
-
-    def test_probe_filter_points_many_accounting(self):
-        sst, keys = self.make_sst()
-        stats = IOStats()
-        positive = sst.probe_filter_points_many(keys[:50], stats)
-        assert positive.all()  # inserted keys can never be missed
-        assert stats.filter_probes == 50
-        assert stats.filter_true_positives == 50
-        assert stats.blocks_read == 0
 
     def test_empty_key_batch(self):
         sst, _ = self.make_sst()

@@ -1,15 +1,16 @@
 """One probe path per run: scalar reads are one-row batches.
 
 A filter handle loops the filter's scalar probe below
-``VECTOR_MIN_BATCH`` items and calls its vectorized kernel from there.
-These ladders pin that neither the batch size nor the kernel it picks
-changes an answer or an ``IOStats.counters()`` value:
+``VECTOR_MIN_BATCH`` keys (``VECTOR_MIN_ROWS`` ranges) and calls its
+vectorized kernel from there; a run-set point probe applies the same
+switch to keys x runs.  These ladders pin that neither the batch size nor
+the kernel it picks changes an answer or an ``IOStats.counters()`` value:
 
 * on a multi-run store with tombstones, for both engines, the batched
-  reads at sizes 1, T-1, T and 4T equal the one-row calls;
-* for every registered kind, the handle's probes at 1 and at T items equal
-  the filter's own ``contains_*_many``, and an empty batch answers with an
-  empty boolean array;
+  reads at sizes 1, T-1, T, 4T and R equal the one-row calls;
+* for every registered kind, the handle's probes at 1 and at T keys (R
+  ranges) equal the filter's own ``contains_*_many``, and an empty batch
+  answers with an empty boolean array;
 * the scalar reads and writes validate their keys like the batch calls
   do, in memory and on disk.
 """
@@ -20,11 +21,12 @@ import pytest
 from repro.api import available_kinds, filter_from_bytes, open_store, standard_spec
 from repro.lsm import LsmDB, ShardedLsmDB, SpecPolicy
 from repro.lsm.filter_policy import VECTOR_MIN_BATCH as T
+from repro.lsm.filter_policy import VECTOR_MIN_ROWS as R
 from repro.lsm.filter_policy import wrap_filter
 
 U64 = (1 << 64) - 1
 TOP = 1 << 40
-SIZES = [1, T - 1, T, 4 * T]
+SIZES = sorted({1, T - 1, T, 4 * T, R})
 
 
 def _queries():
@@ -32,7 +34,7 @@ def _queries():
     keys = np.unique(rng.integers(0, TOP, 3_000, dtype=np.uint64))
     deleted = keys[rng.permutation(keys.size)[:300]]
     late = rng.integers(0, TOP, 500, dtype=np.uint64)
-    half = 2 * T
+    half = 2 * max(T, R)
     points = np.concatenate(
         [rng.choice(keys, half // 2), rng.choice(deleted, half // 2),
          rng.integers(0, TOP, half, dtype=np.uint64)]
@@ -40,7 +42,7 @@ def _queries():
     lo = np.concatenate(
         [rng.choice(keys, half) - np.uint64(3), rng.integers(0, TOP, half, dtype=np.uint64)]
     )
-    width = np.uint64(1) << rng.integers(0, 30, 4 * T).astype(np.uint64)
+    width = np.uint64(1) << rng.integers(0, 30, 2 * half).astype(np.uint64)
     bounds = np.stack([lo, lo + width], axis=1)
     return keys, deleted, late, points, bounds
 
@@ -110,6 +112,7 @@ def test_handle_probes_equal_the_filters_own_bulk_probes(kind):
         assert np.array_equal(
             handle.probe_point_many(POINTS[:n]), filt.contains_point_many(POINTS[:n])
         )
+    for n in (1, R):
         assert np.array_equal(
             handle.probe_range_many(BOUNDS[:n]), filt.contains_range_many(BOUNDS[:n])
         )
@@ -157,11 +160,11 @@ def test_handle_picks_the_kernel_by_batch_size():
     filt = _CountingFilter()
     handle = wrap_filter(filt)
     assert handle.probe_point_many(POINTS[: T - 1]).all()
-    assert handle.probe_range_many(BOUNDS[: T - 1]).all()
-    assert filt.calls == ["point"] * (T - 1) + ["range"] * (T - 1)
+    assert handle.probe_range_many(BOUNDS[: R - 1]).all()
+    assert filt.calls == ["point"] * (T - 1) + ["range"] * (R - 1)
     filt.calls.clear()
     assert handle.probe_point_many(POINTS[:T]).all()
-    assert handle.probe_range_many(BOUNDS[:T]).all()
+    assert handle.probe_range_many(BOUNDS[:R]).all()
     assert filt.calls == ["point_many", "range_many"]
 
 

@@ -12,6 +12,7 @@ from repro.hashing import (
     pmhf_position,
     splitmix64,
     splitmix64_array,
+    splitmix64_multi_seed,
 )
 
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -24,6 +25,16 @@ class TestSplitMix:
         scalar = splitmix64(value, seed=seed)
         vector = int(splitmix64_array(np.array([value], dtype=np.uint64), seed=seed)[0])
         assert scalar == vector
+
+    @given(st.lists(u64, min_size=1, max_size=5), st.lists(u64, min_size=1, max_size=4))
+    @settings(max_examples=100)
+    def test_multi_seed_broadcasts_per_row_seeds(self, values, seeds):
+        grid = np.tile(np.array(values, dtype=np.uint64), (len(seeds), 1))
+        column = np.array(seeds, dtype=np.uint64)[:, None]
+        got = splitmix64_multi_seed(grid, column)
+        assert got.tolist() == [
+            [splitmix64(value, seed=seed) for value in values] for seed in seeds
+        ]
 
     def test_deterministic(self):
         assert splitmix64(42) == splitmix64(42)

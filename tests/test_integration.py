@@ -16,7 +16,7 @@ from repro.bench.harness import (
     measure_range_fpr,
 )
 from repro.lsm import LsmDB, SpecPolicy
-from repro.lsm.filter_policy import VECTOR_MIN_BATCH
+from repro.lsm.filter_policy import VECTOR_MIN_ROWS
 from repro.workloads import (
     empty_point_queries,
     empty_range_queries,
@@ -158,7 +158,7 @@ class TestLsmWithEveryPolicy:
         bounds = empty_range_queries(
             keys, 200, range_size=1 << 10, seed=41
         ).bounds
-        assert bounds.shape[0] >= VECTOR_MIN_BATCH
+        assert bounds.shape[0] >= VECTOR_MIN_ROWS
         # One row takes the scalar kernel, 200 rows the vectorized one.
         for n in (1, bounds.shape[0]):
             assert np.array_equal(

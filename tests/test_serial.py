@@ -17,6 +17,7 @@ from repro.baselines.bloom import BloomFilter
 from repro.core.bloomrf import BloomRF
 from repro.lsm.filter_policy import (
     VECTOR_MIN_BATCH,
+    VECTOR_MIN_ROWS,
     SpecPolicy,
     handle_from_bytes,
     load_handle,
@@ -181,6 +182,21 @@ class TestCorruptionCases:
         with pytest.raises(ValueError, match="trailing garbage"):
             serial.unpack_frame(blob + b"\x00")
 
+    @pytest.mark.parametrize("kind", [serial.KIND_STORE, serial.KIND_SSTABLE])
+    def test_trailing_garbage_names_the_frame_kind(self, kind, tmp_path):
+        frame = serial.pack_frame(kind, {}) + b"\x00\x00"
+        name = serial.KIND_NAMES[kind]
+        with pytest.raises(
+            ValueError, match=f"trailing garbage after {name} frame \\(2 bytes\\)"
+        ):
+            serial.unpack_frame(frame)
+        path = tmp_path / "frame.brf"
+        path.write_bytes(frame)
+        with pytest.raises(
+            ValueError, match=f"trailing garbage after {name} frame \\(2 bytes at"
+        ):
+            serial.map_frame(path)
+
     def test_garbage_header_raises(self, blob):
         header_len = int.from_bytes(blob[8:12], "little")
         mangled = blob[:12] + b"\xff" * header_len + blob[12 + header_len :]
@@ -261,11 +277,13 @@ class TestHandlePersistence:
         handle = SpecPolicy("none").build(np.arange(10, dtype=np.uint64))
         restored = load_handle(save_handle(handle, tmp_path / "none.brf"))
         assert restored.size_bits == 0
-        # One item takes the scalar kernel, VECTOR_MIN_BATCH the vectorized.
+        # One item takes the scalar kernel, VECTOR_MIN_BATCH keys and
+        # VECTOR_MIN_ROWS ranges the vectorized one.
         for n in (1, VECTOR_MIN_BATCH):
             keys = np.full(n, 7, dtype=np.uint64)
-            bounds = np.tile(np.array([[1, 5]], dtype=np.uint64), (n, 1))
             assert restored.probe_point_many(keys).all()
+        for n in (1, VECTOR_MIN_ROWS):
+            bounds = np.tile(np.array([[1, 5]], dtype=np.uint64), (n, 1))
             assert restored.probe_range_many(bounds).all()
 
     def test_empty_serialization_rejected(self, tmp_path):

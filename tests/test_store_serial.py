@@ -108,6 +108,16 @@ class TestManifestCorruption:
         with pytest.raises(SerialError, match="STORE.brf.*trailing"):
             open_store(path=store_dir)
 
+    def test_trailing_bytes_error_names_the_manifest_kind(self, store_dir):
+        """The refusal names the frame's own kind, not "filter"."""
+        manifest = store_dir / MANIFEST_NAME
+        manifest.write_bytes(manifest.read_bytes() + b"\x00" * 5)
+        with pytest.raises(
+            SerialError,
+            match=r"STORE\.brf: trailing garbage after store-manifest frame \(5 bytes\)",
+        ):
+            read_store_manifest(store_dir)
+
     def test_engine_mismatch_raises(self, store_dir, sharded_dir):
         with pytest.raises(SerialError, match="not a 'sharded-lsm' store"):
             PersistentShardedLsmDB(store_dir)
