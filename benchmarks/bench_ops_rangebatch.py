@@ -18,6 +18,14 @@ The full run uses a 10k-query workload and records the headline speedup.
 ``--quick`` shrinks the workload — a perf smoke cheap enough to run on
 every change.  Both modes exit non-zero on any answer mismatch or when the
 speedup falls below its floor in ``SPEEDUP_FLOORS``.
+
+A second section gates request cost against the run count: a 1-row
+``LsmDB.scan_nonempty_many`` over the same keys in 1 run and in 28 runs
+(``served``'s shard shape: 2,560-key runs, bloomRF at 14 bits/key,
+``max_range`` 2^20; widths log-uniform up to 2^20, half of the rows on a
+key).  One range filter pass per request keeps the 28-run call within
+``MAX_RUN_COST_RATIO`` of the 1-run one; both modes exit non-zero above
+it.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.bloomrf import BloomRF
+from repro.lsm import LsmDB, SpecPolicy
 from repro.workloads.queries import empty_range_queries
 
 U64 = (1 << 64) - 1
@@ -40,6 +49,14 @@ RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_rangebatch.json"
 #: run's 23.41x (``BENCH_rangebatch.json``) divided by 4.0 for ``--quick``
 #: and by 2.5 for a full run, rounded up.
 SPEEDUP_FLOORS = {"quick": 5.853, "full": 9.365}
+#: Exit-check ceiling on the 1-row ``scan_nonempty_many`` time at 28 runs
+#: over its time at 1 run, in both modes: full runs measured 2.13-2.20x
+#: (``BENCH_rangebatch.json``; probing run by run measured 8.8-9.1x),
+#: times 1.5 for the timing swings of a shared 2-vCPU VM, rounded up.
+MAX_RUN_COST_RATIO = 3.5
+RUN_COUNTS = (1, 28)
+RUN_KEYS = 2_560
+MAX_RANGE_LOG2 = 20
 
 
 def build_workload(
@@ -84,6 +101,46 @@ def scalar_loop(filt: BloomRF, bounds: np.ndarray) -> np.ndarray:
     )
 
 
+def run_count_cost(rounds: int) -> dict:
+    """Median 1-row ``scan_nonempty_many`` time at each of
+    :data:`RUN_COUNTS` runs.
+
+    Every store holds the same keys; calls alternate between the stores so
+    a slow spell of the machine hits both alike.
+    """
+    rng = np.random.default_rng(37)
+    keys = np.unique(
+        rng.integers(0, 1 << 62, max(RUN_COUNTS) * RUN_KEYS, dtype=np.uint64)
+    )
+    policy = SpecPolicy("bloomrf", bits_per_key=14, max_range=1 << MAX_RANGE_LOG2)
+    stores = {}
+    for runs in RUN_COUNTS:
+        stores[runs] = LsmDB(policy=policy)
+        stores[runs].bulk_load(rng.permutation(keys), num_sstables=runs)
+    rows = []
+    for i in range(64):
+        width = 1 << int(rng.integers(0, MAX_RANGE_LOG2 + 1))
+        lo = int(rng.choice(keys)) - int(rng.integers(0, width)) if i % 2 else int(rng.integers(0, 1 << 62))
+        rows.append(np.array([[max(lo, 0), max(lo, 0) + width - 1]], dtype=np.uint64))
+    times: dict[int, list[float]] = {runs: [] for runs in RUN_COUNTS}
+    answers: dict[int, list[bool]] = {runs: [] for runs in RUN_COUNTS}
+    for i in range(rounds):
+        row = rows[i % len(rows)]
+        for runs, db in stores.items():
+            start = time.perf_counter()
+            hit = db.scan_nonempty_many(row)
+            times[runs].append(time.perf_counter() - start)
+            answers[runs].append(bool(hit[0]))
+    medians = {runs: float(np.median(t[len(rows):])) for runs, t in times.items()}
+    low, high = min(RUN_COUNTS), max(RUN_COUNTS)
+    return {
+        "run_counts": list(RUN_COUNTS),
+        "scan1_us": {str(r): medians[r] * 1e6 for r in RUN_COUNTS},
+        "run_cost_ratio": medians[high] / medians[low],
+        "run_answers_identical": answers[low] == answers[high],
+    }
+
+
 def run(quick: bool) -> dict:
     n_keys = 20_000 if quick else 100_000
     n_queries = 2_000 if quick else 10_000
@@ -103,6 +160,7 @@ def run(quick: bool) -> dict:
     batch_s = time.perf_counter() - start
 
     identical = bool(np.array_equal(scalar, batch))
+    run_cost = run_count_cost(rounds=600 if quick else 3_000)
     result = {
         "benchmark": "rangebatch",
         "mode": "quick" if quick else "full",
@@ -115,6 +173,7 @@ def run(quick: bool) -> dict:
         "batch_qps": n_queries / batch_s,
         "speedup": scalar_s / batch_s,
         "bit_identical": identical,
+        **run_cost,
     }
     return result
 
@@ -141,15 +200,27 @@ def main(argv: list[str] | None = None) -> int:
         f"({result['positive_fraction']:.0%} positive): "
         f"scalar {result['scalar_qps']:,.0f} q/s | "
         f"batch {result['batch_qps']:,.0f} q/s | "
-        f"speedup {result['speedup']:.1f}x -> {args.output}"
+        f"speedup {result['speedup']:.1f}x | "
+        f"1-row scan_nonempty_many at {RUN_COUNTS[-1]} runs "
+        f"{result['run_cost_ratio']:.2f}x its time at {RUN_COUNTS[0]} -> "
+        f"{args.output}"
     )
 
     if not result["bit_identical"]:
         print("FAIL: batch results differ from scalar contains_range")
         return 1
+    if not result["run_answers_identical"]:
+        print("FAIL: the 1-run and 28-run stores answer differently")
+        return 1
     floor = SPEEDUP_FLOORS[result["mode"]]
     if result["speedup"] < floor:
         print(f"FAIL: speedup {result['speedup']:.2f}x below the {floor}x floor")
+        return 1
+    if result["run_cost_ratio"] > MAX_RUN_COST_RATIO:
+        print(
+            f"FAIL: run_cost_ratio {result['run_cost_ratio']:.2f}x above "
+            f"the {MAX_RUN_COST_RATIO}x ceiling"
+        )
         return 1
     return 0
 

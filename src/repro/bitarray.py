@@ -154,18 +154,6 @@ class BitArray:
             (value & ((1 << field_bits) - 1)) << (start & _WORD_MASK)
         )
 
-    def read_fields(self, bit_positions: np.ndarray, field_bits: int) -> np.ndarray:
-        """Vectorized ``read_field`` for a uint64 array of bit positions."""
-        if not is_power_of_two(field_bits) or field_bits > _WORD_BITS:
-            raise ValueError(f"field_bits must be a power of two <= 64, got {field_bits}")
-        bit_positions = bit_positions.astype(np.uint64, copy=False)
-        start = bit_positions & np.uint64(~(field_bits - 1) & ((1 << 64) - 1))
-        words = self.words[start >> np.uint64(_WORD_SHIFT)]
-        if field_bits == _WORD_BITS:
-            return words
-        shifted = words >> (start & np.uint64(_WORD_MASK))
-        return shifted & np.uint64((1 << field_bits) - 1)
-
     # ------------------------------------------------------------------
     # range queries over raw bit positions (used by exact-level bitmaps)
     # ------------------------------------------------------------------

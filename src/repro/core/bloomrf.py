@@ -31,8 +31,8 @@ Operations
   NumPy-vectorized bulk paths computing bit-identical answers to the scalar
   ones (asserted by the tests), including the same domain validation.
 
-Stacked point probes
---------------------
+Stacked probes
+--------------
 Filters built from one :class:`BloomRFConfig` share every hash function
 and every word count, so a key's bit positions are the same in each of
 them.  :class:`BloomRFStack` stores such filters' words bit-sliced (row
@@ -40,7 +40,11 @@ them.  :class:`BloomRFStack` stores such filters' words bit-sliced (row
 them at once: one hash of each key per (layer, replica) and one gather of
 whole rows — the Flat-Bloofi layout (Crainiceanu & Lemire), with
 bloomRF's per-layer segments as the partitions.  ``contains_point_many``
-is the one-filter case of the same kernel.
+is the one-filter case of the same kernel.  A range row is answered the
+same way: Algorithm 1's probes depend on the row alone, so the stacked
+walk runs it once for every filter, reading each probed word from all of
+them with one gather per layer (phase 1 and the split layer share one),
+and keeps per filter only which paths are still open.
 
 Batched range-query engine
 --------------------------
@@ -57,9 +61,9 @@ Bulk range lookups separate *plan compilation* from *probe execution*:
    probe emission is a pure function of ``(lo, hi, levels)``, so one
    top-down sweep computes each layer's probes for every live query as
    stacked arrays — and resolves it with vectorized NumPy: one
-   :func:`splitmix64_array` hash + :meth:`BitArray.test_bits` /
-   :meth:`BitArray.read_fields` call per (layer, replica) serves every
-   query probing that layer, guard-flip handling included; the exact-level
+   :func:`splitmix64_array` hash + :meth:`BitArray.test_bits` call (or one
+   word gather, for the masks) per (layer, replica) serves every query
+   probing that layer, guard-flip handling included; the exact-level
    pseudo-layer resolves through :meth:`BitArray.any_in_ranges`.  Live-set
    pruning applies the walk's early exits batch-wide, so no per-probe
    Python callback runs.
@@ -86,7 +90,7 @@ import numpy as np
 from repro._util import check_key, domain_max
 from repro.bitarray import BitArray
 from repro.core.config import BloomRFConfig
-from repro.dyadic import two_path_range_lookup
+from repro.dyadic import path_step, two_path_range_lookup
 from repro.hashing import splitmix64, splitmix64_array, splitmix64_multi_seed
 
 __all__ = ["BloomRF", "BloomRFStack"]
@@ -123,6 +127,26 @@ def _all_bits(sliced: np.ndarray, positions: np.ndarray) -> np.ndarray:
     both = gathered[0] if len(gathered) == 1 else np.bitwise_and.reduce(gathered)
     both &= np.uint64(1)
     return both.astype(bool)
+
+
+def _test_words(sliced: np.ndarray, rows: list[int], fields: list[int]) -> np.ndarray:
+    """``(probes, filters)``: does word ``rows[p]`` of a filter share a set
+    bit with ``fields[p]``? (one gather from the bit-sliced words)."""
+    gathered = np.take(sliced, np.array(rows, dtype=np.intp), axis=0)
+    return (gathered & np.array(fields, dtype=np.uint64)[:, None]) != 0
+
+
+def _any_in_range_sliced(sliced: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``(filters,)``: :meth:`BitArray.any_in_range` over bit-sliced words."""
+    lo_word, hi_word = lo >> 6, hi >> 6
+    lo_mask = _U64_ONES << np.uint64(lo & 63)
+    hi_mask = _U64_ONES >> np.uint64(63 - (hi & 63))
+    if lo_word == hi_word:
+        return (sliced[lo_word] & lo_mask & hi_mask) != 0
+    hit = ((sliced[lo_word] & lo_mask) != 0) | ((sliced[hi_word] & hi_mask) != 0)
+    if hi_word - lo_word > 1:
+        hit |= sliced[lo_word + 1 : hi_word].any(axis=0)
+    return hit
 
 
 def _concat(a: np.ndarray | None, b: np.ndarray) -> np.ndarray:
@@ -728,7 +752,13 @@ class BloomRF:
                 m_idx = np.concatenate([part[0] for part in mask_parts])
                 m_lo = np.concatenate([part[1] for part in mask_parts])
                 m_hi = np.concatenate([part[2] for part in mask_parts])
-                hit_q = m_idx[self._resolve_masks_layer(li, m_lo, m_hi)]
+                if li == self._exact_layer_index:
+                    fired = self._exact.any_in_ranges(m_lo, m_hi)
+                else:
+                    fired = self._resolve_masks_layer(
+                        li, m_lo, m_hi, self._bits.words[:, None]
+                    )[:, 0]
+                hit_q = m_idx[fired]
                 if hit_q.size:
                     # Filter says "may contain a key": the query is decided.
                     result[hit_q] = True
@@ -739,6 +769,138 @@ class BloomRF:
                 break
 
         return result
+
+    def _contains_range_sliced(
+        self, sliced: np.ndarray, exact: np.ndarray | None, lo: int, hi: int
+    ) -> np.ndarray:
+        """The stacked range walk: ``(filters,)`` answers for ``[lo, hi]``.
+
+        Algorithm 1 once for every filter of a :class:`BloomRFStack`.  The
+        probes the walk emits depend on ``(lo, hi, levels)`` alone; the
+        filters differ only in which of them they still need, so each one
+        keeps its own phase-1 ``alive`` and phase-2 ``left``/``right``
+        masks.  Phase 1's covering bits and the split layer's probes are
+        read with one gather, each phase-2 layer's probes with one more,
+        and the walk stops once every filter is decided.  Column ``i``
+        equals :meth:`contains_range` of filter ``i`` (``lo`` and ``hi``
+        are validated Python ints).
+        """
+        levels = self._planner_levels
+        none = np.zeros(sliced.shape[1], dtype=bool)
+        # Phase 1: while one DI covers the query, the walk probes only its
+        # covering bit, and a filter stays alive while all of them are set.
+        li = len(levels) - 1
+        guards = []
+        while True:
+            level = levels[li]
+            p_lo, p_hi = lo >> level, hi >> level
+            l_open = lo != p_lo << level
+            r_open = hi != ((p_hi + 1) << level) - 1
+            if p_lo != p_hi or not (l_open or r_open):
+                break
+            guards.append((li, p_lo))
+            li -= 1
+        if p_lo == p_hi:
+            # The query *is* this DI: one decomposition probe decides.
+            bit_ans, mask_ans = self._sliced_probes(sliced, exact, guards, [(li, p_lo, p_hi)])
+            return np.all(bit_ans, axis=0) & mask_ans[0] if guards else mask_ans[0]
+        # The covering path splits (Fig. 7): a decomposition probe between
+        # the bounds' DIs, and a covering bit per unaligned bound.
+        m_lo = p_lo + 1 if l_open else p_lo
+        m_hi = p_hi - 1 if r_open else p_hi
+        split = [(li, p) for p, is_open in ((p_lo, l_open), (p_hi, r_open)) if is_open]
+        masks = [(li, m_lo, m_hi)] if m_lo <= m_hi else []
+        bit_ans, mask_ans = self._sliced_probes(sliced, exact, guards + split, masks)
+        alive = np.all(bit_ans[: len(guards)], axis=0) if guards else ~none
+        result = alive & mask_ans[0] if masks else none
+        opened = iter(bit_ans[len(guards) :])
+        left = alive & next(opened) & ~result if l_open else none
+        right = alive & next(opened) & ~result if r_open else none
+        # Phase 2: each open path expands its covering DI one layer down.
+        for li in range(li - 1, -1, -1):
+            if not (left.any() or right.any()):
+                break
+            level, parent = levels[li], levels[li + 1]
+            l_span, l_bit = path_step(lo, level, parent, right=False) if left.any() else (None, None)
+            r_span, r_bit = path_step(hi, level, parent, right=True) if right.any() else (None, None)
+            bits = [(li, p) for p in (l_bit, r_bit) if p is not None]
+            masks = [(li, *span) for span in (l_span, r_span) if span is not None]
+            bit_ans, mask_ans = self._sliced_probes(sliced, exact, bits, masks)
+            fired, opened = iter(mask_ans), iter(bit_ans)
+            if l_span is not None:
+                result = result | (left & next(fired))
+            if r_span is not None:
+                result = result | (right & next(fired))
+            left = none if l_bit is None else left & next(opened) & ~result
+            right = none if r_bit is None else right & next(opened) & ~result
+        return result
+
+    def _sliced_probes(
+        self,
+        sliced: np.ndarray,
+        exact: np.ndarray | None,
+        bits: list[tuple[int, int]],
+        masks: list[tuple[int, int, int]],
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Probes of the stacked range walk, answered for every filter.
+
+        ``bits`` holds ``(layer, prefix)`` covering probes and ``masks``
+        ``(layer, p_lo, p_hi)`` decomposition probes; each answer is a
+        ``(filters,)`` array.  The arithmetic is the scalar
+        :meth:`_probe_bit`/:meth:`_probe_mask`'s, and every PMHF word they
+        read comes from one gather.  Exact-bitmap probes and mask probes
+        spanning :data:`_SCALAR_MASK_GROUPS` groups or more are answered
+        on their own, as in the scalar walk.
+        """
+        rows: list[int] = []
+        fields: list[int] = []
+        replicas: list[int] = []  # gathered words per prefix group
+        answers: list[np.ndarray | int] = []  # an answer, or its group count
+
+        def read(layer: _Layer, group: int, field: int) -> None:
+            for seed in layer.seeds:
+                start = layer.seg_base + splitmix64(group, seed=seed) % layer.num_words * layer.word_bits
+                rows.append(start >> 6)
+                fields.append(field << (start & 63))
+            replicas.append(len(layer.seeds))
+
+        for li, prefix in bits:
+            if li == self._exact_layer_index:
+                answers.append(_test_words(exact, [prefix >> 6], [1 << (prefix & 63)])[0])
+                continue
+            layer = self._layers[li]
+            read(layer, prefix >> layer.offset_bits, 1 << self._offset(layer, prefix))
+            answers.append(1)
+        for li, p_lo, p_hi in masks:
+            if li == self._exact_layer_index:
+                answers.append(_any_in_range_sliced(exact, p_lo, p_hi))
+                continue
+            layer = self._layers[li]
+            ob, om = layer.offset_bits, layer.offset_mask
+            g_lo, g_hi = p_lo >> ob, p_hi >> ob
+            if g_hi - g_lo >= _SCALAR_MASK_GROUPS:
+                lo_hi = np.array([[p_lo], [p_hi]], dtype=np.uint64)
+                answers.append(self._resolve_masks_layer(li, lo_hi[0], lo_hi[1], sliced)[0])
+                continue
+            for group in range(g_lo, g_hi + 1):
+                base = group << ob
+                off_lo = max(p_lo, base) - base
+                off_hi = min(p_hi, base + om) - base
+                if self._guard and ob and splitmix64(group, seed=layer.guard_seed) & 1:
+                    off_lo, off_hi = om - off_hi, om - off_lo
+                read(layer, group, ((1 << (off_hi - off_lo + 1)) - 1) << off_lo)
+            answers.append(g_hi - g_lo + 1)
+        if rows:
+            hits = _test_words(sliced, rows, fields)
+            if len(replicas) < len(rows):  # AND over each group's replicas
+                starts = np.cumsum(replicas) - replicas
+                hits = np.logical_and.reduceat(hits, starts, axis=0)
+        at = 0
+        for i, answer in enumerate(answers):
+            if isinstance(answer, int):  # OR over the probe's groups
+                answers[i] = hits[at] if answer == 1 else hits[at : at + answer].any(axis=0)
+                at += answer
+        return answers[: len(bits)], answers[len(bits) :]
 
     # -- vectorized probe executors (shared by the batch engine) -------
     def _resolve_bits_layer(self, li: int, prefixes: np.ndarray) -> np.ndarray:
@@ -759,20 +921,20 @@ class BloomRF:
         return hit
 
     def _resolve_masks_layer(
-        self, li: int, p_lo: np.ndarray, p_hi: np.ndarray
+        self, li: int, p_lo: np.ndarray, p_hi: np.ndarray, sliced: np.ndarray
     ) -> np.ndarray:
-        """Resolve one layer's decomposition probes (word-mask reads).
+        """Resolve one PMHF layer's decomposition probes (word-mask reads).
 
-        Each probe expands into its covered prefix groups; one
-        ``splitmix64_array`` + ``read_fields`` round per replica resolves
-        every group of every probe, and per-probe answers are the OR over
-        their groups (AND over replicas within a group).
+        ``sliced`` holds the PMHF words of one or more filters of this
+        config, bit-sliced (one column per filter); the answers are
+        ``(probes, filters)``.  Each probe expands into its covered prefix
+        groups; one ``splitmix64_array`` hash and one gather per replica
+        resolve every group of every probe, and per-probe answers are the
+        OR over their groups (AND over replicas within a group).
         """
-        ans = np.zeros(p_lo.size, dtype=bool)
+        ans = np.zeros((p_lo.size, sliced.shape[1]), dtype=bool)
         if p_lo.size == 0:
             return ans
-        if li == self._exact_layer_index:
-            return self._exact.any_in_ranges(p_lo, p_hi)
         layer = self._layers[li]
         idx = np.arange(p_lo.size)
         lo = p_lo
@@ -791,7 +953,7 @@ class BloomRF:
         counts = (g_hi - g_lo).astype(np.int64) + 1
         total = int(counts.sum())
         probe_of_group = np.repeat(np.arange(idx.size), counts)
-        starts = np.cumsum(counts) - counts
+        starts = np.cumsum(counts) - counts  # each probe's groups are contiguous
         intra = (np.arange(total) - starts[probe_of_group]).astype(np.uint64)
         groups = g_lo[probe_of_group] + intra
         base_prefix = groups << layer.u_offset_bits
@@ -808,18 +970,15 @@ class BloomRF:
             off_hi = np.where(flip, layer.u_offset_mask - off_lo, off_hi)
             off_lo = flipped_lo
         width = off_hi - off_lo + np.uint64(1)
-        field_mask = (_U64_ONES >> (np.uint64(64) - width)) << off_lo
-        hit = np.ones(total, dtype=bool)
+        field_mask = ((_U64_ONES >> (np.uint64(64) - width)) << off_lo)[:, None]
+        hit = np.ones((total, sliced.shape[1]), dtype=bool)
         for seed in layer.seeds:
             word_index = splitmix64_array(groups, seed=seed) % layer.u_num_words
-            words = self._bits.read_fields(
-                layer.u_seg_base + word_index * layer.u_word_bits,
-                layer.word_bits,
-            )
+            field = layer.u_seg_base + word_index * layer.u_word_bits
+            words = np.take(sliced, field >> np.uint64(6), axis=0)
+            words >>= (field & np.uint64(63))[:, None]
             hit &= (words & field_mask) != np.uint64(0)
-        probe_hit = np.zeros(idx.size, dtype=bool)
-        probe_hit[probe_of_group[hit]] = True
-        ans[idx] = probe_hit
+        ans[idx] = np.logical_or.reduceat(hit, starts, axis=0)
         return ans
 
     # -- probe oracles consumed by the planner -------------------------
@@ -849,7 +1008,8 @@ class BloomRF:
                     layer_index,
                     np.array([p_lo], dtype=np.uint64),
                     np.array([p_hi], dtype=np.uint64),
-                )[0]
+                    self._bits.words[:, None],
+                )[0, 0]
             )
         for group in range(g_lo, g_hi + 1):
             base = group << layer.offset_bits
@@ -975,7 +1135,7 @@ class BloomRF:
 
 
 class BloomRFStack:
-    """Same-config bloomRF filters probed as one: the stacked point kernel.
+    """Same-config bloomRF filters probed as one: the stacked kernels.
 
     The filters' words are stored bit-sliced (Flat-Bloofi style): row
     ``w`` holds word ``w`` of every filter, so one gather serves all of
@@ -1007,6 +1167,17 @@ class BloomRFStack:
         validation."""
         keys = self._layout._validated_keys(keys)
         return self._layout._contains_point_sliced(self._sliced, self._exact, keys).T
+
+    def contains_range_many(self, bounds: np.ndarray) -> np.ndarray:
+        """``(filters, rows)`` answers: row ``i`` equals
+        ``filters[i].contains_range_many(bounds)``, with the same bounds
+        validation.  The stacked walk runs once per row and tests every
+        filter at once, so it suits many filters and few rows."""
+        bounds = self._layout._validated_bounds(bounds)
+        out = np.empty((self._sliced.shape[1], bounds.shape[0]), dtype=bool)
+        for row, (lo, hi) in enumerate(bounds.tolist()):
+            out[:, row] = self._layout._contains_range_sliced(self._sliced, self._exact, lo, hi)
+        return out
 
 
 def _slice_words(arrays: Sequence[BitArray]) -> np.ndarray:

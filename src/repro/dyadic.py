@@ -47,6 +47,7 @@ __all__ = [
     "dyadic_decompose",
     "covering_prefix_range",
     "two_path_range_lookup",
+    "path_step",
     "RangePlan",
     "compile_range_plan",
     "PATH_BOTH",
@@ -173,38 +174,48 @@ def two_path_range_lookup(
                 return False
             continue
 
-        parent_level = levels[layer + 1]
+        # Expand each open path's covering DI one layer down.
         if left:
-            # Expand the left covering J (level parent_level, contains l_key).
-            j_hi = (((l_key >> parent_level) + 1) << parent_level) - 1
-            p_lo = l_key >> level
-            p_j = j_hi >> level
-            if l_key == (p_lo << level):
-                # Aligned: [l_key, j_hi] lies fully inside the query.
-                if probe_mask(layer, p_lo, p_j):
-                    return True
-                left = False
-            else:
-                if p_lo < p_j and probe_mask(layer, p_lo + 1, p_j):
-                    return True
-                left = probe_bit(layer, p_lo)
+            span, prefix = path_step(l_key, level, levels[layer + 1], right=False)
+            if span is not None and probe_mask(layer, *span):
+                return True
+            left = prefix is not None and probe_bit(layer, prefix)
         if right:
-            j_lo = (r_key >> parent_level) << parent_level
-            p_hi = r_key >> level
-            p_j = j_lo >> level
-            if r_key == (((p_hi + 1) << level) - 1):
-                if probe_mask(layer, p_j, p_hi):
-                    return True
-                right = False
-            else:
-                if p_j < p_hi and probe_mask(layer, p_j, p_hi - 1):
-                    return True
-                right = probe_bit(layer, p_hi)
+            span, prefix = path_step(r_key, level, levels[layer + 1], right=True)
+            if span is not None and probe_mask(layer, *span):
+                return True
+            right = prefix is not None and probe_bit(layer, prefix)
         if not (left or right):
             return False
 
     # levels[0] == 0 guarantees both paths resolve at the bottom layer.
     return False
+
+
+def path_step(
+    key: int, level: int, parent_level: int, *, right: bool
+) -> tuple[tuple[int, int] | None, int | None]:
+    """One phase-2 step of Algorithm 1 on the path that follows ``key``.
+
+    The path's covering DI on ``parent_level`` holds ``key`` (the query's
+    lower bound on the left path, its upper bound on the right one).  One
+    layer down, on ``level``, the walk probes the prefixes of that DI that
+    lie inside the query beyond ``key``'s own DI — returned as an
+    inclusive ``(p_lo, p_hi)`` decomposition span, or None when there are
+    none — and the covering bit of ``key``'s DI, returned as its prefix.
+    When ``key`` is aligned to its DI that DI lies inside the query too:
+    it joins the span, and the prefix is None (the path ends).
+    """
+    p = key >> level
+    if right:
+        p_j = ((key >> parent_level) << parent_level) >> level
+        if key == ((p + 1) << level) - 1:
+            return (p_j, p), None
+        return ((p_j, p - 1) if p_j < p else None), p
+    p_j = ((((key >> parent_level) + 1) << parent_level) - 1) >> level
+    if key == p << level:
+        return (p, p_j), None
+    return ((p + 1, p_j) if p < p_j else None), p
 
 
 # ----------------------------------------------------------------------

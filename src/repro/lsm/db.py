@@ -2,20 +2,26 @@
 
 This is the system harness for Experiments 1, 2 and the Fig. 12.C/G
 measurements — and a usable KV store: point gets, deletes via tombstones,
-and merging range scans (newest version wins) that walk the SSTs
-newest-first, consulting each SST's filter block and fence pointers and
-charging a fixed simulated latency per block read.  All probe outcomes
+and merging range scans (newest version wins) over the SSTs, consulting
+every SST's filter block and fence pointers and charging a fixed
+simulated latency per block read.  All probe outcomes
 and time buckets land in :class:`~repro.lsm.iostats.IOStats`.
 
-Point reads make one filter pass per request, not one per run: a
+Reads make one filter pass per request, not one per run: a
 :class:`~repro.lsm.filter_policy.RunSetFilter` over the run list answers
-a runs x keys "maybe" matrix (one hash per key and hash function for all
-same-config runs), and a per-run ``searchsorted`` gives the matching
-truth matrix.  ``get_many``, ``get_value`` and ``may_contain_many`` are
-reductions of the two, and they charge ``IOStats`` exactly the probes,
-outcomes and block reads of the newest-first walk that stops at a key's
-newest version.  The run-set filter is cached against the identity of
-the copy-on-write run list, together with its own run tuple.
+a runs x keys (or runs x rows) "maybe" matrix, and a per-run
+``searchsorted`` gives the matching truth matrix.  ``get_many``,
+``get_value`` and ``may_contain_many`` are reductions of the point pair
+(one hash per key and hash function for all same-config runs), and they
+charge ``IOStats`` exactly the probes, outcomes and block reads of the
+newest-first walk that stops at a key's newest version.
+``scan_nonempty_many``, ``scan`` and ``scan_may_contain`` are reductions
+of the range pair (:meth:`LsmDB._range_pass`): every cell is charged in
+one ``record_probes`` call, then one fence lookup per positive cell,
+exactly what a loop of per-run range probes charges, and the merging
+scan takes each row's runs from the truth matrix.  The run-set filter is
+cached against the identity of the copy-on-write run list, together with
+its own run tuple.
 
 Every write takes one path: ``put``/``delete`` are one-key
 ``put_many``/``delete_many`` calls, validated like any batch, and one
@@ -541,7 +547,7 @@ class LsmDB:
         held = found.any(axis=0)
         holder = np.where(held, found.argmax(axis=0), -1)
         depth = np.where(held, holder + 1, len(runs))
-        maybe = self._filter_pass(run_set, keys, depth)
+        maybe = self._filter_pass(run_set.filters.probe_point_many, keys, depth)
         probed = np.arange(len(runs))[:, None] < depth
         self._record(maybe[probed], found[probed])
         blocks = int(np.count_nonzero(held))
@@ -569,14 +575,12 @@ class LsmDB:
             run_set = self._run_set = _RunSet(self.sstables, run_set)
         return run_set
 
-    def _filter_pass(
-        self, run_set: _RunSet, keys: np.ndarray, depth: np.ndarray | None = None
-    ) -> np.ndarray:
-        """The run set's ``(runs, keys)`` "maybe" matrix, timed into
-        ``filter_cpu_s`` (see :meth:`RunSetFilter.probe_point_many
-        <repro.lsm.filter_policy.RunSetFilter.probe_point_many>`)."""
+    def _filter_pass(self, probe, *args) -> np.ndarray:
+        """A run set's "maybe" matrix from ``probe(*args)`` (a
+        :class:`RunSetFilter <repro.lsm.filter_policy.RunSetFilter>`
+        method), timed into ``filter_cpu_s``."""
         start = time.perf_counter()
-        maybe = run_set.filters.probe_point_many(keys, depth)
+        maybe = probe(*args)
         self.stats.filter_cpu_s += time.perf_counter() - start
         return maybe
 
@@ -602,7 +606,7 @@ class LsmDB:
         order = np.argsort(keys)  # key order: see get_many
         ordered = keys[order]
         run_set = self._current_run_set()
-        maybe = self._filter_pass(run_set, ordered)
+        maybe = self._filter_pass(run_set.filters.probe_point_many, ordered)
         self._record(maybe, self._presence(run_set.runs, ordered))
         result = np.empty(keys.size, dtype=bool)
         result[order] = maybe.any(axis=0)
@@ -641,21 +645,33 @@ class LsmDB:
             )
         return arr
 
+    @staticmethod
+    def _validated_limit(limit) -> int | None:
+        """Shared ``scan`` limit validation: None or a non-negative int
+        (a bool is refused, although Python counts it as an int)."""
+        if limit is None:
+            return None
+        if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)):
+            raise TypeError(f"limit must be an integer or None, got {type(limit).__name__}")
+        if limit < 0:
+            raise ValueError(f"negative scan limit {limit}")
+        return int(limit)
+
     def scan_may_contain(self, bounds: np.ndarray) -> np.ndarray:
         """Batched filter-level emptiness probe: may ``[lo, hi]`` be non-empty?
 
-        One boolean per ``(lo, hi)`` row; every run's filter block is
-        consulted once per batch, then the memtable.  Pure filter CPU — no
-        fence lookups and no block reads are charged.
+        One boolean per ``(lo, hi)`` row: one range filter pass over every
+        run (:meth:`_range_pass`, all cells charged), OR-ed per row, then
+        the memtable.  Pure filter CPU — no fence lookups and no block
+        reads are charged.
         A True is a *may-contain* — resolve with :meth:`scan_nonempty_many`
         or :meth:`scan` when the exact answer matters.
         """
         bounds = self._validated_bounds(bounds)
         if bounds.size == 0:
             return np.zeros(0, dtype=bool)
-        result = np.zeros(bounds.shape[0], dtype=bool)
-        for sst in self.sstables:
-            result |= sst.probe_filter_many(bounds, self.stats)
+        _, _, maybe = self._range_pass(bounds, read_blocks=False)
+        result = maybe.any(axis=0)
         if len(self.memtable):
             result |= self.memtable.contains_range_many(bounds)
         return result
@@ -663,48 +679,89 @@ class LsmDB:
     def scan_nonempty_many(self, bounds: np.ndarray) -> np.ndarray:
         """Does each ``(lo, hi)`` row hold any live key? One boolean per row.
 
-        Probes every run's filter (the paper's workloads are empty — the
-        worst case — and real scans must merge all overlapping runs), one
-        probe batch per SST; only filter-positive (query, run) pairs reach
-        the merging scan for version reconciliation.
+        One range filter pass probes every run for every row
+        (:meth:`_range_pass`; the paper's workloads are empty — the worst
+        case — and real scans must merge all overlapping runs).  The
+        memtable settles a row it holds a live key for; any other row
+        whose truth column names a run goes to the merging scan, over
+        those runs only, for version reconciliation.
         """
         bounds = self._validated_bounds(bounds)
         if bounds.size == 0:
             return np.zeros(0, dtype=bool)
-        n = bounds.shape[0]
-        candidates: list[list[SSTable]] = [[] for _ in range(n)]
-        for sst in self.sstables:
-            hits = sst.scan_many(bounds, self.stats)
-            for i in np.nonzero(hits)[0]:
-                candidates[i].append(sst)
+        runs, present, _ = self._range_pass(bounds, read_blocks=True)
         out = self.memtable.contains_range_many(bounds)
-        for i, (lo, hi) in enumerate(zip(bounds[:, 0].tolist(), bounds[:, 1].tolist(), strict=True)):
-            if not out[i] and candidates[i]:
-                out[i] = bool(self._merge_scan(lo, hi, candidates[i], limit=1))
+        for i in np.nonzero(~out & present.any(axis=0))[0].tolist():
+            lo, hi = bounds[i].tolist()
+            out[i] = bool(self._merge_scan(lo, hi, runs, present[:, i], limit=1))
         return out
 
     def scan(self, l_key: int, r_key: int, limit: int | None = None):
         """Merged live entries in range, newest version wins, sorted by key.
 
-        Returns ``[(key, value), ...]``; filters prune non-overlapping runs,
-        each run answering through its one-row
-        :meth:`SSTable.scan_many <repro.lsm.sstable.SSTable.scan_many>`.
+        Returns ``[(key, value), ...]``, at most ``limit`` of them (a
+        non-negative integer or None).  A one-row :meth:`_range_pass`
+        charges every run's filter, and only the runs that hold an entry
+        in range are merged.
         """
+        limit = self._validated_limit(limit)
         bounds = self._validated_bounds(one_row(l_key, r_key))
-        candidates = [
-            sst
-            for sst in self.sstables
-            if sst.scan_many(bounds, self.stats)[0]
-        ]
-        return self._merge_scan(l_key, r_key, candidates, limit)
+        runs, present, _ = self._range_pass(bounds, read_blocks=True)
+        return self._merge_scan(l_key, r_key, runs, present[:, 0], limit)
 
-    def _merge_scan(self, l_key, r_key, candidates, limit):
-        # Newest-wins reconciliation: memtable first, then runs new -> old.
+    def _range_pass(
+        self, bounds: np.ndarray, *, read_blocks: bool
+    ) -> tuple[tuple[SSTable, ...], np.ndarray, np.ndarray]:
+        """One range filter pass over every run: ``(runs, present, maybe)``.
+
+        ``present`` (does the run hold an entry, live or tombstone, in the
+        row's range? a ``searchsorted`` per run) and ``maybe`` (the
+        :class:`RunSetFilter <repro.lsm.filter_policy.RunSetFilter>`'s
+        answer) are ``(runs, rows)``.  Every cell is one filter probe,
+        recorded against ``present`` in one call; with ``read_blocks``,
+        each positive cell also charges the blocks its run's fences
+        overlap — exactly what a loop of
+        :meth:`SSTable.scan_many <repro.lsm.sstable.SSTable.scan_many>`
+        over the runs charges (asserted by the tests).
+        """
+        run_set = self._current_run_set()
+        runs = run_set.runs
+        if not runs:
+            empty = np.zeros((0, bounds.shape[0]), dtype=bool)
+            return runs, empty, empty
+        present = self._range_presence(runs, bounds)
+        maybe = self._filter_pass(run_set.filters.probe_range_many, bounds)
+        self._record(maybe, present)
+        if read_blocks:
+            blocks = 0
+            rows, cols = np.nonzero(maybe)
+            for row, (lo, hi) in zip(rows.tolist(), bounds[cols].tolist(), strict=True):
+                blocks += len(runs[row].fences.blocks_for_range(lo, hi))
+            self.stats.blocks_read += blocks
+            self.stats.io_wait_s += blocks * BLOCK_READ_LATENCY_S
+        return runs, present, maybe
+
+    @staticmethod
+    def _range_presence(runs: tuple[SSTable, ...], bounds: np.ndarray) -> np.ndarray:
+        """``(runs, rows)``: does the run hold a key in ``[lo, hi]``? (one
+        ``searchsorted`` per run over every row)."""
+        lo, hi = bounds[:, 0], bounds[:, 1]
+        # The first key >= lo; past the end the clipped index holds the
+        # largest key, which is < lo and so never in range.
+        first = np.array(
+            [sst.keys.take(sst.keys.searchsorted(lo), mode="clip") for sst in runs],
+            dtype=np.uint64,
+        ).reshape(len(runs), lo.size)
+        return (first >= lo) & (first <= hi)
+
+    def _merge_scan(self, l_key, r_key, runs, holds, limit):
+        """Newest-wins reconciliation of ``[l_key, r_key]``: the memtable
+        first, then the runs whose ``holds`` flag is set, newest first."""
         seen: dict[int, tuple[bytes, bool]] = {}
         for key, value in self.memtable.entries_in_range(l_key, r_key):
             seen[key] = (b"", True) if value is TOMBSTONE else (value, False)
-        for sst in candidates:  # self.sstables order = newest first
-            for key, value, dead in sst.entries_in_range(l_key, r_key):
+        for run in np.nonzero(holds)[0].tolist():  # runs are newest first
+            for key, value, dead in runs[run].entries_in_range(l_key, r_key):
                 if key not in seen:
                     seen[key] = (value, dead)
         live = sorted(

@@ -23,14 +23,18 @@ the same either way (the registry's scalar==bulk contract); only the cost
 differs, because a vectorized call pays a fixed NumPy setup that a small
 batch never earns back.
 
-Point probes of a whole run list go through one :class:`RunSetFilter`:
-it groups the runs' bloomRF filters by identical config and probes each
-group with one stacked kernel (:class:`~repro.core.bloomrf.BloomRFStack`:
-one hash of each key per (layer, replica), one gather across the group's
-stacked words), so a request pays one filter pass, not one per run.  The
-same :data:`VECTOR_MIN_BATCH` switch decides per group on keys x runs.
-Other filter kinds loop their handles behind the same call.  Range probes
-stay per run (``probe_range_many``).
+Probes of a whole run list go through one :class:`RunSetFilter`: it
+groups the runs' bloomRF filters by identical config and probes each
+group with one stacked kernel (:class:`~repro.core.bloomrf.BloomRFStack`,
+the group's words bit-sliced), so a request pays one filter pass, not one
+per run.  A point probe hashes each key once per (layer, replica) and
+tests every run with one gather; the same :data:`VECTOR_MIN_BATCH` switch
+decides per group on keys x runs.  A range probe of fewer than
+:data:`VECTOR_MIN_ROWS` rows walks Algorithm 1 once per row for a group
+of at least :data:`STACKED_MIN_RUNS` runs, gathering each probed word
+from all of them; a smaller group loops its filters' scalar walk, and
+from :data:`VECTOR_MIN_ROWS` rows every filter runs its vectorized range
+kernel.  Other filter kinds loop their handles behind the same calls.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from repro.api import (
 from repro.core.bloomrf import BloomRF, BloomRFStack
 
 __all__ = [
+    "STACKED_MIN_RUNS",
     "VECTOR_MIN_BATCH",
     "VECTOR_MIN_ROWS",
     "FilterHandle",
@@ -80,6 +85,16 @@ VECTOR_MIN_BATCH = 8
 #: the same runs it costs ~240 us at 8-16 rows, against 28-56 us for the
 #: scalar loop, and wins from 48-64 rows (CHANGES.md).
 VECTOR_MIN_ROWS = 32
+
+#: Same-config bloomRF runs from which a range probe below
+#: :data:`VECTOR_MIN_ROWS` rows walks them as one stack instead of looping
+#: each filter's scalar walk.  Measured on 2,560-key runs (14 bits/key,
+#: max_range 2^20, half of the rows on a key; 2-vCPU VM; table in
+#: CHANGES.md): the stacked walk costs ~65-70 us per row whatever the
+#: group size, because every run must reach the split layer before it
+#: can stop, while the scalar walk costs ~6-8 us per run and row, most
+#: runs stopping at the top layer; they cross at 8-10 runs.
+STACKED_MIN_RUNS = 10
 
 
 class FilterHandle(Protocol):
@@ -148,7 +163,7 @@ class _Handle:
 
 
 class RunSetFilter:
-    """One point probe across the filter blocks of a run list.
+    """One point or range probe across the filter blocks of a run list.
 
     The bloomRF handles are grouped by identical config, and each group
     is probed as one :class:`~repro.core.bloomrf.BloomRFStack` (built
@@ -156,11 +171,12 @@ class RunSetFilter:
     one a copy).  A group whose filters equal one of ``previous``'s groups
     reuses its stack, so a flush or a merge copies only the groups it
     changed.  A group whose keys x runs cells stay below
-    :data:`VECTOR_MIN_BATCH` loops its filters' scalar probe instead.
-    Every other handle answers through its own ``probe_point_many``.
+    :data:`VECTOR_MIN_BATCH` loops its filters' scalar probe instead (see
+    :meth:`probe_range_many` for ranges).  Every other handle answers
+    through its own ``probe_point_many``/``probe_range_many``.
     """
 
-    __slots__ = ("_num_runs", "_stacks", "_loose")
+    __slots__ = ("_handles", "_stacks", "_loose")
 
     def __init__(self, handles, previous: "RunSetFilter | None" = None) -> None:
         groups: dict = {}
@@ -171,7 +187,7 @@ class RunSetFilter:
                 groups.setdefault(filt.config, []).append((row, filt))
             else:
                 self._loose.append((row, handle))
-        self._num_runs = len(handles)
+        self._handles = list(handles)
         built = {} if previous is None else {f: st for _, f, st in previous._stacks}
         self._stacks = []
         for members in groups.values():
@@ -190,7 +206,7 @@ class RunSetFilter:
         only those cells are answered: a group skips the keys none of its
         rows needs, and the other cells hold no meaning.
         """
-        out = np.zeros((self._num_runs, keys.size), dtype=bool)
+        out = np.zeros((len(self._handles), keys.size), dtype=bool)
         every = np.arange(keys.size)
         for rows, filters, stack in self._stacks:
             cols = every if depth is None else np.nonzero(depth > rows[0])[0]
@@ -202,6 +218,30 @@ class RunSetFilter:
         for row, handle in self._loose:
             cols = every if depth is None else np.nonzero(depth > row)[0]
             out[row, cols] = handle.probe_point_many(keys[cols])
+        return out
+
+    def probe_range_many(self, bounds: np.ndarray) -> np.ndarray:
+        """``(runs, rows)`` "maybe" matrix: row ``i`` equals
+        ``handles[i].probe_range_many(bounds)``.
+
+        Below :data:`VECTOR_MIN_ROWS` rows, a bloomRF config group of at
+        least :data:`STACKED_MIN_RUNS` filters takes the stacked walk
+        (:meth:`BloomRFStack.contains_range_many
+        <repro.core.bloomrf.BloomRFStack.contains_range_many>`, once per
+        row for the whole group).  Every other run answers through its
+        handle, which loops its filter's scalar walk below
+        :data:`VECTOR_MIN_ROWS` rows and runs the vectorized range kernel
+        from there.
+        """
+        out = np.empty((len(self._handles), bounds.shape[0]), dtype=bool)
+        stacked: set[int] = set()
+        for rows, _, stack in self._stacks:
+            if bounds.shape[0] < VECTOR_MIN_ROWS and len(rows) >= STACKED_MIN_RUNS:
+                out[rows] = stack.contains_range_many(bounds)
+                stacked.update(rows)
+        for row, handle in enumerate(self._handles):
+            if row not in stacked:
+                out[row] = handle.probe_range_many(bounds)
         return out
 
 

@@ -11,11 +11,18 @@ reproduced experiment.
 
 Supports values and deletes: a delete writes a *tombstone* that shadows any
 older version of the key in lower levels until compaction drops it.
+
+Range reads answer from a sorted snapshot of the buffered keys and their
+live flags, built on the first range read after a write and reused until
+the next one, so a scan pays one ``searchsorted`` here instead of a pass
+over every entry.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro._util import one_row
 
 __all__ = ["MemTable", "TOMBSTONE"]
 
@@ -40,6 +47,10 @@ class MemTable:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._entries: dict[int, bytes | _Tombstone] = {}
+        # Bumped after every write; a range snapshot is valid while its
+        # stamp equals it (see _sorted).
+        self._version = 0
+        self._snapshot: tuple[int, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -51,6 +62,7 @@ class MemTable:
     # ------------------------------------------------------------------
     def put(self, key: int, value: bytes = b"") -> None:
         self._entries[key] = value
+        self._written()
 
     def put_many(
         self, keys: np.ndarray, values: list[bytes] | None = None
@@ -65,19 +77,50 @@ class MemTable:
         keys = np.asarray(keys, dtype=np.uint64).tolist()
         if values is None:
             self._entries.update(dict.fromkeys(keys, b""))
-            return
-        if len(values) != len(keys):
+        elif len(values) != len(keys):
             raise ValueError("values must align with keys")
-        self._entries.update(zip(keys, values, strict=True))
+        else:
+            self._entries.update(zip(keys, values, strict=True))
+        self._written()
 
     def delete(self, key: int) -> None:
         """Record a tombstone (shadows older versions on lower levels)."""
         self._entries[key] = TOMBSTONE
+        self._written()
 
     def delete_many(self, keys: np.ndarray) -> None:
         """Bulk :meth:`delete`: tombstone every key in one dict update."""
         keys = np.asarray(keys, dtype=np.uint64).tolist()
         self._entries.update(dict.fromkeys(keys, TOMBSTONE))
+        self._written()
+
+    def _written(self) -> None:
+        """Drop the range snapshot: the entries just changed."""
+        self._version += 1
+        self._snapshot = None
+
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """The range snapshot: ``(keys, live_before)``.
+
+        ``keys`` holds every buffered key (tombstones included), sorted;
+        ``live_before[i]`` counts the live ones among ``keys[:i]``.  It is
+        built from one copy of the entries and published as one tuple
+        stamped with the write count it was built after; a write bumps the
+        count, so a snapshot built while a write lands is never reused.
+        """
+        snapshot = self._snapshot
+        if snapshot is None or snapshot[0] != self._version:
+            version = self._version
+            items = list(self._entries.items())
+            keys = np.fromiter((k for k, _ in items), dtype=np.uint64, count=len(items))
+            live = np.fromiter(
+                (v is not TOMBSTONE for _, v in items), dtype=bool, count=len(items)
+            )
+            order = np.argsort(keys)
+            live_before = np.zeros(len(items) + 1, dtype=np.int64)
+            np.cumsum(live[order], out=live_before[1:])
+            snapshot = self._snapshot = (version, keys[order], live_before)
+        return snapshot[1], snapshot[2]
 
     # ------------------------------------------------------------------
     def get(self, key: int) -> bytes | _Tombstone | None:
@@ -111,46 +154,37 @@ class MemTable:
         return known, live
 
     def contains_range(self, l_key: int, r_key: int) -> bool:
-        """Exact live-key range check (memtables answer precisely)."""
-        if not self._entries:
-            return False
-        width = r_key - l_key + 1
-        if width <= 64 and width < len(self._entries):
-            return any(self.contains_point(k) for k in range(l_key, r_key + 1))
-        return any(
-            l_key <= key <= r_key and value is not TOMBSTONE
-            for key, value in self._entries.items()
-        )
+        """Exact live-key range check: a one-row :meth:`contains_range_many`."""
+        return bool(self.contains_range_many(one_row(l_key, r_key))[0])
 
     def contains_range_many(self, bounds: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`contains_range` over ``(n, 2)`` inclusive bounds.
+        """Does each ``(lo, hi)`` row of inclusive bounds hold a live key?
 
-        One sorted snapshot of the live keys serves the whole batch — a
-        ``searchsorted`` per query instead of an O(entries) Python scan per
-        query, which is what the batched DB scan paths were paying per run
-        *and per shard* before this existed.
+        Two ``searchsorted`` calls over the range snapshot answer the
+        whole batch: a row holds a live key iff more live keys sort up to
+        ``hi`` than below ``lo``.
         """
         bounds = np.asarray(bounds, dtype=np.uint64)
-        n = bounds.shape[0]
-        result = np.zeros(n, dtype=bool)
-        if not self._entries or n == 0:
-            return result
-        live = np.fromiter(
-            (k for k, v in self._entries.items() if v is not TOMBSTONE),
-            dtype=np.uint64,
-        )
-        if live.size == 0:
-            return result
-        live.sort()
-        idx = np.searchsorted(live, bounds[:, 0])
-        safe = np.minimum(idx, live.size - 1)
-        return (idx < live.size) & (live[safe] <= bounds[:, 1])
+        if not self._entries or bounds.shape[0] == 0:
+            return np.zeros(bounds.shape[0], dtype=bool)
+        keys, live_before = self._sorted()
+        below = keys.searchsorted(bounds[:, 0])
+        upto = keys.searchsorted(bounds[:, 1], side="right")
+        return live_before[upto] > live_before[below]
 
     def entries_in_range(self, l_key: int, r_key: int) -> list[tuple[int, object]]:
-        """All buffered entries (incl. tombstones) in [l_key, r_key], sorted."""
-        return sorted(
-            (k, v) for k, v in self._entries.items() if l_key <= k <= r_key
-        )
+        """All buffered entries (incl. tombstones) in [l_key, r_key], sorted.
+
+        The range snapshot gives the keys; only their values are read from
+        the entries.
+        """
+        if not self._entries:
+            return []
+        keys, _ = self._sorted()
+        below = int(keys.searchsorted(np.uint64(l_key)))
+        upto = int(keys.searchsorted(np.uint64(r_key), side="right"))
+        entries = self._entries
+        return [(key, entries[key]) for key in keys[below:upto].tolist()]
 
     # ------------------------------------------------------------------
     def drain_sorted(self):
@@ -165,6 +199,7 @@ class MemTable:
         keys = np.fromiter(self._entries.keys(), dtype=np.uint64, count=n)
         raw = list(self._entries.values())
         self._entries.clear()
+        self._written()
         order = np.argsort(keys)
         keys = keys[order]
         tombstones = np.fromiter(

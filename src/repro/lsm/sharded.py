@@ -348,8 +348,10 @@ class ShardedLsmDB:
 
         Each key lives in exactly one shard, so there are no cross-shard
         version conflicts: the per-shard merge scans concatenate into one
-        key-sorted result (identical to the unsharded scan's).
+        key-sorted result (identical to the unsharded scan's).  ``limit``
+        is validated once, before any shard runs.
         """
+        limit = LsmDB._validated_limit(limit)
         bounds = LsmDB._validated_bounds(one_row(l_key, r_key))
         jobs = [
             (s, clipped)

@@ -142,7 +142,11 @@ class SSTable:
         idx = self.keys.searchsorted(keys)
         # Past the end, the clipped index holds the largest key: never equal.
         found = self.keys.take(idx, mode="clip") == keys
-        positive = self._probe(self.filter.probe_point_many, keys, found, stats)
+        start = time.perf_counter()
+        positive = self.filter.probe_point_many(keys)
+        stats.filter_cpu_s += time.perf_counter() - start
+        missed = stats.record_probes(positive, found)
+        assert not missed, "filter produced a false negative"
         blocks = 0
         for key in keys[positive].tolist():
             blocks += len(self.fences.blocks_for_point(key))
@@ -152,46 +156,6 @@ class SSTable:
         # block read answers with the ground truth.
         return found, found & self.tombstones.take(idx, mode="clip")
 
-    def probe_filter_many(
-        self, bounds: np.ndarray, stats: IOStats
-    ) -> np.ndarray:
-        """Batched filter-block range probe: pure filter CPU, no I/O.
-
-        Consults this SST's range filter once for the whole batch and
-        records the probe outcomes against ground truth; fences and block
-        reads are left to the caller.
-        """
-        bounds = np.asarray(bounds, dtype=np.uint64)
-        if bounds.shape[0] == 0:
-            return np.zeros(0, dtype=bool)
-        positive, _ = self._probe_filter_ranges(bounds, stats)
-        return positive
-
-    def _probe_filter_ranges(
-        self, bounds: np.ndarray, stats: IOStats
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Shared stats-charged range probe of a non-empty bounds batch.
-
-        Returns ``(positive, truly_present)``: ``truly_present[i]`` says
-        this SST holds an entry (live or tombstone) in ``bounds[i]``.
-        """
-        # Some key lies in [lo, hi] iff fewer keys sort below lo than up to hi.
-        truly_present = self.keys.searchsorted(
-            bounds[:, 1], side="right"
-        ) > self.keys.searchsorted(bounds[:, 0])
-        positive = self._probe(self.filter.probe_range_many, bounds, truly_present, stats)
-        return positive, truly_present
-
-    @staticmethod
-    def _probe(probe_many, batch, truly_present, stats: IOStats) -> np.ndarray:
-        """One timed filter call, its outcomes recorded against the truth."""
-        start = time.perf_counter()
-        positive = probe_many(batch)
-        stats.filter_cpu_s += time.perf_counter() - start
-        missed = stats.record_probes(positive, truly_present)
-        assert not missed, "filter produced a false negative"
-        return positive
-
     def scan_many(self, bounds: np.ndarray, stats: IOStats) -> np.ndarray:
         """Range emptiness probe of a bounds batch: range filter -> fences
         -> block reads.
@@ -199,12 +163,24 @@ class SSTable:
         One boolean per ``(lo, hi)`` row: does this SST hold any entry
         (live or tombstone) in range?  Versions are reconciled by the DB's
         merging scan.  The range filter is consulted once for the whole
-        batch (its handle picks the kernel by batch size).
+        batch (its handle picks the kernel by batch size).  This is the
+        one-run form of the store's range pass
+        (:meth:`LsmDB.scan_nonempty_many
+        <repro.lsm.db.LsmDB.scan_nonempty_many>`), and a loop of it over
+        the runs is the per-run walk that pass reproduces.
         """
         bounds = np.asarray(bounds, dtype=np.uint64)
         if bounds.shape[0] == 0:
             return np.zeros(0, dtype=bool)
-        positive, truly_present = self._probe_filter_ranges(bounds, stats)
+        # Some key lies in [lo, hi] iff fewer keys sort below lo than up to hi.
+        present = self.keys.searchsorted(
+            bounds[:, 1], side="right"
+        ) > self.keys.searchsorted(bounds[:, 0])
+        start = time.perf_counter()
+        positive = self.filter.probe_range_many(bounds)
+        stats.filter_cpu_s += time.perf_counter() - start
+        missed = stats.record_probes(positive, present)
+        assert not missed, "filter produced a false negative"
         blocks = 0
         for lo, hi in bounds[positive].tolist():
             blocks += len(self.fences.blocks_for_range(lo, hi))
@@ -212,7 +188,7 @@ class SSTable:
         stats.io_wait_s += blocks * BLOCK_READ_LATENCY_S
         # A non-empty range always passes its filter and its fences, so
         # the block reads answer with the ground truth.
-        return truly_present
+        return present
 
     def entries_in_range(self, l_key: int, r_key: int):
         """Yield ``(key, value, is_tombstone)`` for entries in range, sorted."""

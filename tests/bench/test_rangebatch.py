@@ -1,8 +1,9 @@
 """Perf smoke for the batched range-query engine (CI tooling).
 
 Runs ``benchmarks/bench_ops_rangebatch.py --quick``: asserts the batch
-speedup clears the script's quick floor and that the results are
-bit-identical.  Writes its JSON to a temp path so it never clobbers the
+speedup clears the script's quick floor, that the results are
+bit-identical, and that a 1-row ``scan_nonempty_many`` at 28 runs costs
+at most ``MAX_RUN_COST_RATIO`` times its cost at 1 run.  Writes its JSON to a temp path so it never clobbers the
 repo-root ``BENCH_rangebatch.json`` (that trajectory artifact holds the
 *full*-mode run; refresh it with
 ``PYTHONPATH=src python benchmarks/bench_ops_rangebatch.py``).
@@ -39,4 +40,6 @@ def test_quick_mode_batch_beats_scalar(tmp_path):
     result = json.loads(out.read_text())
     assert result["bit_identical"] is True
     assert result["batch_qps"] >= result["scalar_qps"]
+    assert result["run_answers_identical"] is True
+    assert result["run_cost_ratio"] <= bench.MAX_RUN_COST_RATIO
     assert result["mode"] == "quick"

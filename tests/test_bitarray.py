@@ -126,18 +126,6 @@ class TestFields:
         ba.set_bit(127)
         assert ba.read_field(100, 64) == (1 << 63) | 1
 
-    def test_read_fields_vectorized(self):
-        ba = BitArray(256)
-        for pos in (3, 12, 100):
-            ba.set_bit(pos)
-        got = ba.read_fields(np.array([0, 8, 96], dtype=np.uint64), 8)
-        assert list(got) == [0b1000, 1 << 4, 1 << 4]
-
-    def test_read_fields_rejects_bad_width(self):
-        ba = BitArray(64)
-        with pytest.raises(ValueError):
-            ba.read_fields(np.zeros(1, dtype=np.uint64), 3)
-
     @given(
         st.integers(min_value=0, max_value=511),
         st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
