@@ -26,6 +26,15 @@ A second section gates request cost against the run count: a 1-row
 key).  One range filter pass per request keeps the 28-run call within
 ``MAX_RUN_COST_RATIO`` of the 1-run one; both modes exit non-zero above
 it.
+
+A third section gates what a write costs the next range read: the same
+1-row scan on the 28-run store with a ~1,280-entry memtable, timed right
+after a 16-key ``put_many`` of fresh keys and with no write before it
+(``write_scan_cost_ratio``, the first over the second).  A write that
+merges its keys into the memtable's range index keeps the ratio near 1;
+one that makes the next read rebuild the index reads ~2x (rebuilding a
+1,280-entry index costs about as much as the 28-run filter pass).  Both
+modes exit non-zero above ``MAX_WRITE_SCAN_COST_RATIO``.
 """
 
 from __future__ import annotations
@@ -54,6 +63,16 @@ SPEEDUP_FLOORS = {"quick": 5.853, "full": 9.365}
 #: (``BENCH_rangebatch.json``; probing run by run measured 8.8-9.1x),
 #: times 1.5 for the timing swings of a shared 2-vCPU VM, rounded up.
 MAX_RUN_COST_RATIO = 3.5
+#: Exit-check ceiling on ``write_scan_cost_ratio``, midway between the
+#: two designs on a shared 2-vCPU VM (5 repeats each): merging each write
+#: into the memtable's range index read 1.01-1.09x, rebuilding the index
+#: on the first read after a write 1.83-2.14x.
+MAX_WRITE_SCAN_COST_RATIO = 1.5
+#: The memtable starts at half the target size and each of the rounds
+#: adds one 16-key write, so over the rounds it holds ~1,280 entries.
+WRITE_KEYS = 16
+WRITE_ROUNDS = 80
+MEMTABLE_ENTRIES = 1_280
 RUN_COUNTS = (1, 28)
 RUN_KEYS = 2_560
 MAX_RANGE_LOG2 = 20
@@ -101,14 +120,9 @@ def scalar_loop(filt: BloomRF, bounds: np.ndarray) -> np.ndarray:
     )
 
 
-def run_count_cost(rounds: int) -> dict:
-    """Median 1-row ``scan_nonempty_many`` time at each of
-    :data:`RUN_COUNTS` runs.
-
-    Every store holds the same keys; calls alternate between the stores so
-    a slow spell of the machine hits both alike.
-    """
-    rng = np.random.default_rng(37)
+def run_stores(rng: np.random.Generator) -> tuple[dict[int, LsmDB], list[np.ndarray]]:
+    """A store per entry of :data:`RUN_COUNTS` over the same keys, and the
+    1-row bounds to probe them with."""
     keys = np.unique(
         rng.integers(0, 1 << 62, max(RUN_COUNTS) * RUN_KEYS, dtype=np.uint64)
     )
@@ -122,6 +136,18 @@ def run_count_cost(rounds: int) -> dict:
         width = 1 << int(rng.integers(0, MAX_RANGE_LOG2 + 1))
         lo = int(rng.choice(keys)) - int(rng.integers(0, width)) if i % 2 else int(rng.integers(0, 1 << 62))
         rows.append(np.array([[max(lo, 0), max(lo, 0) + width - 1]], dtype=np.uint64))
+    return stores, rows
+
+
+def run_count_cost(
+    stores: dict[int, LsmDB], rows: list[np.ndarray], rounds: int
+) -> dict:
+    """Median 1-row ``scan_nonempty_many`` time at each of
+    :data:`RUN_COUNTS` runs.
+
+    Every store holds the same keys; calls alternate between the stores so
+    a slow spell of the machine hits both alike.
+    """
     times: dict[int, list[float]] = {runs: [] for runs in RUN_COUNTS}
     answers: dict[int, list[bool]] = {runs: [] for runs in RUN_COUNTS}
     for i in range(rounds):
@@ -138,6 +164,43 @@ def run_count_cost(rounds: int) -> dict:
         "scan1_us": {str(r): medians[r] * 1e6 for r in RUN_COUNTS},
         "run_cost_ratio": medians[high] / medians[low],
         "run_answers_identical": answers[low] == answers[high],
+    }
+
+
+def write_scan_cost(
+    db: LsmDB, rows: list[np.ndarray], rng: np.random.Generator
+) -> dict:
+    """Median 1-row ``scan_nonempty_many`` time right after a
+    :data:`WRITE_KEYS`-key ``put_many`` over its median time with no write
+    before it, on ``db`` with a memtable of ~:data:`MEMTABLE_ENTRIES`.
+
+    Each round times the scan of one row, writes fresh keys, then times
+    the scan of the same row again, so both timings see the same memtable
+    size and machine spell.
+    """
+    fresh = np.unique(rng.integers(1 << 62, 1 << 63, 2 * MEMTABLE_ENTRIES, dtype=np.uint64))
+    fresh = rng.permutation(fresh)
+    start = MEMTABLE_ENTRIES // 2
+    db.put_many(fresh[:start])
+    db.scan_nonempty_many(rows[0])  # the first read after a fill builds the index
+    quiet, written = [], []
+    for i in range(WRITE_ROUNDS):
+        row = rows[i % len(rows)]
+        begin = time.perf_counter()
+        db.scan_nonempty_many(row)
+        quiet.append(time.perf_counter() - begin)
+        db.put_many(fresh[start : start + WRITE_KEYS])
+        start += WRITE_KEYS
+        begin = time.perf_counter()
+        db.scan_nonempty_many(row)
+        written.append(time.perf_counter() - begin)
+    return {
+        "write_scan_memtable_entries": [MEMTABLE_ENTRIES // 2, len(db.memtable)],
+        "write_scan_us": {
+            "quiet": float(np.median(quiet)) * 1e6,
+            "after_write": float(np.median(written)) * 1e6,
+        },
+        "write_scan_cost_ratio": float(np.median(written) / np.median(quiet)),
     }
 
 
@@ -160,7 +223,10 @@ def run(quick: bool) -> dict:
     batch_s = time.perf_counter() - start
 
     identical = bool(np.array_equal(scalar, batch))
-    run_cost = run_count_cost(rounds=600 if quick else 3_000)
+    store_rng = np.random.default_rng(37)
+    stores, rows = run_stores(store_rng)
+    run_cost = run_count_cost(stores, rows, rounds=600 if quick else 3_000)
+    write_cost = write_scan_cost(stores[max(RUN_COUNTS)], rows, store_rng)
     result = {
         "benchmark": "rangebatch",
         "mode": "quick" if quick else "full",
@@ -174,6 +240,7 @@ def run(quick: bool) -> dict:
         "speedup": scalar_s / batch_s,
         "bit_identical": identical,
         **run_cost,
+        **write_cost,
     }
     return result
 
@@ -202,8 +269,9 @@ def main(argv: list[str] | None = None) -> int:
         f"batch {result['batch_qps']:,.0f} q/s | "
         f"speedup {result['speedup']:.1f}x | "
         f"1-row scan_nonempty_many at {RUN_COUNTS[-1]} runs "
-        f"{result['run_cost_ratio']:.2f}x its time at {RUN_COUNTS[0]} -> "
-        f"{args.output}"
+        f"{result['run_cost_ratio']:.2f}x its time at {RUN_COUNTS[0]}, "
+        f"{result['write_scan_cost_ratio']:.2f}x right after a "
+        f"{WRITE_KEYS}-key put_many -> {args.output}"
     )
 
     if not result["bit_identical"]:
@@ -220,6 +288,12 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"FAIL: run_cost_ratio {result['run_cost_ratio']:.2f}x above "
             f"the {MAX_RUN_COST_RATIO}x ceiling"
+        )
+        return 1
+    if result["write_scan_cost_ratio"] > MAX_WRITE_SCAN_COST_RATIO:
+        print(
+            f"FAIL: write_scan_cost_ratio {result['write_scan_cost_ratio']:.2f}x "
+            f"above the {MAX_WRITE_SCAN_COST_RATIO}x ceiling"
         )
         return 1
     return 0

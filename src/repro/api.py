@@ -639,7 +639,6 @@ def open_store(
     value_bytes: int = 512,
     block_bytes: int = 4096,
     store_values: bool = False,
-    max_workers: int | None = None,
     domain_bits: int = 64,
     wal_sync: str = "batch",
     wal_group_commit: int = 1024,
@@ -735,7 +734,6 @@ def open_store(
             value_bytes=value_bytes,
             block_bytes=block_bytes,
             store_values=store_values,
-            max_workers=max_workers,
             domain_bits=domain_bits,
             wal_sync=wal_sync,
             wal_group_commit=wal_group_commit,
@@ -772,7 +770,6 @@ def open_store(
         value_bytes=value_bytes,
         block_bytes=block_bytes,
         store_values=store_values,
-        max_workers=max_workers,
         domain_bits=domain_bits,
         compaction=compaction_policy,
     )

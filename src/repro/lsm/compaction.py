@@ -10,11 +10,10 @@ for all of them.  This module supplies the steady-state machinery:
   return a merge window or None.  ``"manual"`` (= no policy) keeps the
   paper's compaction-disabled L0 shape.
 * :class:`CompactionScheduler` — runs policy-selected merges on
-  background worker threads (a :class:`~repro.parallel.ShardPool`, so
-  per-shard engines fan out over the same executor machinery as query
-  dispatch), with per-engine coalescing: back-to-back flush triggers
-  collapse into one drain loop that re-evaluates the policy until it is
-  quiescent.
+  background worker threads (a :class:`~repro.parallel.ShardPool`; the
+  shards of a sharded store share one), with per-engine coalescing:
+  back-to-back flush triggers collapse into one drain loop that
+  re-evaluates the policy until it is quiescent.
 
 Soundness: a merge window is always a **contiguous** slice of the
 newest-first run list.  Runs carry no per-entry timestamps — recency is

@@ -130,8 +130,7 @@ class LsmDB:
             self._owns_scheduler = True
 
     # ------------------------------------------------------------------
-    # lifecycle (uniform Store interface; the unsharded engine holds no
-    # worker pool, so close is a no-op)
+    # lifecycle (uniform Store interface)
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release engine resources: drain background compaction workers.

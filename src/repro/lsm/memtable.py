@@ -12,10 +12,13 @@ reproduced experiment.
 Supports values and deletes: a delete writes a *tombstone* that shadows any
 older version of the key in lower levels until compaction drops it.
 
-Range reads answer from a sorted snapshot of the buffered keys and their
-live flags, built on the first range read after a write and reused until
-the next one, so a scan pays one ``searchsorted`` here instead of a pass
-over every entry.
+Range reads answer from a sorted range index of the buffered keys and
+their live flags, so a scan pays one ``searchsorted`` here instead of a
+pass over every entry.  The first range read builds the index; from then
+on each write merges its batch into it (RocksDB's memtable likewise stays
+sorted as it inserts and never re-sorts for a read), so reads between
+writes never rebuild it.  A memtable that is only written to keeps no
+index and pays nothing for it, and a flush drops it.
 """
 
 from __future__ import annotations
@@ -39,6 +42,64 @@ class _Tombstone:
 TOMBSTONE = _Tombstone()
 
 
+class _RangeIndex:
+    """The buffered keys, sorted, with their live flags.
+
+    ``stamp`` is a write count the index reflects: every write counted
+    up to it is in the index.  Its arrays are never mutated, so a writer
+    publishes a new index and a reader holding the old one keeps a
+    consistent view.
+    """
+
+    __slots__ = ("stamp", "keys", "live", "_live_before")
+
+    def __init__(self, stamp: int, keys: np.ndarray, live: np.ndarray) -> None:
+        self.stamp = stamp
+        self.keys = keys
+        self.live = live
+        self._live_before: np.ndarray | None = None
+
+    @property
+    def live_before(self) -> np.ndarray:
+        """``live_before[i]`` counts the live keys among ``keys[:i]``
+        (derived on first use, once per index)."""
+        live_before = self._live_before
+        if live_before is None:
+            live_before = np.zeros(self.keys.size + 1, dtype=np.int64)
+            np.cumsum(self.live, out=live_before[1:])
+            self._live_before = live_before
+        return live_before
+
+    def merged(self, keys, live: bool, stamp: int) -> "_RangeIndex":
+        """A new index with every key of ``keys`` set to ``live``.
+
+        One ``searchsorted`` places the batch's distinct keys: keys
+        already indexed get their flag in a copied flag array, and new
+        keys are spliced in at their slots in one pass per array.  (An
+        index is never empty — it is built only over buffered entries —
+        so the clipped ``take`` always has a key to compare.)
+        """
+        batch = np.unique(np.asarray(keys, dtype=np.uint64))
+        at = self.keys.searchsorted(batch)
+        known = self.keys.take(at, mode="clip") == batch
+        flags = self.live.copy()
+        flags[at[known]] = live
+        if known.all():
+            return _RangeIndex(stamp, self.keys, flags)
+        fresh = ~known
+        slots = at[fresh] + np.arange(np.count_nonzero(fresh))
+        size = self.keys.size + slots.size
+        kept = np.ones(size, dtype=bool)
+        kept[slots] = False
+        merged_keys = np.empty(size, dtype=np.uint64)
+        merged_keys[kept] = self.keys
+        merged_keys[slots] = batch[fresh]
+        merged_flags = np.empty(size, dtype=bool)
+        merged_flags[kept] = flags
+        merged_flags[slots] = live
+        return _RangeIndex(stamp, merged_keys, merged_flags)
+
+
 class MemTable:
     """Unsorted write buffer with sorted flush; newest write wins."""
 
@@ -47,10 +108,12 @@ class MemTable:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._entries: dict[int, bytes | _Tombstone] = {}
-        # Bumped after every write; a range snapshot is valid while its
-        # stamp equals it (see _sorted).
+        # Bumped after every write; the range index is valid while its
+        # stamp equals it (see _range_index).
         self._version = 0
-        self._snapshot: tuple[int, np.ndarray, np.ndarray] | None = None
+        self._snapshot: _RangeIndex | None = None
+        #: Range indexes built from the entries (writes merge instead).
+        self.index_builds = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -62,7 +125,7 @@ class MemTable:
     # ------------------------------------------------------------------
     def put(self, key: int, value: bytes = b"") -> None:
         self._entries[key] = value
-        self._written()
+        self._written((key,), live=True)
 
     def put_many(
         self, keys: np.ndarray, values: list[bytes] | None = None
@@ -74,53 +137,70 @@ class MemTable:
         — the benchmark-mode write shape, which skips per-key Python
         bookkeeping entirely.
         """
-        keys = np.asarray(keys, dtype=np.uint64).tolist()
+        keys = np.asarray(keys, dtype=np.uint64)
+        listed = keys.tolist()
         if values is None:
-            self._entries.update(dict.fromkeys(keys, b""))
-        elif len(values) != len(keys):
+            self._entries.update(dict.fromkeys(listed, b""))
+        elif len(values) != len(listed):
             raise ValueError("values must align with keys")
         else:
-            self._entries.update(zip(keys, values, strict=True))
-        self._written()
+            self._entries.update(zip(listed, values, strict=True))
+        self._written(keys, live=True)
 
     def delete(self, key: int) -> None:
         """Record a tombstone (shadows older versions on lower levels)."""
         self._entries[key] = TOMBSTONE
-        self._written()
+        self._written((key,), live=False)
 
     def delete_many(self, keys: np.ndarray) -> None:
         """Bulk :meth:`delete`: tombstone every key in one dict update."""
-        keys = np.asarray(keys, dtype=np.uint64).tolist()
-        self._entries.update(dict.fromkeys(keys, TOMBSTONE))
-        self._written()
+        keys = np.asarray(keys, dtype=np.uint64)
+        self._entries.update(dict.fromkeys(keys.tolist(), TOMBSTONE))
+        self._written(keys, live=False)
 
-    def _written(self) -> None:
-        """Drop the range snapshot: the entries just changed."""
-        self._version += 1
-        self._snapshot = None
+    def _written(self, keys, *, live: bool) -> None:
+        """Count the write that just set ``keys`` to ``live``, and bring
+        the range index along.
 
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        """The range snapshot: ``(keys, live_before)``.
-
-        ``keys`` holds every buffered key (tombstones included), sorted;
-        ``live_before[i]`` counts the live ones among ``keys[:i]``.  It is
-        built from one copy of the entries and published as one tuple
-        stamped with the write count it was built after; a write bumps the
-        count, so a snapshot built while a write lands is never reused.
+        The batch merges into an index stamped with the count before this
+        write (one that reflects every earlier write); any other index is
+        dropped, and with no index the write does nothing more.  Merging
+        is idempotent, so an index built while this write landed is
+        merged correctly too.  The count moves before the new index is
+        published: a reader in between sees a stale stamp and rebuilds,
+        and never takes the old index for the new count.  Readers may
+        race a write; writes must not race each other (the count is a
+        plain increment).
         """
-        snapshot = self._snapshot
-        if snapshot is None or snapshot[0] != self._version:
-            version = self._version
+        stamp = self._version
+        index = self._snapshot
+        merged = (
+            index.merged(keys, live, stamp + 1)
+            if index is not None and index.stamp == stamp
+            else None
+        )
+        self._version = stamp + 1
+        self._snapshot = merged
+
+    def _range_index(self) -> _RangeIndex:
+        """The current range index, built from the entries if none is.
+
+        It is built from one copy of the entries and published stamped
+        with the write count read before that copy, so it reflects at
+        least every write counted by its stamp.
+        """
+        index = self._snapshot
+        if index is None or index.stamp != self._version:
+            stamp = self._version
             items = list(self._entries.items())
             keys = np.fromiter((k for k, _ in items), dtype=np.uint64, count=len(items))
             live = np.fromiter(
                 (v is not TOMBSTONE for _, v in items), dtype=bool, count=len(items)
             )
             order = np.argsort(keys)
-            live_before = np.zeros(len(items) + 1, dtype=np.int64)
-            np.cumsum(live[order], out=live_before[1:])
-            snapshot = self._snapshot = (version, keys[order], live_before)
-        return snapshot[1], snapshot[2]
+            index = self._snapshot = _RangeIndex(stamp, keys[order], live[order])
+            self.index_builds += 1
+        return index
 
     # ------------------------------------------------------------------
     def get(self, key: int) -> bytes | _Tombstone | None:
@@ -160,27 +240,28 @@ class MemTable:
     def contains_range_many(self, bounds: np.ndarray) -> np.ndarray:
         """Does each ``(lo, hi)`` row of inclusive bounds hold a live key?
 
-        Two ``searchsorted`` calls over the range snapshot answer the
-        whole batch: a row holds a live key iff more live keys sort up to
-        ``hi`` than below ``lo``.
+        Two ``searchsorted`` calls over the range index answer the whole
+        batch: a row holds a live key iff more live keys sort up to ``hi``
+        than below ``lo``.
         """
         bounds = np.asarray(bounds, dtype=np.uint64)
         if not self._entries or bounds.shape[0] == 0:
             return np.zeros(bounds.shape[0], dtype=bool)
-        keys, live_before = self._sorted()
-        below = keys.searchsorted(bounds[:, 0])
-        upto = keys.searchsorted(bounds[:, 1], side="right")
+        index = self._range_index()
+        below = index.keys.searchsorted(bounds[:, 0])
+        upto = index.keys.searchsorted(bounds[:, 1], side="right")
+        live_before = index.live_before
         return live_before[upto] > live_before[below]
 
     def entries_in_range(self, l_key: int, r_key: int) -> list[tuple[int, object]]:
         """All buffered entries (incl. tombstones) in [l_key, r_key], sorted.
 
-        The range snapshot gives the keys; only their values are read from
+        The range index gives the keys; only their values are read from
         the entries.
         """
         if not self._entries:
             return []
-        keys, _ = self._sorted()
+        keys = self._range_index().keys
         below = int(keys.searchsorted(np.uint64(l_key)))
         upto = int(keys.searchsorted(np.uint64(r_key), side="right"))
         entries = self._entries
@@ -199,7 +280,8 @@ class MemTable:
         keys = np.fromiter(self._entries.keys(), dtype=np.uint64, count=n)
         raw = list(self._entries.values())
         self._entries.clear()
-        self._written()
+        self._version += 1
+        self._snapshot = None
         order = np.argsort(keys)
         keys = keys[order]
         tombstones = np.fromiter(

@@ -5,10 +5,11 @@ whole LSM engine is partitioned into N independent
 :class:`~repro.lsm.db.LsmDB` instances — each with its own memtable, SSTable
 set, per-run filter blocks (each built from its own run's keys), and
 :class:`~repro.lsm.iostats.IOStats` — behind the batch API of the unsharded
-store.  Batches are partitioned and
-dispatched through the shared layer in :mod:`repro.parallel` and the answers
-are scattered back into input order, so callers cannot tell the difference
-(the exactness-ladder tests pin this down).
+store.  Batches are partitioned through the shared layer in
+:mod:`repro.parallel`, each shard's slice runs in the caller's thread in
+shard order, and the answers are scattered back into input order, so
+callers cannot tell the difference (the exactness-ladder tests pin this
+down).
 
 Why shard the *engine* and not just the filter
 ----------------------------------------------
@@ -16,10 +17,15 @@ Partitioning the write stream means each shard flushes its own, smaller run
 sequence: a store that would accumulate ``L`` overlapping L0 runs unsharded
 accumulates ``~L/N`` runs *per shard*, and a point lookup consults only its
 owning shard's runs — an ``N``-fold cut in filter probes and fence checks
-per key before any parallelism, on top of the thread-pool overlap of the
-per-shard NumPy sweeps (which release the GIL).  This is the move RocksDB
-deployments make with column-family/key-range sharding, and what the
-ROADMAP's Fig. 12.B scale-out direction asks for.
+per key.  This is the move RocksDB deployments make with
+column-family/key-range sharding, and what the ROADMAP's Fig. 12.B
+scale-out direction asks for.
+
+Shards run inline, not on a thread pool: a shard's slice of a small
+request is mostly Python bookkeeping around short NumPy calls that holds
+the GIL, so worker threads add a handoff per shard and overlap little (a
+server pinned to one CPU overlaps nothing).  Writes and maintenance calls
+try every shard even when one raises, then re-raise the first error.
 
 Exactness
 ---------
@@ -39,8 +45,8 @@ keys of a range scatter over every shard, so all shards probe it and the
 answers are OR-ed; with ``"range"`` dispatch a query is clipped to its
 overlapping shards only, so narrow scans touch one shard.
 
-Lifecycle: use as a context manager (or call :meth:`close`) to release the
-worker pool deterministically.
+Lifecycle: use as a context manager (or call :meth:`close`) to drain the
+background compaction scheduler deterministically.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ from repro.lsm.db import LsmDB
 from repro.lsm.filter_policy import FilterPolicy, coerce_policy
 from repro.lsm.iostats import IOStats
 from repro.parallel import (
-    ShardPool,
     group_by_owner,
     make_partitioner,
     run_bounds_batch,
@@ -104,7 +109,6 @@ class ShardedLsmDB:
         value_bytes: int = 512,
         block_bytes: int = 4096,
         store_values: bool = False,
-        max_workers: int | None = None,
         domain_bits: int = 64,
         compaction=None,
     ) -> None:
@@ -113,8 +117,8 @@ class ShardedLsmDB:
         self.partition = partition
         policies = _coerce_shard_policies(policy, num_shards)
         self.store_values = store_values
-        # One shared scheduler for every shard: per-shard merges fan out
-        # over its ShardPool workers, while each shard's maintenance lock
+        # One shared scheduler for every shard: per-shard merges run on
+        # its background workers, while each shard's maintenance lock
         # keeps its own run-set mutations serialized.  (The policy object
         # is stateless, so sharing one instance across shards is safe.)
         self.compaction = coerce_compaction(compaction)
@@ -140,10 +144,6 @@ class ShardedLsmDB:
             )
             for shard in range(num_shards)
         ]
-        self._pool = ShardPool(
-            max_workers if max_workers is not None else num_shards,
-            name="lsm-shard",
-        )
 
     def _build_shard(self, index: int, policy, **kw) -> LsmDB:
         """One per-shard engine (the persistent store overrides this to
@@ -154,10 +154,9 @@ class ShardedLsmDB:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drain background compaction, then shut down the pool (idempotent)."""
+        """Drain background compaction and stop its workers (idempotent)."""
         if self._scheduler is not None:
             self._scheduler.close()
-        self._pool.close()
 
     def __enter__(self) -> "ShardedLsmDB":
         return self
@@ -175,14 +174,28 @@ class ShardedLsmDB:
         """Owning shard index per key (vectorized dispatch function)."""
         return self._partitioner.owner_of_many(keys)
 
-    def _run_per_shard(self, jobs: list[tuple[int, object]], fn) -> list:
-        return self._pool.run(jobs, lambda s, payload: fn(self.shards[s], payload))
+    def _run_per_shard(self, jobs: list[tuple[int, object]], fn) -> None:
+        """Run ``fn(shard, payload)`` per job in the caller, in shard order.
 
-    def _fan_out_all(self, fn) -> list:
-        """Run ``fn(shard)`` on every shard through the pool."""
-        return self._pool.run(
+        Every job runs even after one raises, and the first error is then
+        re-raised: a failing shard never keeps the others from taking
+        their part of a write or a maintenance call.
+        """
+        first: Exception | None = None
+        for s, payload in jobs:
+            try:
+                fn(self.shards[s], payload)
+            except Exception as exc:  # re-raised below, after every shard
+                if first is None:
+                    first = exc
+        if first is not None:
+            raise first
+
+    def _fan_out_all(self, fn) -> None:
+        """Run ``fn(shard)`` on every shard (see :meth:`_run_per_shard`)."""
+        self._run_per_shard(
             [(s, None) for s in range(self.num_shards)],
-            lambda s, _: fn(self.shards[s]),
+            lambda shard, _: fn(shard),
         )
 
     # ------------------------------------------------------------------
@@ -199,7 +212,7 @@ class ShardedLsmDB:
     def put_many(
         self, keys: np.ndarray, values: list[bytes] | None = None
     ) -> None:
-        """Bulk ingest: partition the batch, parallel per-shard ``put_many``.
+        """Bulk ingest: partition the batch, one ``put_many`` per shard.
 
         Each shard absorbs its sub-batch through the chunked bulk write
         path (memtable fills + flushes with ``insert_many``-built filter
@@ -223,7 +236,7 @@ class ShardedLsmDB:
         )
 
     def delete_many(self, keys: np.ndarray) -> None:
-        """Bulk delete: partition the batch, parallel per-shard tombstones."""
+        """Bulk delete: partition the batch, one ``delete_many`` per shard."""
         keys = LsmDB._validated_keys(keys)
         if keys.size == 0:
             return
@@ -289,7 +302,7 @@ class ShardedLsmDB:
         if keys.size == 0:
             return result
         return run_point_batch(
-            self._pool, self.shards, self._partitioner, keys,
+            self.shards, self._partitioner, keys,
             LsmDB.get_many, result,
         )
 
@@ -305,7 +318,7 @@ class ShardedLsmDB:
         if keys.size == 0:
             return result
         return run_point_batch(
-            self._pool, self.shards, self._partitioner, keys,
+            self.shards, self._partitioner, keys,
             LsmDB.may_contain_many, result,
         )
 
@@ -327,7 +340,7 @@ class ShardedLsmDB:
         if n == 0:
             return result
         return run_bounds_batch(
-            self._pool, self.shards, self._partitioner, bounds,
+            self.shards, self._partitioner, bounds,
             LsmDB.scan_nonempty_many, result,
         )
 
@@ -339,7 +352,7 @@ class ShardedLsmDB:
         if n == 0:
             return result
         return run_bounds_batch(
-            self._pool, self.shards, self._partitioner, bounds,
+            self.shards, self._partitioner, bounds,
             LsmDB.scan_may_contain, result,
         )
 
@@ -353,17 +366,13 @@ class ShardedLsmDB:
         """
         limit = LsmDB._validated_limit(limit)
         bounds = LsmDB._validated_bounds(one_row(l_key, r_key))
-        jobs = [
-            (s, clipped)
+        merged = sorted(
+            entry
             for s, _, clipped in self._partitioner.split_bounds(bounds)
-        ]
-        answers = self._run_per_shard(
-            jobs,
-            lambda shard, clipped: shard.scan(
+            for entry in self.shards[s].scan(
                 int(clipped[0, 0]), int(clipped[0, 1]), limit
-            ),
+            )
         )
-        merged = sorted(entry for part in answers for entry in part)
         if limit is not None:
             merged = merged[:limit]
         return merged

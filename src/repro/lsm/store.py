@@ -1026,7 +1026,6 @@ class PersistentShardedLsmDB(ShardedLsmDB):
         value_bytes: int = 512,
         block_bytes: int = 4096,
         store_values: bool = False,
-        max_workers: int | None = None,
         domain_bits: int = 64,
         wal_sync: str = "batch",
         wal_group_commit: int = 1024,
@@ -1128,7 +1127,6 @@ class PersistentShardedLsmDB(ShardedLsmDB):
             value_bytes=value_bytes,
             block_bytes=block_bytes,
             store_values=store_values,
-            max_workers=max_workers,
             domain_bits=domain_bits,
             compaction=compaction,
         )
@@ -1359,7 +1357,6 @@ def open_persistent_store(
     value_bytes: int = 512,
     block_bytes: int = 4096,
     store_values: bool = False,
-    max_workers: int | None = None,
     domain_bits: int = 64,
     wal_sync: str = "batch",
     wal_group_commit: int = 1024,
@@ -1412,7 +1409,6 @@ def open_persistent_store(
             )
         return PersistentShardedLsmDB(
             path,
-            max_workers=max_workers,
             wal_group_commit=wal_group_commit,
             block_cache_bytes=block_cache_bytes,
             _manifest=manifest,
@@ -1444,7 +1440,6 @@ def open_persistent_store(
         value_bytes=value_bytes,
         block_bytes=block_bytes,
         store_values=store_values,
-        max_workers=max_workers,
         domain_bits=domain_bits,
         wal_sync=wal_sync,
         wal_group_commit=wal_group_commit,

@@ -3,10 +3,9 @@
 The package's one sharding layer, :class:`repro.lsm.sharded.ShardedLsmDB`
 (N per-shard LSM engines, each with its own runs and per-run filters),
 does three things with every batch: decide which shard owns each key,
-dispatch per-shard sub-batches through a worker pool, and scatter the
-per-shard answers back into input order.  This module holds that
-machinery (Bloofi makes the same move: many filters behind one dispatch
-layer); the background compaction scheduler reuses its :class:`ShardPool`.
+run each shard's sub-batch, and scatter the per-shard answers back into
+input order.  This module holds that machinery (Bloofi makes the same
+move: many filters behind one dispatch layer).
 
 Partitioners
 ------------
@@ -22,13 +21,15 @@ Both expose the same vectorized interface (``owner_of_many`` /
 
 Executor
 --------
-:class:`ShardPool` wraps a lazily created ``ThreadPoolExecutor`` behind an
-explicit lifecycle: it is a context manager with an idempotent
-:meth:`~ShardPool.close` — open many sharded stores in a benchmark loop
-and no worker threads leak.  Single-job batches run inline (no pool
-round-trip for the common narrow-query case), and the per-shard work units
-are expected to be GIL-releasing NumPy sweeps so shards genuinely overlap
-on multi-core hosts.
+Foreground requests run every shard's sub-batch inline, in the caller's
+thread and in shard order (:func:`run_point_batch`,
+:func:`run_bounds_batch`): a small request's per-shard work is mostly
+Python bookkeeping that holds the GIL, so a thread handoff per shard
+costs more than it could overlap.  :class:`ShardPool` is the background
+executor: a lazily created ``ThreadPoolExecutor`` behind an explicit
+lifecycle (a context manager with an idempotent
+:meth:`~ShardPool.close`), which the compaction scheduler submits its
+merges to.
 
 Worker-path contract (machine-checked by ``repro lint``): pool workers
 must never swallow exceptions silently — failures are recorded or
@@ -197,47 +198,47 @@ def group_by_owner(
 
     ``positions`` are the batch indices routed to that shard, in input
     order — the caller slices its batch with them and scatters the
-    per-shard answers back through the same index arrays.
+    per-shard answers back through the same index arrays.  One stable
+    ``argsort`` groups the batch by shard (keeping input order inside a
+    group) and a ``bincount`` gives the group sizes.
     """
-    return [
-        (int(s), np.nonzero(owner == s)[0])
-        for s in np.unique(owner).tolist()
-    ]
+    order = owner.argsort(kind="stable")
+    groups = []
+    start = 0
+    for s, count in enumerate(np.bincount(owner).tolist()):
+        if count:
+            groups.append((s, order[start : start + count]))
+            start += count
+    return groups
 
 
 def run_point_batch(
-    pool: "ShardPool",
     shards: Sequence,
     partitioner: Partitioner,
     keys: np.ndarray,
     method: Callable[[object, np.ndarray], np.ndarray],
     out: np.ndarray,
 ) -> np.ndarray:
-    """The shared point-batch scatter/gather: route, dispatch, write back.
+    """The shared point-batch scatter/gather: route, run, write back.
 
     Each key's sub-batch goes to its owning shard via ``method(shard,
-    keys_of_shard)`` and the per-shard answers land at their original batch
-    positions in ``out``.  Both sharded structures' point paths
-    (``contains_point_many``, ``get_many``, ``may_contain_many``) are this
-    one loop.
+    keys_of_shard)``, in shard order, and the per-shard answers land at
+    their original batch positions in ``out``.  The sharded store's point
+    paths (``get_many``, ``may_contain_many``) are this one loop.
     """
-    owner = partitioner.owner_of_many(keys)
-    jobs = group_by_owner(owner)
-    answers = pool.run(jobs, lambda s, idx: method(shards[s], keys[idx]))
-    for (_, idx), ans in zip(jobs, answers, strict=True):
-        out[idx] = ans
+    for s, idx in group_by_owner(partitioner.owner_of_many(keys)):
+        out[idx] = method(shards[s], keys[idx])
     return out
 
 
 def run_bounds_batch(
-    pool: "ShardPool",
     shards: Sequence,
     partitioner: Partitioner,
     bounds: np.ndarray,
     method: Callable[[object, np.ndarray], np.ndarray],
     out: np.ndarray,
 ) -> np.ndarray:
-    """The shared range-batch scatter/gather: split, dispatch, OR back.
+    """The shared range-batch scatter/gather: split, run, OR back.
 
     The partitioner emits per-shard ``(query indices, clipped bounds)``
     jobs — the full batch on every shard for hash dispatch, overlap-only
@@ -246,23 +247,18 @@ def run_bounds_batch(
     no-false-negatives: the key witnessing a hit lives in exactly one
     shard, and that shard cannot miss it.
     """
-    jobs = [
-        (s, (idx, clipped))
-        for s, idx, clipped in partitioner.split_bounds(bounds)
-    ]
-    answers = pool.run(jobs, lambda s, job: method(shards[s], job[1]))
-    for (_, (idx, _)), ans in zip(jobs, answers, strict=True):
-        out[idx] |= ans
+    for s, idx, clipped in partitioner.split_bounds(bounds):
+        out[idx] |= method(shards[s], clipped)
     return out
 
 
 class ShardPool:
-    """Explicitly managed worker pool for per-shard job dispatch.
+    """Explicitly managed worker pool for background jobs.
 
-    The executor is created lazily on first multi-job dispatch and torn
-    down by :meth:`close` (idempotent; probing after close lazily recreates
-    the pool).  Use as a context manager so benchmark loops that build many
-    sharded structures never leak worker threads.
+    The executor is created lazily on first use and torn down by
+    :meth:`close` (idempotent; using the pool after close lazily recreates
+    it).  Use as a context manager so loops that build many stores never
+    leak worker threads.
     """
 
     def __init__(self, max_workers: int, name: str = "shard") -> None:
@@ -326,7 +322,6 @@ class ShardPool:
         The background-work entry point (the compaction scheduler runs
         its per-engine drain loops through this): unlike :meth:`run` it
         never executes inline — callers rely on getting control back
-        immediately — and the lazily created executor is shared with the
-        batch dispatch path.
+        immediately.
         """
         return self._pool().submit(fn, *args)

@@ -2,8 +2,11 @@
 
 Runs ``benchmarks/bench_ops_rangebatch.py --quick``: asserts the batch
 speedup clears the script's quick floor, that the results are
-bit-identical, and that a 1-row ``scan_nonempty_many`` at 28 runs costs
-at most ``MAX_RUN_COST_RATIO`` times its cost at 1 run.  Writes its JSON to a temp path so it never clobbers the
+bit-identical, that a 1-row ``scan_nonempty_many`` at 28 runs costs
+at most ``MAX_RUN_COST_RATIO`` times its cost at 1 run, and that the same
+scan right after a 16-key ``put_many`` costs at most
+``MAX_WRITE_SCAN_COST_RATIO`` times its cost with no write before it.
+Writes its JSON to a temp path so it never clobbers the
 repo-root ``BENCH_rangebatch.json`` (that trajectory artifact holds the
 *full*-mode run; refresh it with
 ``PYTHONPATH=src python benchmarks/bench_ops_rangebatch.py``).
@@ -42,4 +45,5 @@ def test_quick_mode_batch_beats_scalar(tmp_path):
     assert result["batch_qps"] >= result["scalar_qps"]
     assert result["run_answers_identical"] is True
     assert result["run_cost_ratio"] <= bench.MAX_RUN_COST_RATIO
+    assert result["write_scan_cost_ratio"] <= bench.MAX_WRITE_SCAN_COST_RATIO
     assert result["mode"] == "quick"

@@ -127,9 +127,6 @@ def _abandon(db):
     scheduler = getattr(db, "_scheduler", None)
     if scheduler is not None:
         scheduler.close()
-    pool = getattr(db, "_pool", None)
-    if pool is not None:
-        pool.close()
 
 
 def _open(root, policy, shards, watcher=None):

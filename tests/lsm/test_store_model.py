@@ -168,9 +168,6 @@ class StoreMachine(RuleBasedStateMachine):
             # same directory.  Mid-merge kills are covered separately by
             # the fault-injection stress suite.
             scheduler.close()
-        pool = getattr(self.store, "_pool", None)
-        if pool is not None:  # workers are not state; a crash loses none
-            pool.close()
         self.store = self._open()
         self._assert_matches_shadow()
 

@@ -122,14 +122,6 @@ def _oracle_update(oracle, op, keys, values, store_values):
             oracle.pop(k, None)
 
 
-def _abandon(db):
-    """Drop a store the way a killed process would: release worker
-    threads (they are not state) but skip every flush/close path."""
-    pool = getattr(db, "_pool", None)
-    if pool is not None:
-        pool.close()
-
-
 def _open(root, kind, shards, store_values):
     return open_store(
         path=root,
@@ -161,8 +153,7 @@ def _run_until_crash(root, kind, shards, store_values, ops, crash_at, rng):
                 acked.append(op)
             current = None
             db.close()
-    except InjectedCrash:
-        _abandon(db)
+    except InjectedCrash:  # the store is dropped unclosed, as a crash leaves it
         return acked, current
     return acked, None
 
@@ -208,10 +199,8 @@ def _check_recovered(root, acked, in_flight, store_values):
             if not key.endswith("_s") and not key.startswith("_")
         }
         snapshots.append((answers, counters))
-        if attempt == 0:
-            _abandon(db)  # second pass replays the same state again
-        else:
-            db.close()
+        if attempt:  # the first pass is dropped unclosed: the second
+            db.close()  # replays the same state again
     assert (snapshots[0][0] == snapshots[1][0]).all(), (
         "recovery is not idempotent: answers changed between reopens"
     )
@@ -286,7 +275,6 @@ def test_flush_crash_is_pre_or_post(tmp_path):
         with pytest.raises(InjectedCrash):
             with FaultInjector(root, crash_at=crash_at, rng=torn):
                 db.flush()
-        _abandon(db)
         with open_store(path=root) as back:
             layout = (len(back.sstables), len(back.memtable))
             assert layout in ((pre_runs, buffered), (pre_runs + 1, 0)), (

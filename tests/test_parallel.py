@@ -112,6 +112,17 @@ class TestGroupByOwner:
         assert np.array_equal(groups[1], np.array([3]))
         assert np.array_equal(groups[2], np.array([0, 2]))
 
+    def test_skips_absent_shards_and_empty_batches(self):
+        groups = group_by_owner(np.array([3, 0, 3, 3], dtype=np.int64))
+        assert [s for s, _ in groups] == [0, 3]
+        assert np.array_equal(groups[1][1], np.array([0, 2, 3]))
+        assert group_by_owner(np.zeros(0, dtype=np.int64)) == []
+
+    def test_large_batches_keep_input_order_within_a_shard(self):
+        owner = np.random.default_rng(13).integers(0, 5, 1_000)
+        for s, idx in group_by_owner(owner):
+            assert np.array_equal(idx, np.nonzero(owner == s)[0])
+
     def test_scatter_back_reconstructs_batch(self):
         rng = np.random.default_rng(11)
         owner = rng.integers(0, 4, 1_000)

@@ -211,9 +211,6 @@ class TestWalCorruption:
         )
         for k in range(n):  # one WAL record per op: easy to count/cut
             db.put(k, b"wal-%d" % k)
-        pool = getattr(db, "_pool", None)
-        if pool is not None:
-            pool.close()
         del db
         return path
 
@@ -258,7 +255,6 @@ class TestWalCorruption:
             path=tmp_path / "db", filter=SPEC, shards=4, memtable_capacity=256
         )
         db.put_many(np.arange(300, dtype=np.uint64))
-        db._pool.close()
         del db  # crash-drop: per-shard WALs keep their unflushed records
         a = tmp_path / "db" / "shard-0000" / WAL_NAME
         b = tmp_path / "db" / "shard-0001" / WAL_NAME
