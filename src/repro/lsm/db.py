@@ -38,7 +38,9 @@ Concurrency contract (machine-checked by ``repro lint``): readers take
 lock-free copy-on-write snapshots of ``self.sstables``, so every swap of
 the run list — and every call into a ``*_locked`` method or
 ``_commit_merge`` — must hold ``self._maintenance_lock``
-(``lock-discipline``).  The compaction-stress suite additionally runs
+(``lock-discipline``).  Writes and flushes may race each other: the
+memtable serializes its writes, drains and range-index publishes on its
+own lock.  The compaction-stress suite additionally runs
 under :class:`repro.testing.LockOrderWatcher`, which fails on lock-order
 cycles and on unlocked run-list swaps at runtime.
 """

@@ -19,9 +19,15 @@ on each write merges its batch into it (RocksDB's memtable likewise stays
 sorted as it inserts and never re-sorts for a read), so reads between
 writes never rebuild it.  A memtable that is only written to keeps no
 index and pays nothing for it, and a flush drops it.
+
+Writes, flushes and the publishing of a range index serialize on one
+lock, so writers may race each other and a flush; readers take no lock
+on the hot path and may race all of them.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -48,15 +54,20 @@ class _RangeIndex:
     ``stamp`` is a write count the index reflects: every write counted
     up to it is in the index.  Its arrays are never mutated, so a writer
     publishes a new index and a reader holding the old one keeps a
-    consistent view.
+    consistent view.  ``entries`` is the memtable's dict the keys came
+    from: a flush swaps in a new dict rather than clearing this one, so
+    every indexed key can be read from it.
     """
 
-    __slots__ = ("stamp", "keys", "live", "_live_before")
+    __slots__ = ("stamp", "keys", "live", "entries", "_live_before")
 
-    def __init__(self, stamp: int, keys: np.ndarray, live: np.ndarray) -> None:
+    def __init__(
+        self, stamp: int, keys: np.ndarray, live: np.ndarray, entries: dict
+    ) -> None:
         self.stamp = stamp
         self.keys = keys
         self.live = live
+        self.entries = entries
         self._live_before: np.ndarray | None = None
 
     @property
@@ -75,17 +86,19 @@ class _RangeIndex:
 
         One ``searchsorted`` places the batch's distinct keys: keys
         already indexed get their flag in a copied flag array, and new
-        keys are spliced in at their slots in one pass per array.  (An
-        index is never empty — it is built only over buffered entries —
-        so the clipped ``take`` always has a key to compare.)
+        keys are spliced in at their slots in one pass per array.  An
+        index of no keys (built by a reader that lost the entries to a
+        flush) becomes the batch itself.
         """
         batch = np.unique(np.asarray(keys, dtype=np.uint64))
+        if self.keys.size == 0:
+            return _RangeIndex(stamp, batch, np.full(batch.size, live), self.entries)
         at = self.keys.searchsorted(batch)
         known = self.keys.take(at, mode="clip") == batch
         flags = self.live.copy()
         flags[at[known]] = live
         if known.all():
-            return _RangeIndex(stamp, self.keys, flags)
+            return _RangeIndex(stamp, self.keys, flags, self.entries)
         fresh = ~known
         slots = at[fresh] + np.arange(np.count_nonzero(fresh))
         size = self.keys.size + slots.size
@@ -97,7 +110,7 @@ class _RangeIndex:
         merged_flags = np.empty(size, dtype=bool)
         merged_flags[kept] = flags
         merged_flags[slots] = live
-        return _RangeIndex(stamp, merged_keys, merged_flags)
+        return _RangeIndex(stamp, merged_keys, merged_flags, self.entries)
 
 
 class MemTable:
@@ -108,6 +121,8 @@ class MemTable:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._entries: dict[int, bytes | _Tombstone] = {}
+        # Held by every write and flush, and to publish a range index.
+        self._lock = threading.Lock()
         # Bumped after every write; the range index is valid while its
         # stamp equals it (see _range_index).
         self._version = 0
@@ -124,8 +139,9 @@ class MemTable:
 
     # ------------------------------------------------------------------
     def put(self, key: int, value: bytes = b"") -> None:
-        self._entries[key] = value
-        self._written((key,), live=True)
+        with self._lock:
+            self._entries[key] = value
+            self._written((key,), live=True)
 
     def put_many(
         self, keys: np.ndarray, values: list[bytes] | None = None
@@ -139,38 +155,39 @@ class MemTable:
         """
         keys = np.asarray(keys, dtype=np.uint64)
         listed = keys.tolist()
-        if values is None:
-            self._entries.update(dict.fromkeys(listed, b""))
-        elif len(values) != len(listed):
+        if values is not None and len(values) != len(listed):
             raise ValueError("values must align with keys")
-        else:
-            self._entries.update(zip(listed, values, strict=True))
-        self._written(keys, live=True)
+        with self._lock:
+            if values is None:
+                self._entries.update(dict.fromkeys(listed, b""))
+            else:
+                self._entries.update(zip(listed, values, strict=True))
+            self._written(keys, live=True)
 
     def delete(self, key: int) -> None:
         """Record a tombstone (shadows older versions on lower levels)."""
-        self._entries[key] = TOMBSTONE
-        self._written((key,), live=False)
+        with self._lock:
+            self._entries[key] = TOMBSTONE
+            self._written((key,), live=False)
 
     def delete_many(self, keys: np.ndarray) -> None:
         """Bulk :meth:`delete`: tombstone every key in one dict update."""
         keys = np.asarray(keys, dtype=np.uint64)
-        self._entries.update(dict.fromkeys(keys.tolist(), TOMBSTONE))
-        self._written(keys, live=False)
+        with self._lock:
+            self._entries.update(dict.fromkeys(keys.tolist(), TOMBSTONE))
+            self._written(keys, live=False)
 
     def _written(self, keys, *, live: bool) -> None:
         """Count the write that just set ``keys`` to ``live``, and bring
-        the range index along.
+        the range index along; called with the lock held.
 
         The batch merges into an index stamped with the count before this
         write (one that reflects every earlier write); any other index is
-        dropped, and with no index the write does nothing more.  Merging
-        is idempotent, so an index built while this write landed is
-        merged correctly too.  The count moves before the new index is
-        published: a reader in between sees a stale stamp and rebuilds,
-        and never takes the old index for the new count.  Readers may
-        race a write; writes must not race each other (the count is a
-        plain increment).
+        dropped, and with no index the write does nothing more.  The lock
+        keeps other writes, flushes and index publishes out until the new
+        index is published.  The count moves before it is: a reader in
+        between sees a stale stamp and rebuilds, and never takes the old
+        index for the new count.
         """
         stamp = self._version
         index = self._snapshot
@@ -185,21 +202,28 @@ class MemTable:
     def _range_index(self) -> _RangeIndex:
         """The current range index, built from the entries if none is.
 
-        It is built from one copy of the entries and published stamped
-        with the write count read before that copy, so it reflects at
-        least every write counted by its stamp.
+        It is built from a copy of the entries taken under the lock with
+        the write count, so it reflects exactly the writes counted by its
+        stamp.  The sort runs outside the lock, and the index is published
+        only if no write or flush landed meanwhile (otherwise the caller
+        still reads it: it holds every write acknowledged before the call).
         """
         index = self._snapshot
         if index is None or index.stamp != self._version:
-            stamp = self._version
-            items = list(self._entries.items())
+            with self._lock:
+                stamp = self._version
+                entries = self._entries
+                items = list(entries.items())
             keys = np.fromiter((k for k, _ in items), dtype=np.uint64, count=len(items))
             live = np.fromiter(
                 (v is not TOMBSTONE for _, v in items), dtype=bool, count=len(items)
             )
             order = np.argsort(keys)
-            index = self._snapshot = _RangeIndex(stamp, keys[order], live[order])
+            index = _RangeIndex(stamp, keys[order], live[order], entries)
             self.index_builds += 1
+            with self._lock:
+                if self._version == stamp:
+                    self._snapshot = index
         return index
 
     # ------------------------------------------------------------------
@@ -257,31 +281,38 @@ class MemTable:
         """All buffered entries (incl. tombstones) in [l_key, r_key], sorted.
 
         The range index gives the keys; only their values are read from
-        the entries.
+        the entries it was built over (the buffered entries as of the
+        index, even if a flush has drained them since).
         """
         if not self._entries:
             return []
-        keys = self._range_index().keys
+        index = self._range_index()
+        keys = index.keys
         below = int(keys.searchsorted(np.uint64(l_key)))
         upto = int(keys.searchsorted(np.uint64(r_key), side="right"))
-        entries = self._entries
+        entries = index.entries
         return [(key, entries[key]) for key in keys[below:upto].tolist()]
 
     # ------------------------------------------------------------------
     def drain_sorted(self):
-        """Flush: return (keys, values, tombstone flags) sorted; clear.
+        """Flush: return (keys, values, tombstone flags) sorted; empty.
+
+        The memtable starts a new entry dict; the drained one stays intact
+        for readers holding a range index over it.
 
         ``keys`` is a uint64 array; ``values`` a list aligned with it;
         tombstoned slots carry ``b""`` in values and True in the flag array.
         The sort runs as one NumPy ``argsort`` over the key array (keys are
         dict keys, hence distinct) instead of a Python-level item sort.
         """
-        n = len(self._entries)
-        keys = np.fromiter(self._entries.keys(), dtype=np.uint64, count=n)
-        raw = list(self._entries.values())
-        self._entries.clear()
-        self._version += 1
-        self._snapshot = None
+        with self._lock:
+            entries = self._entries
+            self._entries = {}
+            self._version += 1
+            self._snapshot = None
+        n = len(entries)
+        keys = np.fromiter(entries.keys(), dtype=np.uint64, count=n)
+        raw = list(entries.values())
         order = np.argsort(keys)
         keys = keys[order]
         tombstones = np.fromiter(

@@ -2,7 +2,10 @@
 
 After every write the merged index equals one rebuilt from the entries,
 reads between writes never rebuild it, and readers racing a writer never
-miss an acknowledged put nor see an acknowledged delete as live.
+miss an acknowledged put nor see an acknowledged delete as live.  Writers
+racing each other and a flush lose no write and leave no stale index, an
+index of no keys takes merges, and a reader keeps the entries its index
+was built over when a flush drains them.
 """
 
 import sys
@@ -174,3 +177,113 @@ def test_readers_never_miss_an_acknowledged_put_or_delete():
     assert mt.contains_range_many(
         np.array([[k, k] for k in range(2 * steps)], dtype=np.uint64)
     ).tolist() == [k % 2 == 0 for k in range(2 * steps)]
+
+
+def test_a_write_merges_into_an_index_built_from_no_entries():
+    """A reader that found entries, then lost them to a flush before it
+    built its index, publishes an index of no keys stamped with the
+    current write count.  The next write merges into it like any other."""
+    mt = MemTable(capacity=64)
+    mt.put_many(np.arange(4, dtype=np.uint64))
+    mt.drain_sorted()
+    index = mt._range_index()  # what the reader builds once the flush ran
+    assert index.keys.size == 0 and index.stamp == mt._version
+    mt.put_many(np.array([9, 5, 9], dtype=np.uint64))
+    mt.delete_many(np.array([5], dtype=np.uint64))
+    _assert_index_is_current(mt)
+    assert mt.contains_range_many(np.array([[0, 5], [6, 9]], dtype=np.uint64)).tolist() == [
+        False,
+        True,
+    ]
+    assert mt.entries_in_range(0, 9) == [(5, TOMBSTONE), (9, b"")]
+    assert mt.index_builds == 1
+
+
+def test_racing_writers_and_flushes_leave_the_index_current():
+    """Two writers and a flusher race while a reader keeps an index built:
+    every write lands in the entries and in the index once, a flush never
+    lets a drained key back into the index, and afterwards range reads see
+    exactly the buffered keys."""
+    mt = MemTable(capacity=1 << 20)
+    rounds, writes = 40, 30
+    failures = []
+
+    def write(first):
+        for i in range(writes):
+            keys = np.arange(first + 4 * i, first + 4 * i + 4, dtype=np.uint64)
+            if i % 3 == 2:
+                mt.delete_many(keys[:2])
+            else:
+                mt.put_many(keys)
+
+    def flush(drained):
+        for _ in range(3):
+            drained.update(mt.drain_sorted()[0].tolist())
+
+    def read(stop):
+        while not stop.is_set():
+            mt.contains_range_many(np.array([[0, 1 << 40]], dtype=np.uint64))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(rounds):
+            base = r * 1_000_000
+            drained: set[int] = set()
+            stop = threading.Event()
+            mt.contains_range_many(np.array([[0, 1]], dtype=np.uint64))
+            threads = [
+                threading.Thread(target=write, args=(base,)),
+                threading.Thread(target=write, args=(base + 500_000,)),
+                threading.Thread(target=flush, args=(drained,)),
+            ]
+            reader = threading.Thread(target=read, args=(stop,))
+            reader.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            stop.set()
+            reader.join(timeout=60)
+            buffered = sorted(mt._entries)
+            try:
+                got = [k for k, _ in mt.entries_in_range(0, 1 << 40)]
+            except KeyError as exc:  # a drained key back in the index
+                got = [("drained", exc.args[0])]
+            if got != buffered:
+                failures.append((r, len(got), len(buffered)))
+            index = mt._snapshot
+            if index is not None and index.stamp == mt._version:
+                keys, _ = _rebuilt(mt)
+                if not np.array_equal(index.keys, keys):
+                    failures.append((r, "stale current index"))
+            written = {
+                first + 4 * i + j
+                for first in (base, base + 500_000)
+                for i in range(writes)
+                for j in range(2 if i % 3 == 2 else 4)
+            }
+            if not written <= drained | set(buffered):
+                failures.append((r, "lost write"))
+            mt.drain_sorted()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures, failures[:3]
+
+
+def test_a_reader_holding_an_index_reads_entries_a_flush_drained():
+    """A flush that lands between a reader's index and its value reads
+    leaves the reader the entries the index was built over."""
+    mt = MemTable(capacity=64)
+    mt.put_many(np.array([1, 2, 3], dtype=np.uint64), [b"a", b"b", b"c"])
+    mt.delete_many(np.array([2], dtype=np.uint64))
+    build = mt._range_index
+
+    def build_then_flush():
+        index = build()
+        mt.drain_sorted()
+        return index
+
+    mt._range_index = build_then_flush
+    assert mt.entries_in_range(0, 9) == [(1, b"a"), (2, TOMBSTONE), (3, b"c")]
+    assert len(mt) == 0
