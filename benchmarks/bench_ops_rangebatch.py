@@ -1,7 +1,7 @@
-"""Batched range-query engine throughput: compiled plans vs scalar loop.
+"""Batched range-query engine throughput: batched sweep vs scalar loop.
 
-Measures ``BloomRF.contains_range_many`` (plan compilation + vectorized
-probe execution) against the seed implementation's scalar loop
+Measures ``BloomRF.contains_range_many`` (one vectorized top-down sweep
+of Algorithm 1's probes for the whole batch) against the seed implementation's scalar loop
 (``np.fromiter`` over per-query ``contains_range`` callback walks) on a
 mixed-width workload: the paper's worst-case gap-adjacent empty queries
 across range sizes 2 .. 2^22 plus a slice of non-empty queries around
@@ -25,7 +25,9 @@ A second section gates request cost against the run count: a 1-row
 ``max_range`` 2^20; widths log-uniform up to 2^20, half of the rows on a
 key).  One range filter pass per request keeps the 28-run call within
 ``MAX_RUN_COST_RATIO`` of the 1-run one; both modes exit non-zero above
-it.
+it, and when the two stores answer any row differently — its non-empty
+check or its ``scan(lo, hi, 16)`` entries, so a version-reconciliation
+mismatch fails the smoke too.
 
 A third section gates what a write costs the next range read: the same
 1-row scan on the 28-run store with a ~1,280-entry memtable, timed right
@@ -146,10 +148,14 @@ def run_count_cost(
     :data:`RUN_COUNTS` runs.
 
     Every store holds the same keys; calls alternate between the stores so
-    a slow spell of the machine hits both alike.
+    a slow spell of the machine hits both alike.  Untimed, each store also
+    answers ``scan(lo, hi, 16)`` for every row.
     """
     times: dict[int, list[float]] = {runs: [] for runs in RUN_COUNTS}
-    answers: dict[int, list[bool]] = {runs: [] for runs in RUN_COUNTS}
+    answers: dict[int, list] = {
+        runs: [db.scan(*row[0].tolist(), 16) for row in rows]
+        for runs, db in stores.items()
+    }
     for i in range(rounds):
         row = rows[i % len(rows)]
         for runs, db in stores.items():

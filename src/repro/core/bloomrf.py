@@ -48,30 +48,23 @@ and keeps per filter only which paths are still open.
 
 Batched range-query engine
 --------------------------
-Bulk range lookups separate *plan compilation* from *probe execution*:
+Algorithm 1's probes are a pure function of ``(lo, hi, levels)`` — no
+hashing decides which covering bits and decomposition masks a query
+probes.  ``contains_range_many`` therefore runs the two-path walk
+batch-wide: one top-down sweep computes each layer's covering
+``(layer, prefix)`` and decomposition ``(layer, p_lo, p_hi)`` probes for
+every live query as stacked arrays (phase-2 steps through the same
+:func:`~repro.dyadic.path_step` as the scalar walk) and resolves them with
+vectorized NumPy: one :func:`splitmix64_array` hash +
+:meth:`BitArray.test_bits` call (or one word gather, for the masks) per
+(layer, replica) serves every query probing that layer, guard-flip
+handling included; the exact-level pseudo-layer resolves through
+:meth:`BitArray.any_in_ranges`.  Live-set pruning applies the walk's early
+exits batch-wide, so no per-probe Python callback runs.
 
-1. :func:`repro.dyadic.compile_range_plan` runs Algorithm 1's two-path walk
-   once per query — pure integer arithmetic, no hashing — and emits a flat
-   :class:`~repro.dyadic.RangePlan`: covering ``(layer, prefix)`` bit probes
-   (phase-1 guards plus the left/right gate chains) and decomposition
-   ``(layer, p_lo, p_hi)`` mask probes with the walk's early-exit/decision
-   structure encoded as guard/gate dependencies.  This is the reference
-   form of the probe program (tested against the callback walk).
-2. ``contains_range_many`` emits that same probe program batch-wide —
-   probe emission is a pure function of ``(lo, hi, levels)``, so one
-   top-down sweep computes each layer's probes for every live query as
-   stacked arrays — and resolves it with vectorized NumPy: one
-   :func:`splitmix64_array` hash + :meth:`BitArray.test_bits` call (or one
-   word gather, for the masks) per (layer, replica) serves every query
-   probing that layer, guard-flip handling included; the exact-level
-   pseudo-layer resolves through :meth:`BitArray.any_in_ranges`.  Live-set
-   pruning applies the walk's early exits batch-wide, so no per-probe
-   Python callback runs.
-
-``two_path_range_lookup`` remains the scalar reference oracle.  The walk
-therefore exists in three forms (callback, compiled plan, batched sweep);
-the cross-property tests pin them together: plan-vs-callback equivalence
-on randomized oracles and batch-vs-scalar bit-identity across configs.
+:func:`~repro.dyadic.two_path_range_lookup` remains the scalar reference
+oracle, and the tests pin the sweep to it: batch-vs-scalar bit identity
+across configs.
 Run ``PYTHONPATH=src python benchmarks/bench_ops_rangebatch.py`` for the
 batch-vs-scalar throughput benchmark (``--quick`` for the CI smoke mode).
 
@@ -579,8 +572,8 @@ class BloomRF:
     def contains_range_many(self, bounds: np.ndarray) -> np.ndarray:
         """Batched range lookup over an ``(n, 2)`` array of inclusive bounds.
 
-        Emits the same probe program :func:`~repro.dyadic.compile_range_plan`
-        reifies per query, but batch-wide: one top-down sweep over the layers
+        Emits the probes of :func:`~repro.dyadic.two_path_range_lookup`'s
+        walk for every query, batch-wide: one top-down sweep over the layers
         where each step computes the layer's covering/decomposition probes
         for every live query as stacked arrays and resolves them with the
         vectorized executors.  Bit-identical to calling

@@ -10,17 +10,12 @@ one-to-one to key prefixes of ``d - l`` bits.  This module provides:
 * :func:`two_path_range_lookup` — the paper's Algorithm 1: a single top-down
   pass over the filter's layers that probes *covering* DIs (one bit each,
   with early exit) and *decomposition* prefix ranges (word-mask probes),
-  following one path down from the left query bound and one from the right,
-  and
-* :func:`compile_range_plan` — the same walk run once as a *plan compiler*:
-  instead of invoking callbacks it emits a flat :class:`RangePlan` probe
-  program whose decision structure (guards, left/right gate chains, gated
-  decomposition masks) can be executed later against oracles
-  (:meth:`RangePlan.evaluate`).  It is the reference form of the probe
-  program: :meth:`repro.core.bloomrf.BloomRF.contains_range_many` emits the
-  same program batch-wide with a vectorized per-layer sweep, and the tests
-  pin all three walk implementations (callback, plan, batched sweep)
-  together via randomized-oracle equivalence and bit-identity properties.
+  following one path down from the left query bound and one from the right.
+  It is the reference form of the probe program:
+  :meth:`repro.core.bloomrf.BloomRF.contains_range_many` emits the same
+  probes batch-wide with a vectorized per-layer sweep (sharing
+  :func:`path_step` with it), and the tests pin the two together by
+  batch-vs-scalar bit identity.
 
 The planner is deliberately **pure**: it knows nothing about bit arrays.  The
 caller supplies two oracles::
@@ -35,7 +30,6 @@ itself (coverings contain the query bounds; mask ranges partition the query).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro._util import floor_log2
@@ -48,11 +42,6 @@ __all__ = [
     "covering_prefix_range",
     "two_path_range_lookup",
     "path_step",
-    "RangePlan",
-    "compile_range_plan",
-    "PATH_BOTH",
-    "PATH_LEFT",
-    "PATH_RIGHT",
 ]
 
 ProbeBit = Callable[[int, int], bool]
@@ -216,146 +205,6 @@ def path_step(
     if key == p << level:
         return (p, p_j), None
     return ((p + 1, p_j) if p < p_j else None), p
-
-
-# ----------------------------------------------------------------------
-# compiled probe plans (Algorithm 1 with the decision structure reified)
-# ----------------------------------------------------------------------
-PATH_BOTH = 0
-PATH_LEFT = 1
-PATH_RIGHT = 2
-
-
-@dataclass
-class RangePlan:
-    """Flat probe program emitted by :func:`compile_range_plan`.
-
-    The two-path walk's control flow collapses into four probe lists whose
-    combination is a short monotone formula over the probe answers:
-
-    * ``guard_bits`` — the phase-1 covering probes; if any is unset the
-      query range is provably empty (the walk's early exits).
-    * ``left_bits`` / ``right_bits`` — the per-path covering probes, top
-      down.  Entry ``j`` gates every mask probe *below* it on the same path
-      (the walk's ``left = probe_bit(...)`` state).
-    * ``masks`` — decomposition probes ``(layer, p_lo, p_hi, path, depth)``:
-      the probe fires only if the first ``depth`` chain bits of ``path`` are
-      all set; the query is non-empty iff all guards pass and any reachable
-      mask probe hits.
-
-    Because the formula is monotone in the probe answers, evaluating every
-    probe eagerly (as a vectorized batch executor does) gives bit-identical
-    results to the short-circuiting callback walk.
-    """
-
-    guard_bits: list[tuple[int, int]] = field(default_factory=list)
-    left_bits: list[tuple[int, int]] = field(default_factory=list)
-    right_bits: list[tuple[int, int]] = field(default_factory=list)
-    masks: list[tuple[int, int, int, int, int]] = field(default_factory=list)
-
-    def evaluate(self, probe_bit: ProbeBit, probe_mask: ProbeMask) -> bool:
-        """Execute the plan against scalar oracles (reference semantics)."""
-        if not all(probe_bit(layer, p) for layer, p in self.guard_bits):
-            return False
-        left = [probe_bit(layer, p) for layer, p in self.left_bits]
-        right = [probe_bit(layer, p) for layer, p in self.right_bits]
-        for layer, p_lo, p_hi, path, depth in self.masks:
-            if path == PATH_LEFT and not all(left[:depth]):
-                continue
-            if path == PATH_RIGHT and not all(right[:depth]):
-                continue
-            if probe_mask(layer, p_lo, p_hi):
-                return True
-        return False
-
-    def bit_probes(self) -> list[tuple[int, int]]:
-        """Every covering probe of the plan (guards + both chains)."""
-        return self.guard_bits + self.left_bits + self.right_bits
-
-
-def compile_range_plan(
-    l_key: int, r_key: int, levels: Sequence[int]
-) -> RangePlan:
-    """Compile Algorithm 1's walk for ``[l_key, r_key]`` into a probe plan.
-
-    Runs the exact control flow of :func:`two_path_range_lookup` but records
-    probes instead of invoking callbacks; on the full probe tree (no early
-    exits) the recorded probe set is identical to the callback walk's.
-    """
-    if l_key > r_key:
-        raise ValueError(f"empty query range [{l_key}, {r_key}]")
-    if not levels or levels[0] != 0:
-        raise ValueError("levels must be ascending and start at level 0")
-
-    plan = RangePlan()
-    guard_bits = plan.guard_bits
-    left_bits = plan.left_bits
-    right_bits = plan.right_bits
-    masks = plan.masks
-
-    top = len(levels) - 1
-    both = True
-    left_open = right_open = False
-
-    for layer in range(top, -1, -1):
-        level = levels[layer]
-        if both:
-            p_lo = l_key >> level
-            p_hi = r_key >> level
-            if p_lo == p_hi:
-                di_lo = p_lo << level
-                if l_key == di_lo and r_key == di_lo + (1 << level) - 1:
-                    # The query *is* this DI: one decomposition probe decides.
-                    masks.append((layer, p_lo, p_hi, PATH_BOTH, 0))
-                    return plan
-                guard_bits.append((layer, p_lo))
-                continue
-            # Phase 2 starts: the covering path splits (Fig. 7, level 4).
-            both = False
-            mask_lo, mask_hi = p_lo + 1, p_hi - 1
-            if l_key == (p_lo << level):
-                mask_lo = p_lo  # left bound aligned: whole left DI inside query
-            else:
-                left_open = True
-                left_bits.append((layer, p_lo))
-            if r_key == (((p_hi + 1) << level) - 1):
-                mask_hi = p_hi  # right bound aligned: whole right DI inside query
-            else:
-                right_open = True
-                right_bits.append((layer, p_hi))
-            if mask_lo <= mask_hi:
-                masks.append((layer, mask_lo, mask_hi, PATH_BOTH, 0))
-            continue
-
-        parent_level = levels[layer + 1]
-        if left_open:
-            j_hi = (((l_key >> parent_level) + 1) << parent_level) - 1
-            p_lo = l_key >> level
-            p_j = j_hi >> level
-            depth = len(left_bits)
-            if l_key == (p_lo << level):
-                masks.append((layer, p_lo, p_j, PATH_LEFT, depth))
-                left_open = False
-            else:
-                if p_lo < p_j:
-                    masks.append((layer, p_lo + 1, p_j, PATH_LEFT, depth))
-                left_bits.append((layer, p_lo))
-        if right_open:
-            j_lo = (r_key >> parent_level) << parent_level
-            p_hi = r_key >> level
-            p_j = j_lo >> level
-            depth = len(right_bits)
-            if r_key == (((p_hi + 1) << level) - 1):
-                masks.append((layer, p_j, p_hi, PATH_RIGHT, depth))
-                right_open = False
-            else:
-                if p_j < p_hi:
-                    masks.append((layer, p_j, p_hi - 1, PATH_RIGHT, depth))
-                right_bits.append((layer, p_hi))
-        if not (left_open or right_open):
-            break
-
-    return plan
 
 
 class RecordingOracle:

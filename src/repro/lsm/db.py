@@ -2,7 +2,7 @@
 
 This is the system harness for Experiments 1, 2 and the Fig. 12.C/G
 measurements — and a usable KV store: point gets, deletes via tombstones,
-and merging range scans (newest version wins) over the SSTs, consulting
+and range scans (newest version wins) over the SSTs, consulting
 every SST's filter block and fence pointers and charging a fixed
 simulated latency per block read.  All probe outcomes
 and time buckets land in :class:`~repro.lsm.iostats.IOStats`.
@@ -18,8 +18,11 @@ newest-first walk that stops at a key's newest version.
 ``scan_nonempty_many``, ``scan`` and ``scan_may_contain`` are reductions
 of the range pair (:meth:`LsmDB._range_pass`): every cell is charged in
 one ``record_probes`` call, then one fence lookup per positive cell,
-exactly what a loop of per-run range probes charges, and the merging
-scan takes each row's runs from the truth matrix.  The run-set filter is
+exactly what a loop of per-run range probes charges.  A row's versions
+then reconcile over the runs its truth column names: the memtable's and
+those runs' ``searchsorted`` slices, newest first, go through the one
+newest-wins pass compaction uses too (:func:`_newest_wins`), and values
+are read only for the entries a ``scan`` returns.  The run-set filter is
 cached against the identity of the copy-on-write run list, together with
 its own run tuple.
 
@@ -66,6 +69,22 @@ from repro.lsm.memtable import TOMBSTONE, MemTable
 from repro.lsm.sstable import SSTable
 
 __all__ = ["LsmDB"]
+
+
+def _newest_wins(
+    keys: list[np.ndarray], tombstones: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newest-wins version merge of sorted key arrays listed newest first.
+
+    ``tombstones[i]`` flags the tombstones among ``keys[i]``.  Returns
+    ``(unique, newest, dead)``: every distinct key, ascending; the position
+    of its newest version in the concatenation of ``keys``; and whether
+    that version is a tombstone.  One ``np.unique`` pass, no per-key
+    Python: it keeps each key's *first* occurrence, which the newest-first
+    order makes its newest version.
+    """
+    unique, newest = np.unique(np.concatenate(keys), return_index=True)
+    return unique, newest, np.concatenate(tombstones)[newest]
 
 
 class _RunSet:
@@ -323,13 +342,12 @@ class LsmDB:
         """One merged run from a newest-first window of runs (or None when
         nothing survives).
 
-        Newest-wins version merge, vectorized: concatenate runs newest
-        first, then ``np.unique`` keeps the *first* occurrence of every
-        key — its newest version — already sorted ascending.  No per-key
-        Python loop; the merged run's filter is one bulk ``policy.build``
-        over the surviving keys, as for a flushed run (paper Sect. 9: one
-        filter per SST, built from that SST's keys), so bits/key stays at
-        the spec however many merges a key has been through.
+        The window's versions reconcile in the newest-wins pass that scans
+        use too (:func:`_newest_wins`); the merged run's filter is one bulk
+        ``policy.build`` over the surviving keys, as for a flushed run
+        (paper Sect. 9: one filter per SST, built from that SST's keys), so
+        bits/key stays at the spec however many merges a key has been
+        through.
         ``drop_tombstones`` is only sound when the window
         includes the store's oldest run — an interior merge must keep its
         tombstones, which still shadow versions in older runs.
@@ -337,10 +355,9 @@ class LsmDB:
         Pure function of the (immutable) input runs: background workers
         call it outside the maintenance lock.
         """
-        all_keys = np.concatenate([sst.keys for sst in tables])
-        all_tombstones = np.concatenate([sst.tombstones for sst in tables])
-        unique_keys, newest = np.unique(all_keys, return_index=True)
-        newest_tombstones = all_tombstones[newest]
+        unique_keys, newest, newest_tombstones = _newest_wins(
+            [sst.keys for sst in tables], [sst.tombstones for sst in tables]
+        )
         keep = (
             ~newest_tombstones
             if drop_tombstones
@@ -684,8 +701,9 @@ class LsmDB:
         (:meth:`_range_pass`; the paper's workloads are empty — the worst
         case — and real scans must merge all overlapping runs).  The
         memtable settles a row it holds a live key for; any other row
-        whose truth column names a run goes to the merging scan, over
-        those runs only, for version reconciliation.
+        whose truth column names a run reconciles its versions over those
+        runs only (:meth:`_range_versions`) and asks whether any newest
+        version is live — no value is read.
         """
         bounds = self._validated_bounds(bounds)
         if bounds.size == 0:
@@ -694,7 +712,8 @@ class LsmDB:
         out = self.memtable.contains_range_many(bounds)
         for i in np.nonzero(~out & present.any(axis=0))[0].tolist():
             lo, hi = bounds[i].tolist()
-            out[i] = bool(self._merge_scan(lo, hi, runs, present[:, i], limit=1))
+            _, dead, _ = self._range_versions(lo, hi, runs, present[:, i])
+            out[i] = not dead.all()
         return out
 
     def scan(self, l_key: int, r_key: int, limit: int | None = None):
@@ -702,13 +721,29 @@ class LsmDB:
 
         Returns ``[(key, value), ...]``, at most ``limit`` of them (a
         non-negative integer or None).  A one-row :meth:`_range_pass`
-        charges every run's filter, and only the runs that hold an entry
-        in range are merged.
+        charges every run's filter, the runs that hold an entry in range
+        are reconciled (:meth:`_range_versions`), and values are read only
+        for the entries returned.
         """
         limit = self._validated_limit(limit)
+        keys, at, value_of = self._scan_keys(l_key, r_key, limit)
+        return [
+            (key, value_of(i))
+            for key, i in zip(keys.tolist(), at.tolist(), strict=True)
+        ]
+
+    def _scan_keys(self, l_key, r_key, limit):
+        """:meth:`scan` with its value reads deferred: ``(keys, at,
+        value_of)``, where ``keys`` are the first ``limit`` live keys in
+        range, ascending, and ``value_of(at[i])`` reads ``keys[i]``'s
+        value (see :meth:`_range_versions`)."""
         bounds = self._validated_bounds(one_row(l_key, r_key))
         runs, present, _ = self._range_pass(bounds, read_blocks=True)
-        return self._merge_scan(l_key, r_key, runs, present[:, 0], limit)
+        keys, dead, value_of = self._range_versions(
+            l_key, r_key, runs, present[:, 0]
+        )
+        live = np.nonzero(~dead)[0][:limit]
+        return keys[live], live, value_of
 
     def _range_pass(
         self, bounds: np.ndarray, *, read_blocks: bool
@@ -755,22 +790,39 @@ class LsmDB:
         ).reshape(len(runs), lo.size)
         return (first >= lo) & (first <= hi)
 
-    def _merge_scan(self, l_key, r_key, runs, holds, limit):
-        """Newest-wins reconciliation of ``[l_key, r_key]``: the memtable
-        first, then the runs whose ``holds`` flag is set, newest first."""
-        seen: dict[int, tuple[bytes, bool]] = {}
-        for key, value in self.memtable.entries_in_range(l_key, r_key):
-            seen[key] = (b"", True) if value is TOMBSTONE else (value, False)
+    def _range_versions(self, l_key, r_key, runs, holds):
+        """Newest-wins reconciliation of ``[l_key, r_key]``: the memtable's
+        slice first, then the slices of the runs whose ``holds`` flag is
+        set, newest first, in one :func:`_newest_wins` pass.
+
+        Returns ``(keys, dead, value_of)``: every key in range, ascending,
+        whether its newest version is a tombstone, and ``value_of(i)``,
+        which reads the value of ``keys[i]``'s newest version (from the
+        memtable slice or its run) only when called.
+        """
+        keys, tombstones, values = self.memtable.range_slice(l_key, r_key)
+        slices, flags = [keys], [tombstones]
+        sources = [(values, 0)]  # each slice's values, and its first slot
+        lo, hi = np.uint64(l_key), np.uint64(r_key)
         for run in np.nonzero(holds)[0].tolist():  # runs are newest first
-            for key, value, dead in runs[run].entries_in_range(l_key, r_key):
-                if key not in seen:
-                    seen[key] = (value, dead)
-        live = sorted(
-            (k, v) for k, (v, dead) in seen.items() if not dead
-        )
-        if limit is not None:
-            live = live[:limit]
-        return live
+            sst = runs[run]
+            first = int(sst.keys.searchsorted(lo))
+            stop = int(sst.keys.searchsorted(hi, side="right"))
+            slices.append(sst.keys[first:stop])
+            flags.append(sst.tombstones[first:stop])
+            sources.append((sst.values, first))
+        unique, newest, dead = _newest_wins(slices, flags)
+        starts = np.cumsum([0] + [part.size for part in slices])
+
+        def value_of(i: int) -> bytes:
+            at = int(newest[i])
+            source = int(starts.searchsorted(at, side="right")) - 1
+            values, first = sources[source]
+            if values is None:
+                return b""
+            return values[first + at - int(starts[source])]
+
+        return unique, dead, value_of
 
     # ------------------------------------------------------------------
     # accounting

@@ -231,11 +231,6 @@ class MemTable:
         """Value, TOMBSTONE, or None when the memtable knows nothing."""
         return self._entries.get(key)
 
-    def contains_point(self, key: int) -> bool:
-        """Is a *live* version of ``key`` buffered here?"""
-        value = self._entries.get(key)
-        return value is not None and value is not TOMBSTONE
-
     def lookup_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bulk :meth:`get` status: ``(known, live)`` boolean arrays.
 
@@ -277,21 +272,30 @@ class MemTable:
         live_before = index.live_before
         return live_before[upto] > live_before[below]
 
-    def entries_in_range(self, l_key: int, r_key: int) -> list[tuple[int, object]]:
-        """All buffered entries (incl. tombstones) in [l_key, r_key], sorted.
+    def range_slice(
+        self, l_key: int, r_key: int
+    ) -> tuple[np.ndarray, np.ndarray, list]:
+        """The buffered entries in ``[l_key, r_key]``, tombstones included:
+        ``(keys, tombstones, values)``, sorted by key.
 
-        The range index gives the keys; only their values are read from
-        the entries it was built over (the buffered entries as of the
-        index, even if a flush has drained them since).
+        Two ``searchsorted`` calls over the range index slice out the
+        keys; their values are read once from the entries the index was
+        built over (the buffered entries as of the index, even if a flush
+        has drained them since), and a tombstone's value is
+        :data:`TOMBSTONE` with its flag set.
         """
         if not self._entries:
-            return []
+            return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=bool), []
         index = self._range_index()
-        keys = index.keys
-        below = int(keys.searchsorted(np.uint64(l_key)))
-        upto = int(keys.searchsorted(np.uint64(r_key), side="right"))
+        below = int(index.keys.searchsorted(np.uint64(l_key)))
+        upto = int(index.keys.searchsorted(np.uint64(r_key), side="right"))
+        keys = index.keys[below:upto]
         entries = index.entries
-        return [(key, entries[key]) for key in keys[below:upto].tolist()]
+        values = [entries[key] for key in keys.tolist()]
+        tombstones = np.fromiter(
+            (value is TOMBSTONE for value in values), dtype=bool, count=len(values)
+        )
+        return keys, tombstones, values
 
     # ------------------------------------------------------------------
     def drain_sorted(self):

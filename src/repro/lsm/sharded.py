@@ -29,8 +29,8 @@ try every shard even when one raises, then re-raise the first error.
 
 Exactness
 ---------
-Every read path resolves exactly (filters only accelerate; the merging scan
-reconciles versions), and the partitioner routes each key to exactly one
+Every read path resolves exactly (filters only accelerate; the newest-wins
+pass reconciles versions), and the partitioner routes each key to exactly one
 shard — so ``get_many`` / ``scan_nonempty_many`` / ``scan`` answers are
 bit-identical to an unsharded :class:`LsmDB` fed the same operations, and
 :attr:`stats` (the word-level merge of the per-shard ``IOStats``) reports
@@ -360,22 +360,30 @@ class ShardedLsmDB:
         """Merged live entries in range, newest version wins, sorted by key.
 
         Each key lives in exactly one shard, so there are no cross-shard
-        version conflicts: the per-shard merge scans concatenate into one
-        key-sorted result (identical to the unsharded scan's).  ``limit``
-        is validated once, before any shard runs.
+        version conflicts: the shards' reconciled live keys merge into one
+        key-sorted result (identical to the unsharded scan's), and values
+        are read only for the ``limit`` entries returned.  ``limit`` is
+        validated once, before any shard runs.
         """
         limit = LsmDB._validated_limit(limit)
         bounds = LsmDB._validated_bounds(one_row(l_key, r_key))
-        merged = sorted(
-            entry
+        parts = [
+            self.shards[s]._scan_keys(int(clipped[0, 0]), int(clipped[0, 1]), limit)
             for s, _, clipped in self._partitioner.split_bounds(bounds)
-            for entry in self.shards[s].scan(
-                int(clipped[0, 0]), int(clipped[0, 1]), limit
+        ]
+        keys = np.concatenate([part[0] for part in parts])
+        at = np.concatenate([part[1] for part in parts])
+        owner = np.repeat(np.arange(len(parts)), [part[0].size for part in parts])
+        order = np.argsort(keys, kind="stable")[:limit]
+        return [
+            (key, parts[o][2](i))
+            for key, o, i in zip(
+                keys[order].tolist(),
+                owner[order].tolist(),
+                at[order].tolist(),
+                strict=True,
             )
-        )
-        if limit is not None:
-            merged = merged[:limit]
-        return merged
+        ]
 
     # ------------------------------------------------------------------
     # accounting

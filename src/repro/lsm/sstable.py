@@ -162,7 +162,7 @@ class SSTable:
 
         One boolean per ``(lo, hi)`` row: does this SST hold any entry
         (live or tombstone) in range?  Versions are reconciled by the DB's
-        merging scan.  The range filter is consulted once for the whole
+        newest-wins pass.  The range filter is consulted once for the whole
         batch (its handle picks the kernel by batch size).  This is the
         one-run form of the store's range pass
         (:meth:`LsmDB.scan_nonempty_many
@@ -189,14 +189,6 @@ class SSTable:
         # A non-empty range always passes its filter and its fences, so
         # the block reads answer with the ground truth.
         return present
-
-    def entries_in_range(self, l_key: int, r_key: int):
-        """Yield ``(key, value, is_tombstone)`` for entries in range, sorted."""
-        lo = int(np.searchsorted(self.keys, np.uint64(l_key)))
-        hi = int(np.searchsorted(self.keys, np.uint64(r_key), side="right"))
-        for index in range(lo, hi):
-            value = self.values[index] if self.values is not None else b""
-            yield int(self.keys[index]), value, bool(self.tombstones[index])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

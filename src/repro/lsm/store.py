@@ -80,7 +80,7 @@ import os
 import time
 import zlib
 from pathlib import Path
-from typing import Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -204,6 +204,43 @@ def _manifest_field(mapping: dict, name: str, where) -> object:
         raise SerialError(
             f"corrupt store manifest {where}: missing field {name!r}"
         ) from None
+
+
+class _Geometry(NamedTuple):
+    """The engine geometry a store manifest persists and a reopen restores
+    (the ``"geometry"`` entry of both engines' manifests)."""
+
+    memtable_capacity: int
+    value_bytes: int
+    block_bytes: int
+    store_values: bool
+    wal_sync: str
+    compaction: Any
+    compression: Any
+
+    @classmethod
+    def read(cls, manifest: dict, where) -> "_Geometry":
+        """A manifest's geometry, or :class:`SerialError` naming the
+        missing field."""
+        geometry = _manifest_field(manifest, "geometry", where)
+        return cls(
+            int(_manifest_field(geometry, "memtable_capacity", where)),
+            int(_manifest_field(geometry, "value_bytes", where)),
+            int(_manifest_field(geometry, "block_bytes", where)),
+            bool(_manifest_field(geometry, "store_values", where)),
+            str(_manifest_field(geometry, "wal_sync", where)),
+            _manifest_field(geometry, "compaction", where),
+            _manifest_field(geometry, "compression", where),
+        )
+
+    def to_manifest(self) -> dict:
+        """The manifest's ``"geometry"`` entry, compaction and compression
+        in their normalized (dict) forms."""
+        return {
+            **self._asdict(),
+            "compaction": compaction_to_dict(coerce_compaction(self.compaction)),
+            "compression": normalize_compression(self.compression),
+        }
 
 
 def _spec_from_manifest(data, where) -> FilterSpec:
@@ -523,18 +560,15 @@ class PersistentLsmDB(LsmDB):
                     f"reopening with {spec!r} would change probe answers"
                 )
             spec = stored_spec
-            geometry = _manifest_field(manifest, "geometry", where)
-            memtable_capacity = int(
-                _manifest_field(geometry, "memtable_capacity", where)
-            )
-            value_bytes = int(_manifest_field(geometry, "value_bytes", where))
-            block_bytes = int(_manifest_field(geometry, "block_bytes", where))
-            store_values = bool(
-                _manifest_field(geometry, "store_values", where)
-            )
-            wal_sync = str(_manifest_field(geometry, "wal_sync", where))
-            compression = _manifest_field(geometry, "compression", where)
-            compaction = _manifest_field(geometry, "compaction", where)
+            (
+                memtable_capacity,
+                value_bytes,
+                block_bytes,
+                store_values,
+                wal_sync,
+                compaction,
+                compression,
+            ) = _Geometry.read(manifest, where)
             wal_seal = str(_manifest_field(manifest, "wal_seal", where))
             wal_epoch = int(_manifest_field(manifest, "wal_epoch", where))
         else:
@@ -877,15 +911,15 @@ class PersistentLsmDB(LsmDB):
             {
                 "engine": "lsm",
                 "spec": self.spec.to_dict(),
-                "geometry": {
-                    "memtable_capacity": self.memtable.capacity,
-                    "value_bytes": self.value_bytes,
-                    "block_bytes": self.block_bytes,
-                    "store_values": self.store_values,
-                    "wal_sync": self._wal_sync,
-                    "compaction": compaction_to_dict(self.compaction),
-                    "compression": self._compression,
-                },
+                "geometry": _Geometry(
+                    self.memtable.capacity,
+                    self.value_bytes,
+                    self.block_bytes,
+                    self.store_values,
+                    self._wal_sync,
+                    self.compaction,
+                    self._compression,
+                ).to_manifest(),
                 "runs": runs,
                 "next_file_id": self._next_file_id,
                 "wal_seal": self._wal_seal,
@@ -1053,18 +1087,15 @@ class PersistentShardedLsmDB(ShardedLsmDB):
             num_shards = int(_manifest_field(manifest, "num_shards", where))
             partition = _manifest_field(manifest, "partition", where)
             domain_bits = int(_manifest_field(manifest, "domain_bits", where))
-            geometry = _manifest_field(manifest, "geometry", where)
-            memtable_capacity = int(
-                _manifest_field(geometry, "memtable_capacity", where)
-            )
-            value_bytes = int(_manifest_field(geometry, "value_bytes", where))
-            block_bytes = int(_manifest_field(geometry, "block_bytes", where))
-            store_values = bool(
-                _manifest_field(geometry, "store_values", where)
-            )
-            wal_sync = str(_manifest_field(geometry, "wal_sync", where))
-            compaction = _manifest_field(geometry, "compaction", where)
-            compression = _manifest_field(geometry, "compression", where)
+            (
+                memtable_capacity,
+                value_bytes,
+                block_bytes,
+                store_values,
+                wal_sync,
+                compaction,
+                compression,
+            ) = _Geometry.read(manifest, where)
             for index in range(num_shards):
                 shard_manifest = directory / _shard_dir_name(index) / MANIFEST_NAME
                 if not shard_manifest.is_file():
@@ -1111,13 +1142,15 @@ class PersistentShardedLsmDB(ShardedLsmDB):
                 num_shards=num_shards,
                 partition=partition,
                 domain_bits=domain_bits,
-                memtable_capacity=memtable_capacity,
-                value_bytes=value_bytes,
-                block_bytes=block_bytes,
-                store_values=store_values,
-                wal_sync=wal_sync,
-                compaction=compaction,
-                compression=self._compression,
+                geometry=_Geometry(
+                    memtable_capacity,
+                    value_bytes,
+                    block_bytes,
+                    store_values,
+                    wal_sync,
+                    compaction,
+                    self._compression,
+                ),
             )
         super().__init__(
             policy=[SpecPolicy(spec) for spec in self.specs],
@@ -1150,13 +1183,7 @@ class PersistentShardedLsmDB(ShardedLsmDB):
         num_shards: int,
         partition: str,
         domain_bits: int,
-        memtable_capacity: int,
-        value_bytes: int,
-        block_bytes: int,
-        store_values: bool,
-        wal_sync: str,
-        compaction=None,
-        compression=None,
+        geometry: _Geometry,
     ) -> None:
         manifest = {
             "engine": "sharded-lsm",
@@ -1164,15 +1191,7 @@ class PersistentShardedLsmDB(ShardedLsmDB):
             "num_shards": num_shards,
             "partition": partition,
             "domain_bits": domain_bits,
-            "geometry": {
-                "memtable_capacity": memtable_capacity,
-                "value_bytes": value_bytes,
-                "block_bytes": block_bytes,
-                "store_values": store_values,
-                "wal_sync": wal_sync,
-                "compaction": compaction_to_dict(coerce_compaction(compaction)),
-                "compression": normalize_compression(compression),
-            },
+            "geometry": geometry.to_manifest(),
             "shards": [
                 _shard_dir_name(index) for index in range(num_shards)
             ],
@@ -1249,7 +1268,7 @@ def _check_reopen_args(manifest: dict, directory: Path, args: dict) -> None:
     """
     where = directory / MANIFEST_NAME
     sharded = manifest["engine"] == "sharded-lsm"
-    geometry = _manifest_field(manifest, "geometry", where)
+    geometry = _Geometry.read(manifest, where)
     stored = {
         "shards": (
             int(_manifest_field(manifest, "num_shards", where))
@@ -1261,18 +1280,16 @@ def _check_reopen_args(manifest: dict, directory: Path, args: dict) -> None:
             if sharded
             else "hash"
         ),
-        "memtable_capacity": int(
-            _manifest_field(geometry, "memtable_capacity", where)
-        ),
-        "value_bytes": int(_manifest_field(geometry, "value_bytes", where)),
-        "block_bytes": int(_manifest_field(geometry, "block_bytes", where)),
-        "store_values": bool(_manifest_field(geometry, "store_values", where)),
+        "memtable_capacity": geometry.memtable_capacity,
+        "value_bytes": geometry.value_bytes,
+        "block_bytes": geometry.block_bytes,
+        "store_values": geometry.store_values,
         "domain_bits": (
             int(_manifest_field(manifest, "domain_bits", where))
             if sharded
             else 64
         ),
-        "wal_sync": str(_manifest_field(geometry, "wal_sync", where)),
+        "wal_sync": geometry.wal_sync,
     }
     for name, stored_value in stored.items():
         passed = args[name]
@@ -1286,9 +1303,7 @@ def _check_reopen_args(manifest: dict, directory: Path, args: dict) -> None:
     # The compaction policy compares in normalized (dict) form so every
     # accepted spelling — name string, params dict, policy instance —
     # matches the persisted manifest entry.
-    stored_compaction = compaction_to_dict(
-        coerce_compaction(_manifest_field(geometry, "compaction", where))
-    )
+    stored_compaction = compaction_to_dict(coerce_compaction(geometry.compaction))
     passed_compaction = compaction_to_dict(coerce_compaction(args["compaction"]))
     default_compaction = compaction_to_dict(
         coerce_compaction(_CREATE_DEFAULTS["compaction"])
@@ -1306,9 +1321,7 @@ def _check_reopen_args(manifest: dict, directory: Path, args: dict) -> None:
     # Compression compares in normalized dict form for the same reason.
     # (block_cache_bytes is a runtime knob, not persisted state, so it is
     # deliberately not conflict-checked.)
-    stored_compression = normalize_compression(
-        _manifest_field(geometry, "compression", where)
-    )
+    stored_compression = normalize_compression(geometry.compression)
     passed_compression = normalize_compression(args["compression"])
     if passed_compression is not None and passed_compression != stored_compression:
         raise ValueError(

@@ -23,8 +23,8 @@ class TestMemTable:
     def test_put_and_contains(self):
         mt = MemTable(capacity=4)
         mt.put(10)
-        assert mt.contains_point(10)
-        assert not mt.contains_point(11)
+        assert mt.get(10) == b""
+        assert mt.get(11) is None
 
     def test_is_full(self):
         mt = MemTable(capacity=2)
@@ -57,8 +57,9 @@ class TestMemTable:
         mt.put(1, b"one")
         mt.put(2, b"two")
         mt.delete(1)
-        assert not mt.contains_point(1)
-        assert mt.contains_point(2)
+        known, live = mt.lookup_many(np.array([1, 2], dtype=np.uint64))
+        assert known.tolist() == [True, True]
+        assert live.tolist() == [False, True]
         assert mt.get(2) == b"two"
         keys, values, tombstones = mt.drain_sorted()
         assert list(keys) == [1, 2]
@@ -127,8 +128,9 @@ class TestSSTable:
         assert sst.get(10, stats) == (True, b"a", False)
         assert sst.get(20, stats) == (True, None, True)
         assert sst.num_live_keys == 2
-        entries = list(sst.entries_in_range(0, 100))
-        assert entries == [(10, b"a", False), (20, b"b", True), (30, b"c", False)]
+        assert sst.keys.tolist() == [10, 20, 30]
+        assert sst.tombstones.tolist() == [False, True, False]
+        assert list(sst.values) == [b"a", b"b", b"c"]
 
     def test_rejects_misaligned_values(self):
         keys = np.array([1, 2], dtype=np.uint64)

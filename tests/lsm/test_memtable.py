@@ -32,6 +32,15 @@ def _assert_index_is_current(mt):
     assert index.live_before.tolist() == [0, *np.cumsum(live).tolist()]
 
 
+def _entries(mt, lo, hi):
+    """The memtable's array slice of ``[lo, hi]`` as ``(key, value)``
+    pairs, after checking that its tombstone flags match the values."""
+    keys, tombstones, values = mt.range_slice(lo, hi)
+    assert keys.dtype == np.uint64
+    assert tombstones.tolist() == [value is TOMBSTONE for value in values]
+    return list(zip(keys.tolist(), values, strict=True))
+
+
 def _writes(rng):
     """A mix of every write form over a small key space: duplicate keys in
     one batch, re-puts over tombstones, deletes of absent keys."""
@@ -86,7 +95,7 @@ def test_writes_merge_into_the_index_instead_of_rebuilding_it():
             lo <= k <= lo + 30 and v is not TOMBSTONE for k, v in mt._entries.items()
         )
         assert bool(mt.contains_range_many(bounds)[0]) == want
-        assert [k for k, _ in mt.entries_in_range(lo, lo + 30)] == [
+        assert [k for k, _ in _entries(mt, lo, lo + 30)] == [
             k for k in sorted(mt._entries) if lo <= k <= lo + 30
         ]
     assert rebuilt_over_tombstone
@@ -110,7 +119,7 @@ def test_a_write_drops_an_index_it_cannot_vouch_for():
     mt._snapshot.stamp -= 1  # as if built before the last write
     mt.delete_many(np.array([1], dtype=np.uint64))
     assert mt._snapshot is None
-    assert mt.entries_in_range(0, 9) == [(0, b""), (1, TOMBSTONE), (2, b""), (3, b"")]
+    assert _entries(mt, 0, 9) == [(0, b""), (1, TOMBSTONE), (2, b""), (3, b"")]
     assert mt.index_builds == 2
 
 
@@ -148,7 +157,7 @@ def test_readers_never_miss_an_acknowledged_put_or_delete():
         while not stop.is_set():
             put, deleted = acked_put[0], acked_delete[0]
             if put >= 0:
-                live = [k for k, v in mt.entries_in_range(0, put) if v is not TOMBSTONE]
+                live = [k for k, v in _entries(mt, 0, put) if v is not TOMBSTONE]
                 rows = [[k, k] for k in range(put, max(put - 8, -1), -2)]
                 if deleted > 0:
                     rows += [[k, k] for k in range(deleted, max(deleted - 8, 0), -2)]
@@ -195,7 +204,7 @@ def test_a_write_merges_into_an_index_built_from_no_entries():
         False,
         True,
     ]
-    assert mt.entries_in_range(0, 9) == [(5, TOMBSTONE), (9, b"")]
+    assert _entries(mt, 0, 9) == [(5, TOMBSTONE), (9, b"")]
     assert mt.index_builds == 1
 
 
@@ -247,7 +256,7 @@ def test_racing_writers_and_flushes_leave_the_index_current():
             reader.join(timeout=60)
             buffered = sorted(mt._entries)
             try:
-                got = [k for k, _ in mt.entries_in_range(0, 1 << 40)]
+                got = [k for k, _ in _entries(mt, 0, 1 << 40)]
             except KeyError as exc:  # a drained key back in the index
                 got = [("drained", exc.args[0])]
             if got != buffered:
@@ -285,5 +294,5 @@ def test_a_reader_holding_an_index_reads_entries_a_flush_drained():
         return index
 
     mt._range_index = build_then_flush
-    assert mt.entries_in_range(0, 9) == [(1, b"a"), (2, TOMBSTONE), (3, b"c")]
+    assert _entries(mt, 0, 9) == [(1, b"a"), (2, TOMBSTONE), (3, b"c")]
     assert len(mt) == 0

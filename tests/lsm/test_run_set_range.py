@@ -40,6 +40,15 @@ ROW_COUNTS = (1, R - 1, R, 4 * R)
 U64 = (1 << 64) - 1
 
 
+def _entries(mt, lo, hi):
+    """The memtable's array slice of ``[lo, hi]`` as ``(key, value)``
+    pairs, after checking that its tombstone flags match the values."""
+    keys, tombstones, values = mt.range_slice(lo, hi)
+    assert keys.dtype == np.uint64
+    assert tombstones.tolist() == [value is TOMBSTONE for value in values]
+    return list(zip(keys.tolist(), values, strict=True))
+
+
 def _workload(seed=17):
     rng = np.random.default_rng(seed)
     spread = rng.integers(0, U64, 8_000, dtype=np.uint64, endpoint=True)
@@ -362,13 +371,13 @@ def test_memtable_range_reads_follow_every_write():
             ]
         snapshot = mt._snapshot
         for lo, hi in bounds[:4].tolist():
-            got = mt.entries_in_range(lo, hi)
+            got = _entries(mt, lo, hi)
             assert [k for k, _ in got] == sorted(k for k in model if lo <= k <= hi)
             assert all((model[k] is None) == (v is TOMBSTONE) for k, v in got)
         assert mt._snapshot is snapshot  # reused, not rebuilt per read
     mt.drain_sorted()
     assert not mt.contains_range_many(np.array([[0, 10_000]], dtype=np.uint64)).any()
-    assert mt.entries_in_range(0, 10_000) == []
+    assert _entries(mt, 0, 10_000) == []
 
 
 def test_memtable_snapshot_never_hides_an_acknowledged_write():
@@ -400,7 +409,7 @@ def test_memtable_snapshot_never_hides_an_acknowledged_write():
         while not stop.is_set():
             top = acked[0]
             if top >= 0:
-                seen = len(mt.entries_in_range(0, top))
+                seen = len(_entries(mt, 0, top))
                 hit = bool(mt.contains_range_many(np.array([[top, top]], dtype=np.uint64))[0])
                 if seen < top + 1 or not hit:
                     failures.append((top, seen, hit))
@@ -421,7 +430,7 @@ def test_memtable_snapshot_never_hides_an_acknowledged_write():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not failures, failures[:3]
-    assert len(mt.entries_in_range(0, 1_000)) == 1_000
+    assert len(_entries(mt, 0, 1_000)) == 1_000
 
 
 # ----------------------------------------------------------------------
@@ -450,3 +459,45 @@ def test_scan_refuses_bad_limits(shards, persistent, tmp_path):
         assert len(db.scan(0, 9)) == 10
         assert db.scan(0, 9, 0) == []
         assert db.scan(0, 9, np.int64(3)) == [(0, b"0"), (1, b"1"), (2, b"2")]
+
+
+# ----------------------------------------------------------------------
+# value reads
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("shards", [1, 2])
+def test_scans_read_only_the_values_they_return(shards, tmp_path):
+    """On a reopened compressed store, a value costs a block-cache lookup.
+    ``scan_nonempty_many`` reconciles versions without reading any value,
+    and ``scan`` reads the values of the entries it returns only, not of
+    every entry its runs hold in range (64-byte values never straddle a
+    compressed block, so a value read is one lookup)."""
+    rng = np.random.default_rng(5)
+    keys = np.arange(256, dtype=np.uint64)
+    model = {}
+    with open_store(
+        tmp_path / "db",
+        filter=SPEC,
+        shards=shards,
+        store_values=True,
+        compression="zlib",
+        memtable_capacity=64,
+    ) as db:
+        for step in range(4):  # four overlapping generations of runs
+            batch = np.sort(rng.permutation(keys)[:160])
+            values = [b"%03d:%d" % (k, step) + b"." * 58 for k in batch.tolist()]
+            db.put_many(batch, values)
+            model.update(zip(batch.tolist(), values, strict=True))
+            gone = rng.permutation(keys)[:24]
+            db.delete_many(gone)
+            model.update(dict.fromkeys(gone.tolist()))
+    live = sorted(k for k, v in model.items() if v is not None)
+    with open_store(tmp_path / "db") as db:
+        rows = np.array([[k, k] for k in live[::5]], dtype=np.uint64)
+        db.reset_stats()
+        assert db.scan_nonempty_many(rows).all()
+        assert db.stats.block_cache_hits + db.stats.block_cache_misses == 0
+        for lo in range(0, 224, 32):
+            db.reset_stats()
+            want = [(k, model[k]) for k in live if lo <= k <= lo + 31][:4]
+            assert db.scan(lo, lo + 31, 4) == want
+            assert db.stats.block_cache_hits + db.stats.block_cache_misses <= 4

@@ -5,12 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dyadic import (
-    PATH_BOTH,
-    PATH_LEFT,
-    PATH_RIGHT,
-    RangePlan,
     RecordingOracle,
-    compile_range_plan,
     covering_prefix_range,
     di_bounds,
     dyadic_decompose,
@@ -18,7 +13,6 @@ from repro.dyadic import (
     prefix_of,
     two_path_range_lookup,
 )
-from repro.hashing import splitmix64
 
 
 class TestPrefixes:
@@ -116,6 +110,16 @@ def exact_filter_probes(keys: set[int], levels):
     return probe_bit, probe_mask
 
 
+LAYOUTS = [
+    [0, 4, 8, 12],
+    [0, 2, 4, 6, 8, 10, 12, 14],
+    [0, 5, 10, 16],
+    [0, 16],
+    [0, 7, 14],
+    [0, 1, 2, 3],
+]
+
+
 class TestTwoPathPlanner:
     LEVELS = [0, 4, 8, 12]  # the paper's d=16, Delta=4 layout
 
@@ -145,13 +149,14 @@ class TestTwoPathPlanner:
     @given(
         st.integers(min_value=0, max_value=(1 << 16) - 1),
         st.integers(min_value=0, max_value=(1 << 16) - 1),
+        st.sampled_from(LAYOUTS),
     )
     @settings(max_examples=300)
-    def test_mask_partition_property(self, a, b):
+    def test_mask_partition_property(self, a, b, levels):
         lo, hi = min(a, b), max(a, b)
         oracle = RecordingOracle()
-        two_path_range_lookup(lo, hi, self.LEVELS, oracle.probe_bit, oracle.probe_mask)
-        ranges = oracle.mask_key_ranges(self.LEVELS)
+        two_path_range_lookup(lo, hi, levels, oracle.probe_bit, oracle.probe_mask)
+        ranges = oracle.mask_key_ranges(levels)
         cursor = lo
         for r_lo, r_hi in ranges:
             assert r_lo == cursor
@@ -161,17 +166,39 @@ class TestTwoPathPlanner:
     @given(
         st.integers(min_value=0, max_value=(1 << 16) - 1),
         st.integers(min_value=0, max_value=(1 << 16) - 1),
+        st.sampled_from(LAYOUTS),
     )
     @settings(max_examples=300)
-    def test_coverings_contain_bounds(self, a, b):
+    def test_coverings_contain_bounds(self, a, b, levels):
+        """On the full probe tree every covering contains a query bound,
+        and no covering or mask is probed twice."""
         lo, hi = min(a, b), max(a, b)
         oracle = RecordingOracle()
-        two_path_range_lookup(lo, hi, self.LEVELS, oracle.probe_bit, oracle.probe_mask)
+        two_path_range_lookup(lo, hi, levels, oracle.probe_bit, oracle.probe_mask)
         for layer, prefix in oracle.bit_probes:
-            d_lo, d_hi = di_bounds(prefix, self.LEVELS[layer])
+            d_lo, d_hi = di_bounds(prefix, levels[layer])
             contains_lo = d_lo <= lo <= d_hi
             contains_hi = d_lo <= hi <= d_hi
             assert contains_lo or contains_hi, "covering must contain a bound"
+        assert len(set(oracle.bit_probes)) == len(oracle.bit_probes)
+        assert len(set(oracle.mask_probes)) == len(oracle.mask_probes)
+
+    def test_unset_path_covering_gates_its_deeper_masks(self):
+        """I=[45,60]: once the left path's covering (1, 2) reads unset, its
+        layer-0 mask [45,47] is never probed; the right path goes on."""
+        bits, masks = [], []
+
+        def probe_bit(layer, prefix):
+            bits.append((layer, prefix))
+            return (layer, prefix) != (1, 2)
+
+        def probe_mask(layer, p_lo, p_hi):
+            masks.append((layer, p_lo, p_hi))
+            return False
+
+        assert not two_path_range_lookup(45, 60, self.LEVELS, probe_bit, probe_mask)
+        assert bits == [(3, 0), (2, 0), (1, 2), (1, 3)]
+        assert masks == [(0, 48, 60)]
 
     @given(
         st.sets(st.integers(min_value=0, max_value=(1 << 16) - 1), min_size=1, max_size=40),
@@ -191,7 +218,7 @@ class TestTwoPathPlanner:
         st.sets(st.integers(min_value=0, max_value=(1 << 16) - 1), min_size=1, max_size=30),
         st.integers(min_value=0, max_value=(1 << 16) - 1),
         st.integers(min_value=0, max_value=(1 << 16) - 1),
-        st.sampled_from([[0, 7, 14], [0, 2, 4, 6, 8, 10, 12, 14], [0, 5, 10, 16], [0, 16]]),
+        st.sampled_from(LAYOUTS),
     )
     @settings(max_examples=200)
     def test_exactness_for_any_layout(self, keys, a, b, levels):
@@ -225,117 +252,3 @@ class TestTwoPathPlanner:
         )
         assert oracle.mask_probes == [(1, 2, 2)]
         assert oracle.bit_probes == [(3, 0), (2, 0)]
-
-
-LAYOUTS = [
-    [0, 4, 8, 12],
-    [0, 2, 4, 6, 8, 10, 12, 14],
-    [0, 5, 10, 16],
-    [0, 16],
-    [0, 7, 14],
-    [0, 1, 2, 3],
-]
-
-
-def pseudo_random_oracle(salt: int):
-    """Deterministic probe answers keyed on (layer, prefixes) — lets the
-    short-circuiting callback walk and the eager plan evaluation be compared
-    on identical answer functions."""
-
-    def probe_bit(layer, prefix):
-        return splitmix64((layer << 40) ^ prefix, seed=salt) % 3 > 0
-
-    def probe_mask(layer, p_lo, p_hi):
-        return splitmix64((layer << 40) ^ p_lo ^ (p_hi << 20), seed=salt) % 4 == 0
-
-    return probe_bit, probe_mask
-
-
-class TestCompiledPlans:
-    """compile_range_plan emits the walk's probe program (the tentpole's
-    plan/executor split): plan evaluation must agree with the callback walk
-    on every oracle, and the probe set must be identical to the recorded
-    full probe tree."""
-
-    @given(
-        st.integers(min_value=0, max_value=(1 << 16) - 1),
-        st.integers(min_value=0, max_value=(1 << 16) - 1),
-        st.sampled_from(LAYOUTS),
-        st.integers(min_value=0, max_value=7),
-    )
-    @settings(max_examples=400)
-    def test_plan_matches_callback_walk(self, a, b, levels, salt):
-        lo, hi = min(a, b), max(a, b)
-        probe_bit, probe_mask = pseudo_random_oracle(salt)
-        expected = two_path_range_lookup(lo, hi, levels, probe_bit, probe_mask)
-        plan = compile_range_plan(lo, hi, levels)
-        assert plan.evaluate(probe_bit, probe_mask) == expected
-
-    @given(
-        st.sets(st.integers(min_value=0, max_value=(1 << 16) - 1), min_size=1, max_size=40),
-        st.integers(min_value=0, max_value=(1 << 16) - 1),
-        st.integers(min_value=0, max_value=(1 << 16) - 1),
-        st.sampled_from(LAYOUTS),
-    )
-    @settings(max_examples=200)
-    def test_plan_with_exact_oracle_is_exact(self, keys, a, b, levels):
-        lo, hi = min(a, b), max(a, b)
-        probe_bit, probe_mask = exact_filter_probes(keys, levels)
-        got = compile_range_plan(lo, hi, levels).evaluate(probe_bit, probe_mask)
-        assert got == any(lo <= k <= hi for k in keys)
-
-    @given(
-        st.integers(min_value=0, max_value=(1 << 16) - 1),
-        st.integers(min_value=0, max_value=(1 << 16) - 1),
-        st.sampled_from(LAYOUTS),
-    )
-    @settings(max_examples=300)
-    def test_plan_probes_exactly_the_recorded_set(self, a, b, levels):
-        """The compiled plan probes the exact same (layer, prefix) coverings
-        and (layer, p_lo, p_hi) masks as the callback walk's full probe tree
-        (RecordingOracle with set coverings / empty masks)."""
-        lo, hi = min(a, b), max(a, b)
-        oracle = RecordingOracle(bit_answer=True, mask_answer=False)
-        two_path_range_lookup(lo, hi, levels, oracle.probe_bit, oracle.probe_mask)
-        plan = compile_range_plan(lo, hi, levels)
-        assert sorted(plan.bit_probes()) == sorted(oracle.bit_probes)
-        plan_masks = [(layer, p_lo, p_hi) for layer, p_lo, p_hi, _, _ in plan.masks]
-        assert sorted(plan_masks) == sorted(oracle.mask_probes)
-
-    def test_fig7_plan_structure(self):
-        """I=[45,60]: two unaligned bounds -> both chains + level-0 masks."""
-        plan = compile_range_plan(45, 60, [0, 4, 8, 12])
-        assert plan.guard_bits == [(3, 0), (2, 0)]
-        assert plan.left_bits == [(1, 2)]
-        assert plan.right_bits == [(1, 3)]
-        assert sorted(plan.masks) == [
-            (0, 45, 47, PATH_LEFT, 1),
-            (0, 48, 60, PATH_RIGHT, 1),
-        ]
-
-    def test_dyadic_query_plan_is_single_mask(self):
-        plan = compile_range_plan(32, 47, [0, 4, 8, 12])
-        assert plan.masks == [(1, 2, 2, PATH_BOTH, 0)]
-        assert plan.guard_bits == [(3, 0), (2, 0)]
-        assert plan.left_bits == [] and plan.right_bits == []
-
-    def test_gate_depths_block_unreachable_masks(self):
-        """A failed chain bit must make deeper masks on that path
-        unreachable (mirrors the walk's `left`/`right` state)."""
-        plan = RangePlan(
-            guard_bits=[],
-            left_bits=[(2, 10), (1, 20)],
-            right_bits=[],
-            masks=[(1, 21, 22, PATH_LEFT, 1), (0, 40, 41, PATH_LEFT, 2)],
-        )
-        answered = plan.evaluate(
-            lambda layer, p: (layer, p) != (1, 20),  # deeper chain bit unset
-            lambda layer, lo, hi: layer == 0,  # only the depth-2 mask hits
-        )
-        assert answered is False  # the hitting mask is gated off
-
-    def test_plan_rejects_invalid_input(self):
-        with pytest.raises(ValueError):
-            compile_range_plan(5, 4, [0, 4])
-        with pytest.raises(ValueError):
-            compile_range_plan(0, 1, [1, 4])
