@@ -13,6 +13,7 @@ from repro.lsm import (
     SSTable,
     policy_by_name,
 )
+from repro.lsm.db import _newest_wins
 from repro.lsm.filter_policy import VECTOR_MIN_BATCH, VECTOR_MIN_ROWS
 
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -453,6 +454,32 @@ class TestKvSemantics:
             assert db.get_value(key) == model.get(key), key
         assert db.scan(0, 40) == sorted(model.items())
         assert db.scan_nonempty(0, 40) == bool(model)
+
+    @given(
+        st.lists(
+            st.dictionaries(st.integers(0, 30), st.booleans(), max_size=12),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=200)
+    def test_newest_wins_keeps_each_keys_first_version(self, runs):
+        """The one version merge scans and compaction share: over sorted
+        runs listed newest first, each key keeps its first occurrence, and
+        its tombstone flag comes from that version."""
+        keys = [np.array(sorted(run), dtype=np.uint64) for run in runs]
+        flags = [np.array([run[k] for k in sorted(run)], dtype=bool) for run in runs]
+        unique, newest, dead = _newest_wins(keys, flags)
+        first: dict[int, int] = {}
+        for at, key in enumerate(np.concatenate(keys).tolist()):
+            first.setdefault(key, at)
+        expected: dict[int, bool] = {}
+        for run in runs:
+            for key in sorted(run):
+                expected.setdefault(key, run[key])
+        assert unique.tolist() == sorted(expected)
+        assert newest.tolist() == [first[k] for k in sorted(expected)]
+        assert dead.tolist() == [expected[k] for k in sorted(expected)]
 
 
 class TestBatchedScans:

@@ -10,6 +10,7 @@ from repro.dyadic import (
     di_bounds,
     dyadic_decompose,
     level_of_range,
+    path_step,
     prefix_of,
     two_path_range_lookup,
 )
@@ -252,3 +253,54 @@ class TestTwoPathPlanner:
         )
         assert oracle.mask_probes == [(1, 2, 2)]
         assert oracle.bit_probes == [(3, 0), (2, 0)]
+
+
+class TestPathStep:
+    """One phase-2 step on a path: the decomposition span and the covering
+    prefix together tile, on the lower level, the part of the path's parent
+    DI that lies inside the query on the key's side."""
+
+    @given(
+        st.integers(min_value=0, max_value=(1 << 16) - 1),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=300)
+    def test_left_step_tiles_parent_di_from_key(self, key, level, gap):
+        parent = level + gap
+        span, prefix = path_step(key, level, parent, right=False)
+        parent_hi = (((key >> parent) + 1) << parent) - 1
+        covered = list(range(span[0], span[1] + 1)) if span else []
+        if prefix is not None:
+            covered = [prefix] + covered
+        assert covered == list(range(key >> level, (parent_hi >> level) + 1))
+        assert (prefix is None) == (key == (key >> level) << level)
+        if span is not None:
+            assert span[0] << level >= key  # the span lies inside the query
+
+    @given(
+        st.integers(min_value=0, max_value=(1 << 16) - 1),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=300)
+    def test_right_step_tiles_parent_di_to_key(self, key, level, gap):
+        parent = level + gap
+        span, prefix = path_step(key, level, parent, right=True)
+        parent_lo = (key >> parent) << parent
+        covered = list(range(span[0], span[1] + 1)) if span else []
+        if prefix is not None:
+            covered = covered + [prefix]
+        assert covered == list(range(parent_lo >> level, (key >> level) + 1))
+        assert (prefix is None) == (key == (((key >> level) + 1) << level) - 1)
+        if span is not None:
+            assert ((span[1] + 1) << level) - 1 <= key
+
+    def test_fig7_steps(self):
+        """I=[45,60]: at the key level both bounds are aligned, so each path
+        ends in one mask, [45,47] and [48,60]; one level up, 45's DI [44,47]
+        has no sibling inside its parent [32,47] beyond it, so the left path
+        probes no span, only the covering bit of prefix 11."""
+        assert path_step(45, 0, 4, right=False) == ((45, 47), None)
+        assert path_step(60, 0, 4, right=True) == ((48, 60), None)
+        assert path_step(45, 2, 4, right=False) == (None, 11)

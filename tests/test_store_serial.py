@@ -351,6 +351,21 @@ class TestCreateSafety:
         with pytest.raises(SerialError, match="missing field 'spec'"):
             open_store(path=store_dir)
 
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_manifest_missing_geometry_field_raises_serial_error(
+        self, tmp_path, shards
+    ):
+        """Both engines read the geometry through one reader, which names
+        the lost field."""
+        import json
+
+        path = make_store(tmp_path / "db", shards=shards)
+        header = json.loads(json.dumps(read_store_manifest(path)))
+        del header["geometry"]["block_bytes"]
+        (path / MANIFEST_NAME).write_bytes(pack_frame(KIND_STORE, header))
+        with pytest.raises(SerialError, match="missing field 'block_bytes'"):
+            open_store(path=path)
+
 
     def test_spec_conflict_on_reopen_raises(self, store_dir):
         other = FilterSpec("bloom", {"bits_per_key": 10})
