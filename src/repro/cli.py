@@ -57,12 +57,6 @@ def _read_keyfile(path: str):
     return np.array([int(line) for line in lines], dtype=np.uint64)
 
 
-def _run_count(db) -> int:
-    """Total runs of either engine (sharded or not)."""
-    count = getattr(db, "num_sstables", None)
-    return len(db.sstables) if count is None else count
-
-
 def build_parser() -> argparse.ArgumentParser:
     from repro.api import available_kinds
 
@@ -475,7 +469,7 @@ def _cmd_store_ingest(args) -> int:
             db.put_many(keys)
             db.flush()
             total = db.num_keys
-            runs = _run_count(db)
+            runs = db.num_sstables
     except SerialError as exc:
         print(f"cannot open store {args.path}: {exc}")
         return 2
@@ -560,7 +554,7 @@ def _cmd_store_compact(args) -> int:
         return 2
     try:
         with open_store(path=args.path) as db:
-            before = _run_count(db)
+            before = db.num_sstables
             merges = 0
             if args.policy == "full":
                 db.compact()
@@ -578,7 +572,7 @@ def _cmd_store_compact(args) -> int:
                 for engine in getattr(db, "shards", None) or [db]:
                     while engine.maybe_compact(override) is not None:
                         merges += 1
-            after = _run_count(db)
+            after = db.num_sstables
     except SerialError as exc:
         print(f"cannot open store {args.path}: {exc}")
         return 2
@@ -597,13 +591,12 @@ def _cmd_store_inspect(args) -> int:
     """
     from pathlib import Path
 
-    from repro.api import FilterSpec
+    from repro.api import FilterSpec, filter_from_bytes
     from repro.lsm.compaction import (
         SizeTieredPolicy,
         coerce_compaction,
         compaction_to_dict,
     )
-    from repro.lsm.filter_policy import handle_from_bytes
     from repro.lsm.store import (
         _FILTER_SUFFIX,
         MANIFEST_NAME,
@@ -673,7 +666,7 @@ def _cmd_store_inspect(args) -> int:
                             f"frame kind {frame.kind} does not match the "
                             f"manifest's kind {kind}"
                         )
-                    filter_bits += handle_from_bytes(frame.view).size_bits
+                    filter_bits += filter_from_bytes(frame.view).size_bits
                 except SerialError as exc:
                     raise SerialError(
                         f"corrupt filter block {filter_path}: {exc}"
@@ -784,7 +777,7 @@ def _cmd_store_recover(args) -> int:
                       f"records already persisted in runs")
             db.flush()  # recovered writes into durable runs; log truncated
             print(f"recovered store: {db.num_keys} keys live across "
-                  f"{_run_count(db)} runs; write-ahead log empty")
+                  f"{db.num_sstables} runs; write-ahead log empty")
     except SerialError as exc:
         print(f"cannot recover store {args.path}: {exc}")
         return 2

@@ -15,14 +15,7 @@ from repro.lsm.compaction import (
     coerce_compaction,
 )
 from repro.lsm.db import LsmDB
-from repro.lsm.filter_policy import (
-    SpecPolicy,
-    handle_from_bytes,
-    load_handle,
-    policy_by_name,
-    save_handle,
-    wrap_filter,
-)
+from repro.lsm.filter_policy import SpecPolicy, policy_by_name
 from repro.lsm.iostats import IOStats
 from repro.lsm.memtable import MemTable
 from repro.lsm.sharded import ShardedLsmDB
@@ -40,11 +33,7 @@ __all__ = [
     "SSTable",
     "IOStats",
     "SpecPolicy",
-    "wrap_filter",
     "policy_by_name",
-    "save_handle",
-    "load_handle",
-    "handle_from_bytes",
     "SizeTieredPolicy",
     "LeveledPolicy",
     "CompactionScheduler",

@@ -63,7 +63,7 @@ from repro.lsm.compaction import (
     coerce_compaction,
     compaction_to_dict,
 )
-from repro.lsm.filter_policy import FilterPolicy, RunSetFilter, coerce_policy
+from repro.lsm.filter_policy import RunSetFilter, SpecPolicy, coerce_policy
 from repro.lsm.iostats import BLOCK_READ_LATENCY_S, IOStats
 from repro.lsm.memtable import TOMBSTONE, MemTable
 from repro.lsm.sstable import SSTable
@@ -112,15 +112,14 @@ class LsmDB:
     """Minimal RocksDB-like store (L0 runs, newest first).
 
     ``policy`` selects the per-SST filter blocks: a
-    :class:`~repro.lsm.filter_policy.FilterPolicy` object, a
-    :class:`~repro.api.FilterSpec` (wrapped in a
-    :class:`~repro.lsm.filter_policy.SpecPolicy`), or None for fence
+    :class:`~repro.lsm.filter_policy.SpecPolicy`, a
+    :class:`~repro.api.FilterSpec` (wrapped in one), or None for fence
     pointers only.
     """
 
     def __init__(
         self,
-        policy: FilterPolicy | FilterSpec | None = None,
+        policy: SpecPolicy | FilterSpec | None = None,
         memtable_capacity: int = 1 << 16,
         value_bytes: int = 512,
         block_bytes: int = 4096,
@@ -475,8 +474,9 @@ class LsmDB:
     # reads
     # ------------------------------------------------------------------
     def get(self, key: int) -> bool:
-        """Is a live version of ``key`` present? (filter-accelerated)."""
-        return self.get_value(key) is not None
+        """Is a live version of ``key`` present? A one-row :meth:`get_many`:
+        the answer is a tombstone flag, so no value is read."""
+        return bool(self.get_many(one_row(key))[0])
 
     def get_value(self, key: int) -> bytes | None:
         """Newest live value of ``key``, or None (absent or deleted).
@@ -688,7 +688,7 @@ class LsmDB:
         bounds = self._validated_bounds(bounds)
         if bounds.size == 0:
             return np.zeros(0, dtype=bool)
-        _, _, maybe = self._range_pass(bounds, read_blocks=False)
+        _, _, _, maybe = self._range_pass(bounds, read_blocks=False)
         result = maybe.any(axis=0)
         if len(self.memtable):
             result |= self.memtable.contains_range_many(bounds)
@@ -708,11 +708,11 @@ class LsmDB:
         bounds = self._validated_bounds(bounds)
         if bounds.size == 0:
             return np.zeros(0, dtype=bool)
-        runs, present, _ = self._range_pass(bounds, read_blocks=True)
+        runs, first, present, _ = self._range_pass(bounds, read_blocks=True)
         out = self.memtable.contains_range_many(bounds)
         for i in np.nonzero(~out & present.any(axis=0))[0].tolist():
             lo, hi = bounds[i].tolist()
-            _, dead, _ = self._range_versions(lo, hi, runs, present[:, i])
+            _, dead, _ = self._range_versions(lo, hi, runs, first, present, i)
             out[i] = not dead.all()
         return out
 
@@ -738,20 +738,21 @@ class LsmDB:
         range, ascending, and ``value_of(at[i])`` reads ``keys[i]``'s
         value (see :meth:`_range_versions`)."""
         bounds = self._validated_bounds(one_row(l_key, r_key))
-        runs, present, _ = self._range_pass(bounds, read_blocks=True)
+        runs, first, present, _ = self._range_pass(bounds, read_blocks=True)
         keys, dead, value_of = self._range_versions(
-            l_key, r_key, runs, present[:, 0]
+            l_key, r_key, runs, first, present, 0
         )
         live = np.nonzero(~dead)[0][:limit]
         return keys[live], live, value_of
 
     def _range_pass(
         self, bounds: np.ndarray, *, read_blocks: bool
-    ) -> tuple[tuple[SSTable, ...], np.ndarray, np.ndarray]:
-        """One range filter pass over every run: ``(runs, present, maybe)``.
+    ) -> tuple[tuple[SSTable, ...], list[np.ndarray], np.ndarray, np.ndarray]:
+        """One range filter pass over every run: ``(runs, first, present,
+        maybe)``.
 
-        ``present`` (does the run hold an entry, live or tombstone, in the
-        row's range? a ``searchsorted`` per run) and ``maybe`` (the
+        ``first`` and ``present`` come from :meth:`_range_presence`;
+        ``present`` and ``maybe`` (the
         :class:`RunSetFilter <repro.lsm.filter_policy.RunSetFilter>`'s
         answer) are ``(runs, rows)``.  Every cell is one filter probe,
         recorded against ``present`` in one call; with ``read_blocks``,
@@ -764,8 +765,8 @@ class LsmDB:
         runs = run_set.runs
         if not runs:
             empty = np.zeros((0, bounds.shape[0]), dtype=bool)
-            return runs, empty, empty
-        present = self._range_presence(runs, bounds)
+            return runs, [], empty, empty
+        first, present = self._range_presence(runs, bounds)
         maybe = self._filter_pass(run_set.filters.probe_range_many, bounds)
         self._record(maybe, present)
         if read_blocks:
@@ -775,25 +776,32 @@ class LsmDB:
                 blocks += len(runs[row].fences.blocks_for_range(lo, hi))
             self.stats.blocks_read += blocks
             self.stats.io_wait_s += blocks * BLOCK_READ_LATENCY_S
-        return runs, present, maybe
+        return runs, first, present, maybe
 
     @staticmethod
-    def _range_presence(runs: tuple[SSTable, ...], bounds: np.ndarray) -> np.ndarray:
-        """``(runs, rows)``: does the run hold a key in ``[lo, hi]``? (one
+    def _range_presence(
+        runs: tuple[SSTable, ...], bounds: np.ndarray
+    ) -> tuple[list[np.ndarray], np.ndarray]:
+        """``(first, present)``: ``first[run][row]`` indexes the run's
+        first key >= the row's ``lo``, and ``present`` (``(runs, rows)``)
+        says whether the run holds a key in ``[lo, hi]`` (one
         ``searchsorted`` per run over every row)."""
         lo, hi = bounds[:, 0], bounds[:, 1]
-        # The first key >= lo; past the end the clipped index holds the
-        # largest key, which is < lo and so never in range.
-        first = np.array(
-            [sst.keys.take(sst.keys.searchsorted(lo), mode="clip") for sst in runs],
+        first = [sst.keys.searchsorted(lo) for sst in runs]
+        # Past the end the clipped index holds the largest key, which is
+        # < lo and so never in range.
+        at = np.array(
+            [sst.keys.take(idx, mode="clip") for sst, idx in zip(runs, first, strict=True)],
             dtype=np.uint64,
         ).reshape(len(runs), lo.size)
-        return (first >= lo) & (first <= hi)
+        return first, (at >= lo) & (at <= hi)
 
-    def _range_versions(self, l_key, r_key, runs, holds):
-        """Newest-wins reconciliation of ``[l_key, r_key]``: the memtable's
-        slice first, then the slices of the runs whose ``holds`` flag is
-        set, newest first, in one :func:`_newest_wins` pass.
+    def _range_versions(self, l_key, r_key, runs, first, present, row):
+        """Newest-wins reconciliation of ``[l_key, r_key]``, the bounds of
+        row ``row`` of a :meth:`_range_pass`: the memtable's slice first,
+        then the slices of the runs whose ``present`` cell is set, newest
+        first, in one :func:`_newest_wins` pass.  A slice starts at the
+        run's ``first`` index for the row, so only its end is searched.
 
         Returns ``(keys, dead, value_of)``: every key in range, ascending,
         whether its newest version is a tombstone, and ``value_of(i)``,
@@ -803,24 +811,24 @@ class LsmDB:
         keys, tombstones, values = self.memtable.range_slice(l_key, r_key)
         slices, flags = [keys], [tombstones]
         sources = [(values, 0)]  # each slice's values, and its first slot
-        lo, hi = np.uint64(l_key), np.uint64(r_key)
-        for run in np.nonzero(holds)[0].tolist():  # runs are newest first
+        hi = np.uint64(r_key)
+        for run in np.nonzero(present[:, row])[0].tolist():  # newest first
             sst = runs[run]
-            first = int(sst.keys.searchsorted(lo))
+            start = int(first[run][row])
             stop = int(sst.keys.searchsorted(hi, side="right"))
-            slices.append(sst.keys[first:stop])
-            flags.append(sst.tombstones[first:stop])
-            sources.append((sst.values, first))
+            slices.append(sst.keys[start:stop])
+            flags.append(sst.tombstones[start:stop])
+            sources.append((sst.values, start))
         unique, newest, dead = _newest_wins(slices, flags)
         starts = np.cumsum([0] + [part.size for part in slices])
 
         def value_of(i: int) -> bytes:
             at = int(newest[i])
             source = int(starts.searchsorted(at, side="right")) - 1
-            values, first = sources[source]
+            values, offset = sources[source]
             if values is None:
                 return b""
-            return values[first + at - int(starts[source])]
+            return values[offset + at - int(starts[source])]
 
         return unique, dead, value_of
 
@@ -830,6 +838,10 @@ class LsmDB:
     @property
     def num_keys(self) -> int:
         return len(self.memtable) + sum(s.num_keys for s in self.sstables)
+
+    @property
+    def num_sstables(self) -> int:
+        return len(self.sstables)
 
     @property
     def filter_bits(self) -> int:

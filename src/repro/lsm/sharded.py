@@ -63,7 +63,7 @@ from repro.lsm.compaction import (
     compaction_to_dict,
 )
 from repro.lsm.db import LsmDB
-from repro.lsm.filter_policy import FilterPolicy, coerce_policy
+from repro.lsm.filter_policy import SpecPolicy, coerce_policy
 from repro.lsm.iostats import IOStats
 from repro.parallel import (
     group_by_owner,
@@ -102,7 +102,7 @@ class ShardedLsmDB:
 
     def __init__(
         self,
-        policy: FilterPolicy | FilterSpec | Sequence | None = None,
+        policy: SpecPolicy | FilterSpec | Sequence | None = None,
         num_shards: int = 4,
         partition: str = "hash",
         memtable_capacity: int = 1 << 16,
@@ -282,8 +282,9 @@ class ShardedLsmDB:
     # reads
     # ------------------------------------------------------------------
     def get(self, key: int) -> bool:
-        """Is a live version of ``key`` present? (owning shard only)."""
-        return self.get_value(key) is not None
+        """Is a live version of ``key`` present? A one-row :meth:`get_many`
+        (owning shard only; no value is read)."""
+        return bool(self.get_many(one_row(key))[0])
 
     def get_value(self, key: int) -> bytes | None:
         """Newest live value of ``key``, or None (absent or deleted)."""

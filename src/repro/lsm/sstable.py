@@ -2,10 +2,11 @@
 
 Matches the paper's setup: compaction-disabled L0, block-based table format,
 512-byte values, one *full filter block* per SST built through the filter
-policy, plus per-block fence pointers (min/max).  Values may be stored
-(real KV mode) or left virtual (benchmark mode) — either way their size
-fixes how many entries share a 4-KB block and hence how filter decisions
-translate into block reads.
+policy, plus per-block fence pointers (min/max).  The filter block is the
+:class:`~repro.api.RangeFilter` itself; its bytes are its ``to_bytes()``
+frame.  Values may be stored (real KV mode) or left virtual (benchmark
+mode) — either way their size fixes how many entries share a 4-KB block
+and hence how filter decisions translate into block reads.
 
 Tombstones ride along as a flag array: the filter indexes tombstoned keys
 too (a filter cannot un-insert), so a probe may return "maybe" for a deleted
@@ -20,8 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from repro._util import one_row
+from repro.api import RangeFilter
 from repro.baselines.fence import FencePointers
-from repro.lsm.filter_policy import FilterHandle, FilterPolicy
+from repro.lsm.filter_policy import SpecPolicy
 from repro.lsm.iostats import BLOCK_READ_LATENCY_S, IOStats
 
 __all__ = ["SSTable"]
@@ -35,12 +37,12 @@ class SSTable:
     def __init__(
         self,
         keys: np.ndarray,
-        policy: FilterPolicy,
+        policy: SpecPolicy,
         values: "Sequence[bytes] | None" = None,
         tombstones: np.ndarray | None = None,
         value_bytes: int = 512,
         block_bytes: int = 4096,
-        prebuilt_filter: FilterHandle | None = None,
+        prebuilt_filter: RangeFilter | None = None,
         prebuilt_block: bytes | None = None,
     ) -> None:
         keys = np.asarray(keys, dtype=np.uint64)
@@ -70,18 +72,18 @@ class SSTable:
         if prebuilt_filter is not None:
             # A store reopen hands over the block it just deserialized from
             # this run's own file; no key is re-hashed.
-            self.filter: FilterHandle = prebuilt_filter
+            self.filter: RangeFilter = prebuilt_filter
         else:
             self.filter = policy.build(keys)
         self.build_time_s = time.perf_counter() - start
         start = time.perf_counter()
         # A store reopen hands the block bytes straight from disk next to
-        # the deserialized handle — re-serializing them would only redo
+        # the deserialized filter — re-serializing them would only redo
         # (and re-charge) work whose result is already in hand.
         self.filter_block = (
             prebuilt_block
             if prebuilt_block is not None
-            else self.filter.serialize()
+            else self.filter.to_bytes()
         )
         self.serialize_time_s = time.perf_counter() - start
 
@@ -130,10 +132,10 @@ class SSTable:
 
         Returns ``(found, tombstone)`` boolean arrays — ``found[i]`` says
         this SST holds *some* version of ``keys[i]``; :meth:`get` fetches
-        the value of a one-key batch.  The filter block is consulted once
-        for the whole batch (its handle picks the kernel by batch size);
-        fences and block reads are charged per filter-positive key.  This
-        is the one-run form of the store's run-set pass
+        the value of a one-key batch.  The filter's vectorized probe is
+        consulted once for the whole batch; fences and block reads are
+        charged per filter-positive key.  This is the one-run form of the
+        store's run-set pass
         (:meth:`LsmDB.get_many <repro.lsm.db.LsmDB.get_many>`).
         """
         keys = np.asarray(keys, dtype=np.uint64)
@@ -143,7 +145,7 @@ class SSTable:
         # Past the end, the clipped index holds the largest key: never equal.
         found = self.keys.take(idx, mode="clip") == keys
         start = time.perf_counter()
-        positive = self.filter.probe_point_many(keys)
+        positive = self.filter.contains_point_many(keys)
         stats.filter_cpu_s += time.perf_counter() - start
         missed = stats.record_probes(positive, found)
         assert not missed, "filter produced a false negative"
@@ -162,9 +164,9 @@ class SSTable:
 
         One boolean per ``(lo, hi)`` row: does this SST hold any entry
         (live or tombstone) in range?  Versions are reconciled by the DB's
-        newest-wins pass.  The range filter is consulted once for the whole
-        batch (its handle picks the kernel by batch size).  This is the
-        one-run form of the store's range pass
+        newest-wins pass.  The filter's vectorized range probe is consulted
+        once for the whole batch.  This is the one-run form of the store's
+        range pass
         (:meth:`LsmDB.scan_nonempty_many
         <repro.lsm.db.LsmDB.scan_nonempty_many>`), and a loop of it over
         the runs is the per-run walk that pass reproduces.
@@ -177,7 +179,7 @@ class SSTable:
             bounds[:, 1], side="right"
         ) > self.keys.searchsorted(bounds[:, 0])
         start = time.perf_counter()
-        positive = self.filter.probe_range_many(bounds)
+        positive = self.filter.contains_range_many(bounds)
         stats.filter_cpu_s += time.perf_counter() - start
         missed = stats.record_probes(positive, present)
         assert not missed, "filter produced a false negative"

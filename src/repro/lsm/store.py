@@ -85,6 +85,7 @@ from typing import Any, NamedTuple, Sequence
 import numpy as np
 
 from repro.api import FilterSpec
+from repro.lsm import filter_policy
 from repro.lsm.blocks import (
     DEFAULT_CACHE_BYTES,
     BlockCache,
@@ -97,7 +98,7 @@ from repro.lsm.blocks import (
 )
 from repro.lsm.compaction import coerce_compaction, compaction_to_dict
 from repro.lsm.db import LsmDB
-from repro.lsm.filter_policy import SpecPolicy, handle_from_bytes
+from repro.lsm.filter_policy import SpecPolicy
 from repro.lsm.sharded import ShardedLsmDB
 from repro.lsm.sstable import SSTable
 from repro.lsm.wal import (
@@ -707,7 +708,9 @@ class PersistentLsmDB(LsmDB):
                     "blob checksum does not match the manifest (the block "
                     "was altered or belongs to a different run)"
                 )
-            handle = handle_from_bytes(filter_blob)
+            # Looked up at call time, so a wrapper installed on the module
+            # attribute sees every reopen decode.
+            filt = filter_policy.filter_from_bytes(filter_blob)
         except SerialError as exc:
             raise SerialError(
                 f"corrupt filter block {filter_path}: {exc}"
@@ -721,7 +724,7 @@ class PersistentLsmDB(LsmDB):
                 tombstones=tombstones,
                 value_bytes=self.value_bytes,
                 block_bytes=self.block_bytes,
-                prebuilt_filter=handle,
+                prebuilt_filter=filt,
                 prebuilt_block=filter_blob,
             )
         except ValueError as exc:

@@ -296,7 +296,7 @@ class Coalescer:
             },
             "breakdown": stats.breakdown(),
             "num_keys": int(store.num_keys),
-            "num_sstables": int(getattr(store, "num_sstables", 0)),
+            "num_sstables": int(store.num_sstables),
         }
         wal_info = getattr(store, "wal_info", None)
         if callable(wal_info):

@@ -456,10 +456,10 @@ def test_merged_runs_keep_the_specs_bits_per_key_across_reopen(tmp_path):
         assert db.filter_bits_per_key() == pytest.approx(14, rel=0.01)
         for sst in db.sstables:
             config = make_filter(spec, n_keys=sst.num_keys).config
-            assert sst.filter._filter.config == config
+            assert sst.filter.config == config
             assert sst.filter.size_bits / sst.num_keys == pytest.approx(14, rel=0.01)
             predicted = extended_fpr_profile(config, sst.num_keys).point_fpr
-            observed = float(np.mean(sst.filter.probe_point_many(absent)))
+            observed = float(np.mean(sst.filter.contains_point_many(absent)))
             slack = 4 * math.sqrt(predicted / absent.size)  # binomial noise
             assert observed <= 2.5 * predicted + slack, (sst.num_keys, observed)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import filter_from_bytes
 from repro.lsm import (
     IOStats,
     LsmDB,
@@ -14,7 +15,7 @@ from repro.lsm import (
     policy_by_name,
 )
 from repro.lsm.db import _newest_wins
-from repro.lsm.filter_policy import VECTOR_MIN_BATCH, VECTOR_MIN_ROWS
+from repro.lsm.filter_policy import VECTOR_MIN_BATCH, VECTOR_MIN_ROWS, RunSetFilter
 
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 U64 = (1 << 64) - 1
@@ -310,7 +311,8 @@ class TestPolicies:
     def test_policy_soundness(self, policy):
         rng = np.random.default_rng(11)
         keys = np.unique(rng.integers(0, 1 << 64, 3_000, dtype=np.uint64))
-        handle = policy.build(keys)
+        filt = policy.build(keys)
+        run_set = RunSetFilter([filt])
         probed = keys[:300]
         bounds = np.stack(
             [
@@ -322,18 +324,18 @@ class TestPolicies:
         # One item takes the scalar kernel, 300 the vectorized one.
         assert probed.size >= max(VECTOR_MIN_BATCH, VECTOR_MIN_ROWS)
         for n in (1, probed.size):
-            assert handle.probe_point_many(probed[:n]).all()
-            assert handle.probe_range_many(bounds[:n]).all()
-        assert handle.size_bits >= 0
+            assert run_set.probe_point_many(probed[:n]).all()
+            assert run_set.probe_range_many(bounds[:n]).all()
+        assert filt.size_bits >= 0
 
     def test_bloomrf_policy_serialization(self):
         policy = SpecPolicy("bloomrf", bits_per_key=14)
         keys = np.arange(0, 5_000, 7, dtype=np.uint64)
-        handle = policy.build(keys)
-        restored = policy.deserialize(handle.serialize())
+        restored = filter_from_bytes(policy.build(keys).to_bytes())
+        run_set = RunSetFilter([restored])
         assert keys[:200].size >= VECTOR_MIN_BATCH
         for n in (1, 200):
-            assert restored.probe_point_many(keys[:n]).all()
+            assert run_set.probe_point_many(keys[:n]).all()
 
 
 class TestKvSemantics:

@@ -260,7 +260,7 @@ class TestCompactionFilterRebuild:
         fresh = policy.build(keys)
         assert merged.filter.size_bits == fresh.size_bits
         assert np.array_equal(
-            merged.filter._filter._bits.words, fresh._filter._bits.words
+            merged.filter._bits.words, fresh._bits.words
         )
         assert db.get_many(keys[:2_000]).all()
 
@@ -289,6 +289,6 @@ class TestCompactionFilterRebuild:
     def test_prebuilt_filter_is_adopted_verbatim(self):
         policy = SpecPolicy("bloomrf", bits_per_key=16)
         keys = np.arange(0, 3_000, 3, dtype=np.uint64)
-        handle = policy.build(keys)
-        sst = SSTable(keys, policy=policy, prebuilt_filter=handle)
-        assert sst.filter is handle
+        filt = policy.build(keys)
+        sst = SSTable(keys, policy=policy, prebuilt_filter=filt)
+        assert sst.filter is filt

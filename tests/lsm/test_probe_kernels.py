@@ -1,16 +1,16 @@
 """One probe path per run: scalar reads are one-row batches.
 
-A filter handle loops the filter's scalar probe below
-``VECTOR_MIN_BATCH`` keys (``VECTOR_MIN_ROWS`` ranges) and calls its
-vectorized kernel from there; a run-set point probe applies the same
-switch to keys x runs.  These ladders pin that neither the batch size nor
-the kernel it picks changes an answer or an ``IOStats.counters()`` value:
+A run-set probe (``RunSetFilter``) loops a filter's scalar probe below
+``VECTOR_MIN_BATCH`` keys x runs (``VECTOR_MIN_ROWS`` ranges) and calls
+its vectorized kernel from there.  These ladders pin that neither the
+batch size nor the kernel it picks changes an answer or an
+``IOStats.counters()`` value:
 
 * on a multi-run store with tombstones, for both engines, the batched
   reads at sizes 1, T-1, T, 4T and R equal the one-row calls;
-* for every registered kind, the handle's probes at 1 and at T keys (R
-  ranges) equal the filter's own ``contains_*_many``, and an empty batch
-  answers with an empty boolean array;
+* for every registered kind, a one-filter run set's probes at 1 and at T
+  keys (R ranges) equal the filter's own ``contains_*_many``, and an
+  empty batch answers with an empty boolean row;
 * the scalar reads and writes validate their keys like the batch calls
   do, in memory and on disk.
 """
@@ -22,7 +22,7 @@ from repro.api import available_kinds, filter_from_bytes, open_store, standard_s
 from repro.lsm import LsmDB, ShardedLsmDB, SpecPolicy
 from repro.lsm.filter_policy import VECTOR_MIN_BATCH as T
 from repro.lsm.filter_policy import VECTOR_MIN_ROWS as R
-from repro.lsm.filter_policy import wrap_filter
+from repro.lsm.filter_policy import RunSetFilter
 
 U64 = (1 << 64) - 1
 TOP = 1 << 40
@@ -103,35 +103,34 @@ def test_batches_straddling_the_kernel_switch_equal_one_row_calls(db, method, si
 
 
 @pytest.mark.parametrize("kind", available_kinds())
-def test_handle_probes_equal_the_filters_own_bulk_probes(kind):
+def test_run_set_probes_equal_the_filters_own_bulk_probes(kind):
     rng = np.random.default_rng(29)
     keys = np.unique(rng.integers(0, TOP, 2_000, dtype=np.uint64))
-    handle = SpecPolicy(standard_spec(kind, bits_per_key=14, max_range=1 << 16)).build(keys)
-    filt = filter_from_bytes(handle.serialize())
+    filt = SpecPolicy(standard_spec(kind, bits_per_key=14, max_range=1 << 16)).build(keys)
+    run_set = RunSetFilter([filter_from_bytes(filt.to_bytes())])
     for n in (1, T):
         assert np.array_equal(
-            handle.probe_point_many(POINTS[:n]), filt.contains_point_many(POINTS[:n])
+            run_set.probe_point_many(POINTS[:n])[0], filt.contains_point_many(POINTS[:n])
         )
     for n in (1, R):
         assert np.array_equal(
-            handle.probe_range_many(BOUNDS[:n]), filt.contains_range_many(BOUNDS[:n])
+            run_set.probe_range_many(BOUNDS[:n])[0], filt.contains_range_many(BOUNDS[:n])
         )
 
 
 @pytest.mark.parametrize("kind", available_kinds())
-def test_handle_answers_empty_batches(kind):
+def test_run_set_answers_empty_batches(kind):
     keys = np.arange(0, 20_000, 7, dtype=np.uint64)
-    handle = SpecPolicy(standard_spec(kind, bits_per_key=14, max_range=1 << 16)).build(keys)
-    points = handle.probe_point_many(np.empty(0, dtype=np.uint64))
-    ranges = handle.probe_range_many(np.empty((0, 2), dtype=np.uint64))
-    assert points.shape == ranges.shape == (0,)
+    filt = SpecPolicy(standard_spec(kind, bits_per_key=14, max_range=1 << 16)).build(keys)
+    run_set = RunSetFilter([filt])
+    points = run_set.probe_point_many(np.empty(0, dtype=np.uint64))
+    ranges = run_set.probe_range_many(np.empty((0, 2), dtype=np.uint64))
+    assert points.shape == ranges.shape == (1, 0)
     assert points.dtype == ranges.dtype == bool
 
 
 class _CountingFilter:
     """Answers "maybe" to everything and records which kernel ran."""
-
-    size_bits = 0
 
     def __init__(self):
         self.calls = []
@@ -152,19 +151,16 @@ class _CountingFilter:
         self.calls.append("range_many")
         return np.ones(bounds.shape[0], dtype=bool)
 
-    def to_bytes(self):
-        return b""
 
-
-def test_handle_picks_the_kernel_by_batch_size():
+def test_run_set_picks_the_kernel_by_batch_size():
     filt = _CountingFilter()
-    handle = wrap_filter(filt)
-    assert handle.probe_point_many(POINTS[: T - 1]).all()
-    assert handle.probe_range_many(BOUNDS[: R - 1]).all()
+    run_set = RunSetFilter([filt])
+    assert run_set.probe_point_many(POINTS[: T - 1]).all()
+    assert run_set.probe_range_many(BOUNDS[: R - 1]).all()
     assert filt.calls == ["point"] * (T - 1) + ["range"] * (R - 1)
     filt.calls.clear()
-    assert handle.probe_point_many(POINTS[:T]).all()
-    assert handle.probe_range_many(BOUNDS[:R]).all()
+    assert run_set.probe_point_many(POINTS[:T]).all()
+    assert run_set.probe_range_many(BOUNDS[:R]).all()
     assert filt.calls == ["point_many", "range_many"]
 
 

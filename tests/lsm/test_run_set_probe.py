@@ -97,7 +97,7 @@ def reference_may_contain(db, key, stats):
     row = np.array([key], dtype=np.uint64)
     maybe = False
     for sst in shard.sstables:
-        positive = sst.filter.probe_point_many(row)
+        positive = sst.filter.contains_point_many(row)
         present = bool(np.isin(row, sst.keys)[0])
         assert not stats.record_probes(positive, [present])
         maybe |= bool(positive[0])
@@ -129,7 +129,7 @@ def _check_ladder(db):
 def _configs(db):
     shards = getattr(db, "shards", [db])
     return {
-        sst.filter._filter.config for shard in shards for sst in shard.sstables
+        sst.filter.config for shard in shards for sst in shard.sstables
     }
 
 
@@ -175,6 +175,35 @@ def test_every_filter_kind_equals_the_per_run_walk(kind):
         _check_ladder(db)
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_get_reads_no_value(shards, tmp_path):
+    """``get`` is a one-row ``get_many``: it answers from the newest
+    version's tombstone flag, so on a reopened compressed store it looks
+    up no block, and it charges what the one-row batch charges."""
+    keys = np.arange(0, 6_000, 3, dtype=np.uint64)
+    with open_store(
+        tmp_path / "db",
+        filter=SPEC,
+        shards=shards,
+        store_values=True,
+        compression="zlib",
+        memtable_capacity=256,
+    ) as db:
+        db.put_many(keys, [b"%06d" % k + b"." * 58 for k in keys.tolist()])
+        db.delete_many(keys[::10])
+    probes = keys[1::7].tolist()
+    with open_store(tmp_path / "db") as db:
+        db.reset_stats()
+        got = [db.get(k) for k in probes]
+        assert db.stats.block_cache_hits + db.stats.block_cache_misses == 0
+        counters = db.stats.counters()
+        db.reset_stats()
+        assert got == [bool(db.get_many(np.array([k], dtype=np.uint64))[0]) for k in probes]
+        assert db.stats.counters() == counters
+        assert any(got) and not all(got)
+        assert counters["filter_probes"] > 0
+
+
 def test_stacked_kernel_equals_each_filters_own_probes():
     """Rows of one stack, and of a run set mixing configs and kinds, are
     the filters' own answers at every batch size around the switch."""
@@ -184,13 +213,12 @@ def test_stacked_kernel_equals_each_filters_own_probes():
         np.unique(rng.integers(0, TOP, n, dtype=np.uint64))[:n]
         for n in (2_000, 2_000, 2_000, 700)
     ]
-    handles = [policy.build(keys) for keys in key_sets]
-    handles.insert(2, SpecPolicy("bloom", bits_per_key=14).build(key_sets[0]))
-    filters = [h._filter for h in handles if isinstance(h._filter, BloomRF)]
-    same = [f for f in filters if f.config == filters[0].config]
+    filters = [policy.build(keys) for keys in key_sets]
+    filters.insert(2, SpecPolicy("bloom", bits_per_key=14).build(key_sets[0]))
+    same = [f for f in filters if isinstance(f, BloomRF) and f.config == filters[0].config]
     assert len(same) == 3
     stack = BloomRFStack(same)
-    run_set = RunSetFilter(handles)
+    run_set = RunSetFilter(filters)
     for n in (0, 1, VECTOR_MIN_BATCH - 1, VECTOR_MIN_BATCH, 300, 5_000):
         probe = rng.integers(0, TOP, n, dtype=np.uint64)
         probe[: n // 3] = rng.choice(key_sets[1], n // 3)
@@ -202,7 +230,7 @@ def test_stacked_kernel_equals_each_filters_own_probes():
             stack.contains_point_many(probe),
             np.array([[f.contains_point(int(k)) for k in probe] for f in same]).reshape(3, n),
         )
-        want = np.array([h.probe_point_many(probe) for h in handles]).reshape(5, n)
+        want = np.array([f.contains_point_many(probe) for f in filters]).reshape(5, n)
         assert np.array_equal(run_set.probe_point_many(probe), want)
         depth = rng.integers(0, 6, n)  # a walk probes key j in rows < depth[j]
         needed = np.arange(5)[:, None] < depth
@@ -215,7 +243,7 @@ def test_stacked_kernel_equals_each_filters_own_probes():
     [
         BloomRFConfig.basic(1_500, 12, domain_bits=16, delta=4),
         BloomRFConfig.basic(1_500, 10, domain_bits=64, delta=7),
-        SpecPolicy(SPEC).build(np.arange(1_500, dtype=np.uint64))._filter.config,
+        SpecPolicy(SPEC).build(np.arange(1_500, dtype=np.uint64)).config,
     ],
     ids=["basic16", "basic64", "tuned-exact"],
 )
@@ -242,11 +270,11 @@ def test_stacked_kernel_equals_the_scalar_probe(config, guard):
 
 
 def test_one_filter_stack_is_a_view():
-    filt = SpecPolicy(SPEC).build(np.arange(0, 9_000, 3, dtype=np.uint64))._filter
+    filt = SpecPolicy(SPEC).build(np.arange(0, 9_000, 3, dtype=np.uint64))
     stack = BloomRFStack([filt])
     assert np.shares_memory(stack._sliced, filt.pmhf_bits.words)
     with pytest.raises(ValueError, match="one config"):
-        BloomRFStack([filt, SpecPolicy(SPEC).build(np.arange(10, dtype=np.uint64))._filter])
+        BloomRFStack([filt, SpecPolicy(SPEC).build(np.arange(10, dtype=np.uint64))])
 
 
 def test_large_batch_peak_memory_is_bounded():

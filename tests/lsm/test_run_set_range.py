@@ -153,7 +153,7 @@ def reference_may_contain(db, bounds, stats):
     maybe = np.zeros(bounds.shape[0], dtype=bool)
     for shard, idx, part in _jobs(db, bounds):
         for sst in shard.sstables:
-            positive = sst.filter.probe_range_many(part)
+            positive = sst.filter.contains_range_many(part)
             present = [bool(((sst.keys >= lo) & (sst.keys <= hi)).any()) for lo, hi in part.tolist()]
             assert not stats.record_probes(positive, present)
             maybe[idx] |= positive
@@ -230,7 +230,7 @@ def test_range_reads_equal_the_per_run_walk(engine, kernel, tmp_path, monkeypatc
     with db:
         shards = getattr(db, "shards", [db])
         assert all(len(shard.sstables) >= 2 and len(shard.memtable) for shard in shards)
-        configs = {sst.filter._filter.config for shard in shards for sst in shard.sstables}
+        configs = {sst.filter.config for shard in shards for sst in shard.sstables}
         assert len(configs) >= 2, "the tail run must get its own config"
         assert _check_range_ladder(db).filter_true_negatives
 
@@ -253,7 +253,7 @@ _BASIC64 = BloomRFConfig.basic(1_500, 10, domain_bits=64, delta=7)
 CONFIGS = {
     "basic16": BloomRFConfig.basic(1_500, 12, domain_bits=16, delta=4),
     "basic64": _BASIC64,
-    "tuned-exact": SpecPolicy(SPEC).build(np.arange(1_500, dtype=np.uint64))._filter.config,
+    "tuned-exact": SpecPolicy(SPEC).build(np.arange(1_500, dtype=np.uint64)).config,
     # Six layers, the top one on level 35: masks there span up to 2^23 groups.
     "short64": BloomRFConfig.from_dict(
         {**_BASIC64.to_dict(), "deltas": [7] * 6, "replicas": [1, 2, 1, 1, 1, 1], "segment_of": [0] * 6}
@@ -317,18 +317,18 @@ def test_stacked_walk_resolves_wide_masks(monkeypatch):
     assert max(spans) >= bloomrf._MAX_MASK_GROUPS
 
 
-def test_run_set_range_probe_equals_each_handle():
+def test_run_set_range_probe_equals_each_filter():
     """Rows of a run set mixing a stacked group, a group below
-    ``STACKED_MIN_RUNS``, another config and a Bloom handle are the
-    handles' own answers at every row count around the switches."""
+    ``STACKED_MIN_RUNS``, another config and a Bloom filter are the
+    filters' own answers at every row count around the switches."""
     rng = np.random.default_rng(31)
     policy = SpecPolicy(SPEC)
     key_sets = [np.unique(rng.integers(0, 1 << 40, 2_000, dtype=np.uint64)) for _ in range(STACKED_MIN_RUNS)]
-    handles = [policy.build(keys) for keys in key_sets]
-    handles += [policy.build(key_sets[0][:700]), policy.build(key_sets[1][:700])]
-    handles.insert(3, SpecPolicy("bloom", bits_per_key=14).build(key_sets[2]))
-    run_set = RunSetFilter(handles)
-    sizes = sorted(len(rows) for rows, _, _ in run_set._stacks)
+    filters = [policy.build(keys) for keys in key_sets]
+    filters += [policy.build(key_sets[0][:700]), policy.build(key_sets[1][:700])]
+    filters.insert(3, SpecPolicy("bloom", bits_per_key=14).build(key_sets[2]))
+    run_set = RunSetFilter(filters)
+    sizes = sorted(len(rows) for rows, _, stack in run_set._groups if stack is not None)
     assert sizes == [2, STACKED_MIN_RUNS]
     everything = np.concatenate(key_sets)
     for n in (0, 1, R - 1, R, 2 * R):
@@ -336,7 +336,7 @@ def test_run_set_range_probe_equals_each_handle():
         lo = rng.integers(0, 1 << 40, n, dtype=np.uint64)
         lo[: n // 2] = rng.choice(everything, n // 2)
         bounds = np.stack([lo, lo + width], axis=1)
-        want = np.array([h.probe_range_many(bounds) for h in handles]).reshape(len(handles), n)
+        want = np.array([f.contains_range_many(bounds) for f in filters]).reshape(len(filters), n)
         assert np.array_equal(run_set.probe_range_many(bounds), want)
 
 

@@ -110,7 +110,7 @@ class TestUnshardedReopen:
         disk.close()
         reopened = open_store(path=tmp_path / "db")
         assert reopened.stats.deserialization_s > 0.0
-        # Deserialized handles skip policy.build: per-run build time only
+        # Deserialized filters skip policy.build: per-run build time only
         # covers the hand-off, far below an actual filter construction.
         build_s, _ = reopened.construction_times()
         fresh_build_s, _ = disk.construction_times()
@@ -597,7 +597,7 @@ class TestReadTierExactness:
             runs = [sst for engine in engines for sst in engine.sstables]
             assert runs
             for sst in runs:
-                words = sst.filter._filter._bits.words
+                words = sst.filter._bits.words
                 for array in (sst.keys, sst.tombstones, words):
                     assert array.flags.owndata
                     assert array.flags.aligned

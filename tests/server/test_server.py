@@ -99,6 +99,15 @@ class TestRoundTrips:
                 assert c.scan_nonempty_many([]) == []
 
 
+def test_stats_count_an_unsharded_stores_runs(running_server):
+    with open_store(filter=SPEC, memtable_capacity=64) as db:
+        with running_server(db) as server:
+            with StoreClient(*server.address) as c:
+                c.put_many(list(range(1_000)))
+                assert len(db.sstables) > 1
+                assert c.stats()["num_sstables"] == len(db.sstables)
+
+
 def test_values_round_trip(tmp_path, running_server):
     store = open_store(
         path=tmp_path / "db", filter=SPEC, store_values=True,

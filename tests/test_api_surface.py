@@ -1,14 +1,16 @@
 """Public-API surface snapshot (CI gate).
 
-Pins the exported names of ``repro`` and ``repro.api`` so a future PR
-cannot silently break the interface: removing or renaming an export fails
-here, and *adding* one fails too — forcing the snapshot (and therefore the
-review) to acknowledge the new surface.  Update the frozen lists in the
+Pins the exported names of ``repro``, ``repro.api``, ``repro.lsm``,
+``repro.serial`` and ``repro.server`` so a future PR cannot silently
+break the interface: removing or renaming an export fails here, and
+*adding* one fails too — forcing the snapshot (and therefore the review)
+to acknowledge the new surface.  Update the frozen lists in the
 same PR that changes the API, with a CHANGES.md note.
 """
 
 import repro
 import repro.api
+import repro.lsm
 import repro.serial
 import repro.server
 
@@ -55,6 +57,24 @@ API_ALL = [
     "open_store",
     "register_filter",
     "standard_spec",
+]
+
+LSM_ALL = [
+    "LsmDB",
+    "ShardedLsmDB",
+    "PersistentLsmDB",
+    "PersistentShardedLsmDB",
+    "WriteAheadLog",
+    "MemTable",
+    "SSTable",
+    "IOStats",
+    "SpecPolicy",
+    "policy_by_name",
+    "SizeTieredPolicy",
+    "LeveledPolicy",
+    "CompactionScheduler",
+    "COMPACTION_POLICIES",
+    "coerce_compaction",
 ]
 
 SERIAL_ALL = [
@@ -118,6 +138,10 @@ def test_api_all_snapshot():
     assert sorted(repro.api.__all__) == sorted(API_ALL)
 
 
+def test_lsm_all_snapshot():
+    assert sorted(repro.lsm.__all__) == sorted(LSM_ALL)
+
+
 def test_serial_all_snapshot():
     assert sorted(repro.serial.__all__) == sorted(SERIAL_ALL)
 
@@ -131,7 +155,7 @@ def test_registered_kinds_snapshot():
 
 
 def test_all_exports_resolve():
-    for module in (repro, repro.api, repro.serial, repro.server):
+    for module in (repro, repro.api, repro.lsm, repro.serial, repro.server):
         for name in module.__all__:
             assert getattr(module, name, None) is not None, (
                 f"{module.__name__}.{name} is exported but missing"

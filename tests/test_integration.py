@@ -10,13 +10,14 @@ orderings hold at test scale.
 import numpy as np
 import pytest
 
+from repro.api import filter_from_bytes
 from repro.bench.harness import (
     build_standalone_filter,
     measure_point_fpr,
     measure_range_fpr,
 )
 from repro.lsm import LsmDB, SpecPolicy
-from repro.lsm.filter_policy import VECTOR_MIN_ROWS
+from repro.lsm.filter_policy import VECTOR_MIN_ROWS, RunSetFilter
 from repro.workloads import (
     empty_point_queries,
     empty_range_queries,
@@ -153,15 +154,14 @@ class TestLsmWithEveryPolicy:
 
     def test_serialization_survives_lsm_round_trip(self, keys):
         policy = SpecPolicy("bloomrf", bits_per_key=16, max_range=1 << 20)
-        handle = policy.build(keys)
-        restored = policy.deserialize(handle.serialize())
+        filt = policy.build(keys)
+        restored = filter_from_bytes(filt.to_bytes())
+        run_set = RunSetFilter([filt, restored])
         bounds = empty_range_queries(
             keys, 200, range_size=1 << 10, seed=41
         ).bounds
         assert bounds.shape[0] >= VECTOR_MIN_ROWS
         # One row takes the scalar kernel, 200 rows the vectorized one.
         for n in (1, bounds.shape[0]):
-            assert np.array_equal(
-                handle.probe_range_many(bounds[:n]),
-                restored.probe_range_many(bounds[:n]),
-            )
+            built, reopened = run_set.probe_range_many(bounds[:n])
+            assert np.array_equal(built, reopened)

@@ -15,14 +15,8 @@ from hypothesis import strategies as st
 from repro import serial
 from repro.baselines.bloom import BloomFilter
 from repro.core.bloomrf import BloomRF
-from repro.lsm.filter_policy import (
-    VECTOR_MIN_BATCH,
-    VECTOR_MIN_ROWS,
-    SpecPolicy,
-    handle_from_bytes,
-    load_handle,
-    save_handle,
-)
+from repro.api import filter_from_bytes
+from repro.lsm.filter_policy import SpecPolicy
 
 U64 = (1 << 64) - 1
 
@@ -146,7 +140,7 @@ class TestRetiredKinds:
         with pytest.raises(serial.SerialError, match="'sharded-bloomrf'.*retired"):
             serial.load_filter(kind3_frame)
         with pytest.raises(serial.SerialError, match="'sharded-bloomrf'.*retired"):
-            handle_from_bytes(kind3_frame)
+            filter_from_bytes(kind3_frame)
 
 
 class TestCorruptionCases:
@@ -249,66 +243,37 @@ class TestSerialError:
             serial.peek_kind(b"XXXX" + blob[4:])
 
 
-class TestHandlePersistence:
-    def test_bloomrf_handle_save_load(self, tmp_path):
+class TestFilterBlockRoundTrip:
+    """An SST's filter block is the filter's own frame: ``to_bytes()`` on
+    write, ``filter_from_bytes`` on reopen."""
+
+    def test_bloomrf_block_round_trip(self):
         keys = np.arange(1_000, 2_000, dtype=np.uint64)
-        policy = SpecPolicy("bloomrf", bits_per_key=16, max_range=1 << 16)
-        handle = policy.build(keys)
-        path = save_handle(handle, tmp_path / "block.brf")
-        restored = load_handle(path)
-        assert restored.size_bits == handle.size_bits
-        assert restored.probe_point_many(keys).all()
+        filt = SpecPolicy("bloomrf", bits_per_key=16, max_range=1 << 16).build(keys)
+        restored = filter_from_bytes(filt.to_bytes())
+        assert type(restored) is type(filt)
+        assert restored.size_bits == filt.size_bits
+        assert restored.contains_point_many(keys).all()
         bounds = np.stack([keys, keys + np.uint64(3)], axis=1)
         assert np.array_equal(
-            restored.probe_range_many(bounds), handle.probe_range_many(bounds)
+            restored.contains_range_many(bounds), filt.contains_range_many(bounds)
         )
 
-    def test_bloom_handle_save_load(self, tmp_path):
+    def test_bloom_block_round_trip(self):
         keys = np.arange(5_000, 6_000, dtype=np.uint64)
-        handle = SpecPolicy("bloom", bits_per_key=12).build(keys)
-        restored = load_handle(save_handle(handle, tmp_path / "bloom.brf"))
-        assert restored.probe_point_many(keys).all()
-        assert restored.serialize() == handle.serialize()
+        filt = SpecPolicy("bloom", bits_per_key=12).build(keys)
+        restored = filter_from_bytes(filt.to_bytes())
+        assert restored.contains_point_many(keys).all()
+        assert restored.to_bytes() == filt.to_bytes()
 
-    def test_none_policy_blocks_round_trip(self, tmp_path):
+    def test_none_policy_blocks_round_trip(self):
         # Since the repro.api registry, even the "none" kind persists (a
         # tiny self-describing frame), so spec-driven stores can disable
         # filtering without a serialization special case.
-        handle = SpecPolicy("none").build(np.arange(10, dtype=np.uint64))
-        restored = load_handle(save_handle(handle, tmp_path / "none.brf"))
+        filt = SpecPolicy("none").build(np.arange(10, dtype=np.uint64))
+        restored = filter_from_bytes(filt.to_bytes())
         assert restored.size_bits == 0
-        # One item takes the scalar kernel, VECTOR_MIN_BATCH keys and
-        # VECTOR_MIN_ROWS ranges the vectorized one.
-        for n in (1, VECTOR_MIN_BATCH):
-            keys = np.full(n, 7, dtype=np.uint64)
-            assert restored.probe_point_many(keys).all()
-        for n in (1, VECTOR_MIN_ROWS):
-            bounds = np.tile(np.array([[1, 5]], dtype=np.uint64), (n, 1))
-            assert restored.probe_range_many(bounds).all()
-
-    def test_empty_serialization_rejected(self, tmp_path):
-        # A handle whose filter has no persisted form is still refused
-        # rather than written as a 0-byte file.
-        class _Empty:
-            size_bits = 0
-
-            def contains_point(self, key):
-                return True
-
-            def contains_range(self, lo, hi):
-                return True
-
-            def to_bytes(self):
-                return b""
-
-        from repro.lsm.filter_policy import wrap_filter
-
-        with pytest.raises(ValueError, match="no persisted"):
-            save_handle(wrap_filter(_Empty()), tmp_path / "nope.brf")
-
-    def test_policy_deserialize_uses_frames(self):
-        keys = np.arange(100, dtype=np.uint64)
-        policy = SpecPolicy("bloomrf", bits_per_key=16, max_range=1 << 10)
-        handle = policy.build(keys)
-        restored = policy.deserialize(handle.serialize())
-        assert restored.probe_point_many(keys).all()
+        assert restored.contains_point(7) and restored.contains_range(1, 5)
+        assert restored.contains_point_many(np.full(8, 7, dtype=np.uint64)).all()
+        bounds = np.tile(np.array([[1, 5]], dtype=np.uint64), (32, 1))
+        assert restored.contains_range_many(bounds).all()
