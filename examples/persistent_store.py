@@ -3,7 +3,8 @@
 
 ``open_store(path=...)`` backs the LSM engines with a directory of
 versioned ``repro.serial`` frames: a store manifest, a write-ahead log,
-plus per-run SST and filter-block files (per shard when sharded).
+plus one SST file per run holding its data and filter block (per shard
+when sharded).
 Closing and reopening the store changes no answer — filter blocks are
 deserialized, never rebuilt — and every *acknowledged* write survives a
 crash: it reaches the log before the memtable, so reopening after a

@@ -659,10 +659,11 @@ def open_store(
 
     With ``path`` the store is **persistent** (:mod:`repro.lsm.store`):
     a directory of :mod:`repro.serial` frames — a versioned store
-    manifest plus per-run SST and filter-block files (per shard when
-    ``shards>1``).  A path holding an existing store is *reopened* with
-    its persisted spec/shards/geometry — runs are reconstructed and
-    filter blocks deserialized (never rebuilt), so probe answers match
+    manifest plus one SST file per run, holding the run's data and its
+    filter block (per shard when ``shards>1``).  A path holding an
+    existing store is *reopened* with its persisted spec/shards/geometry
+    — runs are reconstructed and filter blocks deserialized (never
+    rebuilt), so probe answers match
     the never-closed store bit for bit; explicit arguments that conflict
     with the persisted configuration raise :class:`ValueError`, and any
     corruption raises :class:`~repro.serial.SerialError` naming the
@@ -704,10 +705,10 @@ def open_store(
     all shards (compressed stores only).  Both are rejected for in-memory
     stores.
 
-    Reopening maps every run file and checks its payload CRC, and checks
-    every filter block's CRC against the manifest: a damaged run fails at
-    open.  Keys, tombstones and filter words load into owned arrays;
-    values stay lazy over the mapping, so reopen reads each run once and
+    Reopening maps every run file and checks its payload CRC, which
+    covers the run's filter block too: a damaged run fails at open.
+    Keys, tombstones and filter words load into owned arrays; values
+    stay lazy over the mapping, so reopen reads each run once and
     a value's bytes are paged (and, when compressed, decompressed) only
     when a lookup touches them.
     """

@@ -582,30 +582,31 @@ def _cmd_store_compact(args) -> int:
 
 
 def _cmd_store_inspect(args) -> int:
-    """Summarize a store from its manifests, frame headers, and log stream.
+    """Summarize a store from its manifests, run filters, and log stream.
 
-    Nothing here opens the store or reads a run payload: the manifests
-    give the run layout, each filter block loads into owned words for its
-    bit count, and the write-ahead logs are scanned record by record — so
-    inspecting a multi-GB store reads only its filters and logs.
+    Nothing here opens the store or decodes a key or value: the manifests
+    give the run layout, each run file gives up only its filter block
+    (:func:`~repro.lsm.store.read_run_filter`) for its bit count, and the
+    write-ahead logs are scanned record by record — so inspecting a
+    multi-GB store reads only its filters and logs.
     """
     from pathlib import Path
 
-    from repro.api import FilterSpec, filter_from_bytes
+    from repro.api import FilterSpec
     from repro.lsm.compaction import (
         SizeTieredPolicy,
         coerce_compaction,
         compaction_to_dict,
     )
     from repro.lsm.store import (
-        _FILTER_SUFFIX,
         MANIFEST_NAME,
         _manifest_field,
         _shard_dir_name,
+        read_run_filter,
         read_store_manifest,
     )
     from repro.lsm.wal import WAL_NAME, read_wal
-    from repro.serial import FORMAT_VERSION, SerialError, map_frame
+    from repro.serial import FORMAT_VERSION, SerialError
 
     root = Path(args.path)
     try:
@@ -657,20 +658,7 @@ def _cmd_store_inspect(args) -> int:
                 run_keys.append(
                     int(_manifest_field(entry, "num_keys", shard_where))
                 )
-                kind = int(_manifest_field(entry, "filter_kind", shard_where))
-                filter_path = directory / (name + _FILTER_SUFFIX)
-                try:
-                    frame = map_frame(filter_path)
-                    if frame.kind != kind:
-                        raise SerialError(
-                            f"frame kind {frame.kind} does not match the "
-                            f"manifest's kind {kind}"
-                        )
-                    filter_bits += filter_from_bytes(frame.view).size_bits
-                except SerialError as exc:
-                    raise SerialError(
-                        f"corrupt filter block {filter_path}: {exc}"
-                    ) from exc
+                filter_bits += read_run_filter(directory, name).size_bits
             shard_run_keys.append(run_keys)
         total_runs = sum(len(keys) for keys in shard_run_keys)
         total_keys = sum(sum(keys) for keys in shard_run_keys)

@@ -210,11 +210,16 @@ class SpecPolicy:
 
 
 def coerce_policy(policy) -> SpecPolicy:
-    """Normalize a policy argument: spec -> SpecPolicy, None -> "none"."""
+    """Normalize a policy argument: spec -> SpecPolicy, None -> "none";
+    anything else fails here, not at the first flush."""
     if policy is None:
         return SpecPolicy("none")
     if isinstance(policy, FilterSpec):
         return SpecPolicy(policy)
+    if not isinstance(policy, SpecPolicy):
+        raise TypeError(
+            f"policy must be a SpecPolicy, a FilterSpec or None; got {policy!r}"
+        )
     return policy
 
 

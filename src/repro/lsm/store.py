@@ -12,12 +12,12 @@ On-disk layout (all frames are :mod:`repro.serial` ``BRF1`` frames)::
     <path>/
       STORE.brf            # KIND_STORE manifest: engine, spec(s), geometry,
                            #   run list (unsharded) or shard list (sharded)
-      sst-000000.sst       # KIND_SSTABLE frame: keys, tombstones, values
-      sst-000000.filter    # the run's filter block (its own filter frame)
+      sst-000000.sst       # KIND_SSTABLE frame, one per run: keys,
+                           #   tombstones, values, and the run's filter
+                           #   block, all under one payload CRC32
       shard-0000/          # sharded engine: one self-contained sub-store
         STORE.brf          #   per shard, laid out exactly like the above
         sst-000000.sst
-        sst-000000.filter
 
 On-disk layout, continued: each store directory (and each shard
 directory) also holds a ``WAL.brf`` write-ahead log (:mod:`repro.lsm.wal`)
@@ -34,7 +34,7 @@ Durability contract
   (``wal_sync="always"``: every call; ``"batch"``: every
   ``wal_group_commit`` operations; ``"off"``: at flush only).
 * ``flush()`` — drains the memtable into a new run *and* makes every run
-  durable: new ``.sst``/``.filter`` files are written, then the manifest
+  durable: each new run's ``.sst`` file is written, then the manifest
   is rewritten whole by one atomic write-temp + ``os.replace`` (the one
   way every manifest update is made, compaction commits included), then
   the write-ahead log is rotated to a new epoch and unreferenced run
@@ -50,14 +50,15 @@ Durability contract
 
 Every reader-side failure — truncated or bit-flipped manifest, a
 manifest that is not exactly one frame, a missing manifest field, version
-skew, a missing shard directory or run file, an SST/filter frame of the
-wrong kind, a run whose contents contradict the manifest — raises
-:class:`~repro.serial.SerialError` naming the offending file; a damaged
-store never silently mis-answers.  Every run reopens one way: its SST
-frame is mapped and its payload CRC checked, keys and tombstones decode
-into owned arrays while values stay lazy views over the mapping, and its
-filter block is read, checked against the manifest's CRC, and decoded
-into owned words (:meth:`PersistentLsmDB._load_sstable`).  Filter blocks
+skew, a missing shard directory or run file, a run file holding a frame
+of the wrong kind or lacking its filter block, a run whose contents
+contradict the manifest — raises :class:`~repro.serial.SerialError`
+naming the offending file; a damaged store never silently mis-answers.
+Every run reopens one way: its SST frame is mapped and its payload CRC —
+which covers the filter block too — checked, keys and tombstones decode
+into owned arrays while values stay lazy views over the mapping, and the
+filter block decodes into owned words
+(:meth:`PersistentLsmDB._load_sstable`).  Filter blocks
 are *deserialized* on reopen (never rebuilt from keys), so probe answers
 and their
 :class:`~repro.lsm.iostats.IOStats` accounting match the never-closed
@@ -108,13 +109,13 @@ from repro.lsm.wal import (
     read_wal,
 )
 from repro.serial import (
+    FORMAT_VERSION,
     FORMAT_VERSION_BLOCKS,
     KIND_SSTABLE,
     KIND_STORE,
     SerialError,
     map_frame,
     pack_frame,
-    peek_kind,
     unpack_frame,
 )
 
@@ -123,12 +124,12 @@ __all__ = [
     "PersistentLsmDB",
     "PersistentShardedLsmDB",
     "open_persistent_store",
+    "read_run_filter",
     "read_store_manifest",
 ]
 
 MANIFEST_NAME = "STORE.brf"
 _SST_SUFFIX = ".sst"
-_FILTER_SUFFIX = ".filter"
 # Read size for checksumming a run's value blob, whose bytes stay mapped.
 _CRC_CHUNK = 1 << 20
 
@@ -183,13 +184,6 @@ def read_store_manifest(directory: str | Path) -> dict:
             "payloads, expected 0"
         )
     return header
-
-
-def _payload_crc(payloads: list[bytes]) -> int:
-    crc = 0
-    for payload in payloads:
-        crc = zlib.crc32(payload, crc)
-    return crc
 
 
 def _manifest_field(mapping: dict, name: str, where) -> object:
@@ -255,23 +249,20 @@ def _spec_from_manifest(data, where) -> FilterSpec:
 
 
 def _pack_sstable(sst: SSTable, compression: dict | None = None) -> bytes:
-    """One immutable run as a KIND_SSTABLE frame: keys, tombstones, values.
+    """One immutable run as one KIND_SSTABLE frame: keys, tombstones,
+    values, and the run's filter block as the last payload — data and
+    filter in one file, like a RocksDB block-based table.
 
-    Unlike filter frames (approximate structures, deliberately
-    checksum-free in :mod:`repro.serial`), SST payloads are *exact* data:
-    a flipped bit would change answers instead of just moving a false
-    positive.  The header therefore carries a CRC32 of the payloads —
-    the RocksDB move of checksumming data blocks while filter damage
-    stays survivable.
-
-    With ``compression`` (the store geometry's canonical
-    ``{"codec", "block_bytes"}`` dict) each payload is split into
-    fixed-size blocks and compressed independently (version-2 frame,
-    see :mod:`repro.lsm.blocks`): the header additionally records the
-    codec, block size, per-payload raw lengths, and per-payload block
-    tables, and the CRC32 covers the *stored* (compressed) bytes.
-    Without it the frame is bit-identical to what previous releases
-    wrote.
+    The header carries a CRC32 of every payload: a flipped bit in the
+    exact data would change answers, and one in the filter block (or a
+    block from another run) would answer false negatives, so both fail
+    at open.  With ``compression`` (the store geometry's canonical
+    ``{"codec", "block_bytes"}`` dict) each *data* payload is split into
+    fixed-size blocks compressed independently (version-2 frame, see
+    :mod:`repro.lsm.blocks`): the header adds the codec, block size, and
+    per-data-payload raw lengths and block tables, and the CRC32 covers
+    the stored bytes.  The filter block stays raw: its bits do not
+    compress, and a reopen decodes it whole.
     """
     payloads = [
         np.ascontiguousarray(sst.keys, dtype="<u8").tobytes(),
@@ -285,25 +276,40 @@ def _pack_sstable(sst: SSTable, compression: dict | None = None) -> bytes:
         lengths = np.array([len(v) for v in sst.values], dtype="<u8")
         payloads.append(lengths.tobytes())
         payloads.append(b"".join(sst.values))
+    version = FORMAT_VERSION
     if compression is not None:
-        codec = compression["codec"]
-        block_bytes = compression["block_bytes"]
-        raw_lens, tables, compressed = [], [], []
-        for payload in payloads:
-            comp, table = compress_payload(payload, codec, block_bytes)
-            raw_lens.append(len(payload))
-            tables.append(table)
-            compressed.append(comp)
+        codec, block_bytes = compression["codec"], compression["block_bytes"]
+        packed = [compress_payload(p, codec, block_bytes) for p in payloads]
         header["codec"] = codec
         header["block_bytes"] = block_bytes
-        header["raw_lens"] = raw_lens
-        header["blocks"] = tables
-        header["crc32"] = _payload_crc(compressed)
-        return pack_frame(
-            KIND_SSTABLE, header, *compressed, version=FORMAT_VERSION_BLOCKS
+        header["raw_lens"] = [len(p) for p in payloads]
+        header["blocks"] = [table for _, table in packed]
+        payloads = [comp for comp, _ in packed]
+        version = FORMAT_VERSION_BLOCKS
+    payloads.append(sst.filter_block)
+    crc = 0
+    for payload in payloads:
+        crc = zlib.crc32(payload, crc)
+    header["crc32"] = crc
+    return pack_frame(KIND_SSTABLE, header, *payloads, version=version)
+
+
+def _filter_index(header: dict, num_payloads: int, name) -> int:
+    """A run frame's filter payload: after its 2 data payloads (keys,
+    tombstones), or 4 with values (lengths, blob)."""
+    index = 4 if header.get("has_values", False) else 2
+    if num_payloads == index:
+        raise SerialError(
+            f"corrupt SST file {name}: no filter block; the run predates "
+            "single-file runs (release 1.19.0 or earlier kept it in a "
+            "separate file)"
         )
-    header["crc32"] = _payload_crc(payloads)
-    return pack_frame(KIND_SSTABLE, header, *payloads)
+    if num_payloads != index + 1:
+        raise SerialError(
+            f"corrupt SST file {name}: carries {num_payloads} payloads, "
+            f"expected {index + 1}"
+        )
+    return index
 
 
 def _pread(fd: int, offset: int, size: int, name: str) -> bytes:
@@ -324,15 +330,17 @@ def _map_sstable(
     cache: BlockCache | None = None,
     stats=None,
 ):
-    """Reopen one run file into ``(keys, values, tombstones)``.
+    """Reopen one run file into ``(keys, values, tombstones, filter_block)``.
 
     The frame is mapped (:func:`repro.serial.map_frame`) and its payload
     CRC verified over bytes read with ``os.pread``, so a run altered after
     it was written fails at open, and the pages read for the check never
     count as this process's memory.  Keys, tombstones and the value index
-    decode from those reads into owned arrays (:func:`_unpack_sstable`);
-    only the value blob stays a view over the mapping, sliced — and, when
-    compressed, decompressed block by block — as lookups touch it.
+    decode from those reads into owned arrays (:func:`_unpack_sstable`),
+    and the filter block comes back as the owned bytes read for the
+    check; only the value blob stays a view over the mapping, sliced —
+    and, when compressed, decompressed block by block — as lookups touch
+    it.
     """
     try:
         frame = map_frame(path, expect_kind=KIND_SSTABLE)
@@ -386,22 +394,19 @@ def _unpack_sstable(
     cache: BlockCache | None,
     stats,
 ):
-    """Decode a KIND_SSTABLE frame's payloads into ``(keys, values, tombstones)``.
+    """Decode a KIND_SSTABLE frame's payloads into
+    ``(keys, values, tombstones, filter_block)``.
 
     Keys and tombstones come back as owned arrays; values as a lazy
     :class:`~repro.lsm.blocks.SlicedValues` over payload 3 (through a
-    :class:`~repro.lsm.blocks.BlockedPayload` when compressed).  Every
+    :class:`~repro.lsm.blocks.BlockedPayload` when compressed); the
+    filter block as the last payload's bytes, still serialized.  Every
     internal inconsistency raises :class:`SerialError` naming the
     offending file — a truncated, swapped, or cross-wired run file fails
     loudly instead of reconstructing a different key set.
     """
     has_values = bool(header.get("has_values", False))
-    expected_payloads = 4 if has_values else 2
-    if len(payloads) != expected_payloads:
-        raise SerialError(
-            f"corrupt SST file {name}: carries {len(payloads)} payloads, "
-            f"expected {expected_payloads}"
-        )
+    filter_index = _filter_index(header, len(payloads), name)
     codec = header.get("codec")
     if codec != expected_codec:
         raise SerialError(
@@ -416,10 +421,10 @@ def _unpack_sstable(
         raw_lens = header.get("raw_lens")
         tables = header.get("blocks")
         for field in (raw_lens, tables):
-            if not isinstance(field, list) or len(field) != len(payloads):
+            if not isinstance(field, list) or len(field) != filter_index:
                 raise SerialError(
                     f"corrupt SST file {name}: truncated block table "
-                    f"(expected {len(payloads)} per-payload entries)"
+                    f"(expected {filter_index} per-payload entries)"
                 )
 
         def _raw(index: int) -> bytes:
@@ -481,7 +486,28 @@ def _unpack_sstable(
                 stats=stats,
             )
         values = SlicedValues(blob, offsets)
-    return keys, values, tombstones
+    return keys, values, tombstones, payloads[filter_index]
+
+
+def read_run_filter(directory: str | Path, name: str):
+    """The decoded filter block of run ``name`` in the store ``directory``.
+
+    Only the filter payload of the mapped run file is decoded, unchecked
+    by the frame CRC, so ``repro store inspect`` reads filter bytes alone.
+    """
+    path = Path(directory) / (name + _SST_SUFFIX)
+    try:
+        frame = map_frame(path, expect_kind=KIND_SSTABLE)
+    except SerialError as exc:
+        raise SerialError(f"corrupt SST file {path}: {exc}") from exc
+    with frame:
+        index = _filter_index(frame.header, len(frame.payloads), path)
+        try:
+            return filter_policy.filter_from_bytes(frame.payloads[index])
+        except SerialError as exc:
+            raise SerialError(
+                f"corrupt filter block in {path}: {exc}"
+            ) from exc
 
 
 def _spec_of(filter) -> FilterSpec:
@@ -669,18 +695,14 @@ class PersistentLsmDB(LsmDB):
         where = self.directory / MANIFEST_NAME
         name = _manifest_field(entry, "file", where)
         num_keys = int(_manifest_field(entry, "num_keys", where))
-        filter_kind = int(_manifest_field(entry, "filter_kind", where))
-        filter_crc = int(_manifest_field(entry, "filter_crc32", where))
         sst_path = self.directory / (name + _SST_SUFFIX)
-        filter_path = self.directory / (name + _FILTER_SUFFIX)
-        for path in (sst_path, filter_path):
-            if not path.is_file():
-                raise SerialError(
-                    f"store at {self.directory} is missing run file "
-                    f"{path.name}"
-                )
+        if not sst_path.is_file():
+            raise SerialError(
+                f"store at {self.directory} is missing run file "
+                f"{sst_path.name}"
+            )
         codec = self._compression["codec"] if self._compression else None
-        keys, values, tombstones = _map_sstable(
+        keys, values, tombstones, filter_block = _map_sstable(
             sst_path,
             str(sst_path),
             expected_codec=codec,
@@ -692,28 +714,14 @@ class PersistentLsmDB(LsmDB):
                 f"corrupt SST file {sst_path}: holds {keys.size} keys but "
                 f"the store manifest records {num_keys}"
             )
-        filter_blob = filter_path.read_bytes()
         start = time.perf_counter()
         try:
-            if peek_kind(filter_blob) != filter_kind:
-                raise SerialError(
-                    f"frame kind {peek_kind(filter_blob)} does not match "
-                    f"the manifest's kind {filter_kind}"
-                )
-            # The manifest pins each run's filter blob by checksum, so a
-            # same-kind blob swapped in from another run fails here
-            # instead of probing false negatives at query time.
-            if zlib.crc32(filter_blob) != filter_crc:
-                raise SerialError(
-                    "blob checksum does not match the manifest (the block "
-                    "was altered or belongs to a different run)"
-                )
             # Looked up at call time, so a wrapper installed on the module
             # attribute sees every reopen decode.
-            filt = filter_policy.filter_from_bytes(filter_blob)
+            filt = filter_policy.filter_from_bytes(filter_block)
         except SerialError as exc:
             raise SerialError(
-                f"corrupt filter block {filter_path}: {exc}"
+                f"corrupt filter block in {sst_path}: {exc}"
             ) from exc
         self.stats.deserialization_s += time.perf_counter() - start
         try:
@@ -725,7 +733,7 @@ class PersistentLsmDB(LsmDB):
                 value_bytes=self.value_bytes,
                 block_bytes=self.block_bytes,
                 prebuilt_filter=filt,
-                prebuilt_block=filter_blob,
+                prebuilt_block=filter_block,
             )
         except ValueError as exc:
             raise SerialError(f"corrupt SST file {sst_path}: {exc}") from exc
@@ -865,7 +873,7 @@ class PersistentLsmDB(LsmDB):
     def sync(self) -> None:
         """Make the current run set durable.
 
-        Unpersisted runs get ``.sst``/``.filter`` files first, then the
+        Each unpersisted run gets its ``.sst`` file first, then the
         manifest is rewritten whole by one atomic write-temp +
         ``os.replace``, then run files no longer referenced (dropped by
         compaction) are pruned — in that order, so a crash at any point
@@ -889,18 +897,8 @@ class PersistentLsmDB(LsmDB):
                     self.directory / (name + _SST_SUFFIX),
                     _pack_sstable(sst, self._compression),
                 )
-                _atomic_write(
-                    self.directory / (name + _FILTER_SUFFIX), sst.filter_block
-                )
                 self._run_files[sst] = name
-            runs.append(
-                {
-                    "file": name,
-                    "num_keys": sst.num_keys,
-                    "filter_kind": peek_kind(sst.filter_block),
-                    "filter_crc32": zlib.crc32(sst.filter_block),
-                }
-            )
+            runs.append({"file": name, "num_keys": sst.num_keys})
         # Drop mappings for runs compaction removed (also releases the
         # strong references keeping their SSTable objects alive).
         self._run_files = {
@@ -942,13 +940,9 @@ class PersistentLsmDB(LsmDB):
         for path in self.directory.glob("sst-*"):
             if path.name.endswith(".tmp"):
                 path.unlink(missing_ok=True)
-                continue
-            for suffix in (_SST_SUFFIX, _FILTER_SUFFIX):
-                if path.name.endswith(suffix):
-                    if path.name[: -len(suffix)] not in live:
-                        if suffix == _SST_SUFFIX:
-                            self._block_cache.drop_file(str(path))
-                        path.unlink(missing_ok=True)
+            elif path.suffix == _SST_SUFFIX and path.stem not in live:
+                self._block_cache.drop_file(str(path))
+                path.unlink(missing_ok=True)
 
     def flush(self) -> None:
         """Drain the memtable into a new run and make the store durable.
@@ -1278,22 +1272,19 @@ def _check_reopen_args(manifest: dict, directory: Path, args: dict) -> None:
             if sharded
             else 1
         ),
-        "partition": (
-            _manifest_field(manifest, "partition", where)
-            if sharded
-            else "hash"
-        ),
         "memtable_capacity": geometry.memtable_capacity,
         "value_bytes": geometry.value_bytes,
         "block_bytes": geometry.block_bytes,
         "store_values": geometry.store_values,
-        "domain_bits": (
-            int(_manifest_field(manifest, "domain_bits", where))
-            if sharded
-            else 64
-        ),
         "wal_sync": geometry.wal_sync,
     }
+    if sharded:
+        # Routing knobs: an unsharded store ignores them at creation, so
+        # it does on reopen too.
+        stored["partition"] = _manifest_field(manifest, "partition", where)
+        stored["domain_bits"] = int(
+            _manifest_field(manifest, "domain_bits", where)
+        )
     for name, stored_value in stored.items():
         passed = args[name]
         if passed != _CREATE_DEFAULTS[name] and passed != stored_value:

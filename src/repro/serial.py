@@ -400,7 +400,7 @@ def map_frame(
     try:
         size = os.fstat(fd).st_size
         if size == 0:
-            raise SerialError(f"{path}: empty file, not a serialized frame")
+            raise SerialError(f"{path}: truncated to an empty file")
         mm = _mmap.mmap(fd, 0, access=_mmap.ACCESS_READ)
     finally:
         os.close(fd)

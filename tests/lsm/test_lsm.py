@@ -11,6 +11,7 @@ from repro.lsm import (
     LsmDB,
     MemTable,
     SpecPolicy,
+    ShardedLsmDB,
     SSTable,
     policy_by_name,
 )
@@ -327,6 +328,19 @@ class TestPolicies:
             assert run_set.probe_point_many(probed[:n]).all()
             assert run_set.probe_range_many(bounds[:n]).all()
         assert filt.size_bits >= 0
+
+    @pytest.mark.parametrize(
+        "policy",
+        ["bloomrf", object(), filter_from_bytes],
+        ids=["kind-name", "object", "function"],
+    )
+    def test_non_policy_is_rejected_at_construction(self, policy):
+        """A kind name (or any other object) fails when the engine is
+        built, not at the first flush that asks it to build a filter."""
+        with pytest.raises(TypeError, match="SpecPolicy, a FilterSpec or None"):
+            LsmDB(policy=policy, memtable_capacity=4)
+        with pytest.raises(TypeError, match="SpecPolicy, a FilterSpec or None"):
+            ShardedLsmDB(policy=[None, policy], num_shards=2)
 
     def test_bloomrf_policy_serialization(self):
         policy = SpecPolicy("bloomrf", bits_per_key=14)

@@ -348,6 +348,35 @@ class TestDurabilitySemantics:
         with open_store(path=tmp_path / "db") as reopened:
             assert reopened.get_many(np.arange(1_050, dtype=np.uint64)).all()
 
+    def test_a_flushed_run_is_one_file(self, tmp_path, monkeypatch):
+        """A run is one ``.sst`` frame holding its filter block: a flush
+        replaces the run file, then the manifest (then rotates the log),
+        and leaves no other file behind."""
+        import os
+
+        from repro.lsm.store import MANIFEST_NAME
+        from repro.lsm.wal import WAL_NAME
+
+        root = tmp_path / "db"
+        db = open_store(path=root, filter=SPEC, memtable_capacity=1024)
+        db.put_many(np.arange(500, dtype=np.uint64))
+        replaced = []
+        real_replace = os.replace
+
+        def counting_replace(src, dst, *args, **kw):
+            replaced.append(os.path.basename(dst))
+            return real_replace(src, dst, *args, **kw)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        db.flush()
+        monkeypatch.setattr(os, "replace", real_replace)
+        run = "sst-000000.sst"
+        assert replaced == [run, MANIFEST_NAME, WAL_NAME]
+        assert sorted(p.name for p in root.iterdir()) == sorted(
+            [MANIFEST_NAME, WAL_NAME, run]
+        )
+        db.close()
+
     def test_close_is_idempotent(self, tmp_path):
         db = open_store(path=tmp_path / "db", filter=SPEC, shards=2)
         db.put_many(np.arange(500, dtype=np.uint64))
@@ -355,6 +384,38 @@ class TestDurabilitySemantics:
         db.close()
         with open_store(path=tmp_path / "db") as reopened:
             assert reopened.num_keys == 500
+
+
+# One non-default value per open_store argument that a reopen checks or
+# passes through.
+_CREATION_ARGS = {
+    "partition": "range",
+    "domain_bits": 32,
+    "memtable_capacity": 256,
+    "value_bytes": 64,
+    "block_bytes": 1024,
+    "store_values": True,
+    "wal_sync": "always",
+    "wal_group_commit": 8,
+    "compaction": "size-tiered",
+    "compression": "zlib",
+    "block_cache_bytes": 1 << 16,
+}
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("name", sorted(_CREATION_ARGS))
+def test_reopen_with_the_creation_arguments(tmp_path, name, shards):
+    """The exact call that created a store reopens it.  An unsharded
+    store ignores the routing knobs (``partition``, ``domain_bits``) at
+    creation, so its reopen does too."""
+    args = {"filter": SPEC, "shards": shards, name: _CREATION_ARGS[name]}
+    keys = np.arange(0, 3_000, 3, dtype=np.uint64)
+    with open_store(path=tmp_path / "db", **args) as db:
+        db.put_many(keys)
+    with open_store(path=tmp_path / "db", **args) as db:
+        assert db.get_many(keys).all()
+        assert db.num_keys == keys.size
 
 
 class TestReadTierExactness:

@@ -184,6 +184,40 @@ class TestStoreCommands:
         assert main(["store", "inspect", str(store)]) == 0
         assert "compression: zlib (block_bytes=4096)" in capsys.readouterr().out
 
+    def test_store_inspect_reads_only_filters(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``store inspect`` takes each run's filter block from its run
+        file without decoding the run: with run decoding disabled it
+        still reports the open store's filter bits."""
+        import repro.lsm.store as store_mod
+        from repro.api import open_store, standard_spec
+
+        store = tmp_path / "zdb"
+        keys = np.arange(0, 6_000, 3, dtype=np.uint64)
+        with open_store(
+            path=store,
+            filter=standard_spec("bloomrf", bits_per_key=14, max_range=1 << 10),
+            shards=2,
+            memtable_capacity=256,
+            store_values=True,
+            compression="zlib",
+        ) as db:
+            db.put_many(keys, [b"v%d" % k for k in keys.tolist()])
+            db.flush()
+            filter_bits = db.filter_bits
+            assert db.num_sstables > 2 and filter_bits > 0
+
+        def no_run_decode(*args, **kw):
+            raise AssertionError("store inspect decoded a run")
+
+        monkeypatch.setattr(store_mod, "_unpack_sstable", no_run_decode)
+        monkeypatch.setattr(store_mod, "_map_sstable", no_run_decode)
+        assert main(["store", "inspect", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert "compression: zlib" in out
+        assert f"keys: {keys.size}, filter bits: {filter_bits} (" in out
+
     def test_init_block_bytes_requires_compression(self, tmp_path, capsys):
         assert main(
             ["store", "init", str(tmp_path / "db"), "--block-bytes", "1024"]

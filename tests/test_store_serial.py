@@ -3,12 +3,14 @@
 Every damaged-store scenario must raise :class:`~repro.serial.SerialError`
 naming the offending file or kind — a persistent store never silently
 mis-answers.  Covered: truncated and bit-flipped manifests, stale format
-versions, missing shard directories and run files, SST/filter frames of
-the wrong kind (cross-wired files), and run contents contradicting the
-manifest.
+versions, missing shard directories and run files, run files holding a
+frame of the wrong kind, bit flips in a run's data or filter payload, runs
+from before the filter block moved into the SST frame, and run contents
+contradicting the manifest.
 """
 
 import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from repro.lsm.store import (
     MANIFEST_NAME,
     PersistentLsmDB,
     PersistentShardedLsmDB,
+    read_run_filter,
     read_store_manifest,
 )
 from repro.lsm.wal import WAL_NAME, read_wal
@@ -132,25 +135,13 @@ class TestRunFileCorruption:
         with pytest.raises(SerialError, match=f"missing run file {victim.name}"):
             open_store(path=store_dir)
 
-    def test_missing_filter_file_raises(self, store_dir):
-        victim = next(store_dir.glob("sst-*.filter"))
-        victim.unlink()
-        with pytest.raises(SerialError, match=f"missing run file {victim.name}"):
-            open_store(path=store_dir)
-
     def test_filter_frame_in_sst_slot_raises(self, store_dir):
         """Cross-wired files: a filter frame where an SST frame belongs."""
+        with open_store(path=store_dir) as db:
+            blob = db.sstables[0].filter.to_bytes()
         sst = next(store_dir.glob("sst-*.sst"))
-        sst.write_bytes(sst.with_suffix(".filter").read_bytes())
+        sst.write_bytes(blob)
         with pytest.raises(SerialError, match=f"corrupt SST file .*{sst.name}"):
-            open_store(path=store_dir)
-
-    def test_sst_frame_in_filter_slot_raises(self, store_dir):
-        filt = next(store_dir.glob("sst-*.filter"))
-        filt.write_bytes(filt.with_suffix(".sst").read_bytes())
-        with pytest.raises(
-            SerialError, match=f"corrupt filter block .*{filt.name}"
-        ):
             open_store(path=store_dir)
 
     def test_truncated_sst_file_raises(self, store_dir):
@@ -163,26 +154,55 @@ class TestRunFileCorruption:
         """SST payloads are exact data: a single flipped bit in the key
         words must fail the checksum, never silently change answers."""
         victim = next(store_dir.glob("sst-*.sst"))
-        blob = bytearray(victim.read_bytes())
-        blob[-5] ^= 0x01  # inside the checksummed payload region
-        victim.write_bytes(bytes(blob))
+        _flip_byte_in_payload(victim, 0)  # the key words
         with pytest.raises(SerialError, match="checksum mismatch"):
             open_store(path=store_dir)
 
-    def test_swapped_same_kind_filter_files_raise(self, store_dir):
-        """Two runs' filter blobs are the same frame kind, so only the
-        manifest's per-run checksum can catch a cross-wire between them."""
-        manifest = read_store_manifest(store_dir)
-        runs = manifest["runs"]
-        assert len(runs) >= 2
-        a = store_dir / (runs[0]["file"] + ".filter")
-        b = store_dir / (runs[-1]["file"] + ".filter")
-        blob_a, blob_b = a.read_bytes(), b.read_bytes()
-        assert blob_a != blob_b
-        a.write_bytes(blob_b)
-        b.write_bytes(blob_a)
-        with pytest.raises(SerialError, match="checksum does not match"):
+    def test_bit_flipped_filter_payload_raises(self, store_dir):
+        """The filter block is the run frame's last payload, under the
+        frame's CRC32: one flipped bit in its words fails at open instead
+        of probing false negatives at query time."""
+        from repro.serial import unpack_frame
+
+        victim = next(store_dir.glob("sst-*.sst"))
+        filter_block = bytes(unpack_frame(victim.read_bytes())[1][-1])
+        _flip_byte_in_payload(victim, -1, offset=len(filter_block) - 8)
+        with pytest.raises(
+            SerialError, match=f"{victim.name}.*payload checksum mismatch"
+        ):
             open_store(path=store_dir)
+
+    @pytest.mark.parametrize("fixture", ["store_dir", "compressed_dir"])
+    def test_run_without_filter_payload_predates_single_file_runs(
+        self, request, fixture
+    ):
+        """A run frame one payload short (keys, tombstones and, with
+        values, lengths and blob — but no filter block) is the layout of
+        release 1.19.0 and earlier: refused, naming the file, even with
+        a valid CRC."""
+        from repro.serial import KIND_SSTABLE, unpack_frame
+
+        root = request.getfixturevalue(fixture)
+        victim = next(root.glob("sst-*.sst"))
+        data = victim.read_bytes()
+        header, payloads = unpack_frame(data)
+        old_payloads = [bytes(p) for p in payloads[:-1]]
+        header["crc32"] = zlib.crc32(b"".join(old_payloads))
+        victim.write_bytes(
+            pack_frame(
+                KIND_SSTABLE,
+                header,
+                *old_payloads,
+                version=int.from_bytes(data[4:6], "little"),
+            )
+        )
+        with pytest.raises(
+            SerialError,
+            match=f"{victim.name}.*predates single-file runs.*1\\.19\\.0",
+        ):
+            open_store(path=root)
+        with pytest.raises(SerialError, match="predates single-file runs"):
+            read_run_filter(root, victim.stem)
 
     def test_swapped_sst_files_raise(self, store_dir):
         """A run file from a different run contradicts the manifest."""
@@ -308,7 +328,7 @@ class TestShardCorruption:
             open_store(path=sharded_dir)
 
     def test_corrupt_shard_run_raises(self, sharded_dir):
-        victim = next((sharded_dir / "shard-0000").glob("sst-*.filter"))
+        victim = next((sharded_dir / "shard-0000").glob("sst-*.sst"))
         victim.write_bytes(b"XXXX" + victim.read_bytes()[4:])
         with pytest.raises(SerialError, match="bad magic"):
             open_store(path=sharded_dir)
@@ -516,7 +536,7 @@ class TestCompressedFrameCorruption:
             open_store(path=store_dir)
 
     def test_mmap_of_empty_file_raises(self, store_dir):
-        victim = next(store_dir.glob("sst-*.filter"))
+        victim = next(store_dir.glob("sst-*.sst"))
         victim.write_bytes(b"")
         with pytest.raises(
             SerialError, match=f"{victim.name}.*truncated"
