@@ -5,9 +5,10 @@ The point counterpart of ``bench_ops_rangebatch.py``: a bulk-loaded LSM
 of present and absent keys, once through a loop of one-key reads
 (``db.get`` per key, each a one-key batch) and once through the batched
 path (``db.get_many``, one filter pass over every run for the whole
-batch).  Results — and the bit-identity + accounting-identity checks —
-land in ``BENCH_pointbatch.json`` at the repo root so future PRs can track
-the trajectory.
+batch).  A full run's results — and the bit-identity +
+accounting-identity checks — land in ``BENCH_pointbatch.json`` at the repo
+root so future PRs can track the trajectory; a ``--quick`` run writes a
+file only when given ``--output``.
 
 A second section measures the standalone filter: ``BloomRF.contains_point_many``
 against the scalar ``contains_point`` loop.
@@ -205,13 +206,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=RESULT_PATH,
-        help=f"result JSON path (default: {RESULT_PATH})",
+        default=None,
+        help=f"result JSON path (default: {RESULT_PATH} for a full run; "
+        "a --quick run writes no file unless given one)",
     )
     args = parser.parse_args(argv)
+    output = args.output
+    if output is None and not args.quick:
+        output = RESULT_PATH
 
     result = run(quick=args.quick)
-    args.output.write_text(json.dumps(result, indent=2) + "\n")
+    if output is not None:
+        output.write_text(json.dumps(result, indent=2) + "\n")
     print(
         f"[pointbatch {result['mode']}] {result['n_lookups']} lookups "
         f"({result['present_fraction']:.0%} present) over "
@@ -222,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
         f"filter-only {result['filter_speedup']:.1f}x | "
         f"16-key get_many at {RUN_COUNTS[-1]} runs "
         f"{result['run_cost_ratio']:.2f}x its time at {RUN_COUNTS[0]} -> "
-        f"{args.output}"
+        f"{output or 'no file written'}"
     )
 
     if not result["bit_identical"]:

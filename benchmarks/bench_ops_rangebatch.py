@@ -5,9 +5,9 @@ of Algorithm 1's probes for the whole batch) against the seed implementation's s
 (``np.fromiter`` over per-query ``contains_range`` callback walks) on a
 mixed-width workload: the paper's worst-case gap-adjacent empty queries
 across range sizes 2 .. 2^22 plus a slice of non-empty queries around
-inserted keys.  Results (and the bit-identity check) land in
-``BENCH_rangebatch.json`` at the repo root so future PRs can track the
-trajectory.
+inserted keys.  A full run's results (and the bit-identity check) land
+in ``BENCH_rangebatch.json`` at the repo root so future PRs can track the
+trajectory; a ``--quick`` run writes a file only when given ``--output``.
 
 Usage::
 
@@ -261,13 +261,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=RESULT_PATH,
-        help=f"result JSON path (default: {RESULT_PATH})",
+        default=None,
+        help=f"result JSON path (default: {RESULT_PATH} for a full run; "
+        "a --quick run writes no file unless given one)",
     )
     args = parser.parse_args(argv)
+    output = args.output
+    if output is None and not args.quick:
+        output = RESULT_PATH
 
     result = run(quick=args.quick)
-    args.output.write_text(json.dumps(result, indent=2) + "\n")
+    if output is not None:
+        output.write_text(json.dumps(result, indent=2) + "\n")
     print(
         f"[rangebatch {result['mode']}] {result['n_queries']} queries "
         f"({result['positive_fraction']:.0%} positive): "
@@ -277,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         f"1-row scan_nonempty_many at {RUN_COUNTS[-1]} runs "
         f"{result['run_cost_ratio']:.2f}x its time at {RUN_COUNTS[0]}, "
         f"{result['write_scan_cost_ratio']:.2f}x right after a "
-        f"{WRITE_KEYS}-key put_many -> {args.output}"
+        f"{WRITE_KEYS}-key put_many -> {output or 'no file written'}"
     )
 
     if not result["bit_identical"]:

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Persistent on-disk store walkthrough: create, ingest, crash, reopen.
 
-``open_store(path=...)`` backs the LSM engines with a directory of
-versioned ``repro.serial`` frames: a store manifest, a write-ahead log,
-plus one SST file per run holding its data and filter block (per shard
-when sharded).
+``open_store(path=...)`` backs the LSM engines with one directory of
+versioned ``repro.serial`` frames: one store manifest for every shard,
+one write-ahead log per shard, plus one SST file per run holding its
+data and filter block.
 Closing and reopening the store changes no answer — filter blocks are
 deserialized, never rebuilt — and every *acknowledged* write survives a
 crash: it reaches the log before the memtable, so reopening after a
@@ -67,7 +67,7 @@ def main() -> None:
     #    answers and probe accounting match the never-closed store.
     # ------------------------------------------------------------------
     with open_store(path=path) as db:
-        assert db.specs == [spec] * 4       # the spec round-tripped
+        assert [shard.spec for shard in db.shards] == [spec] * 4
         assert np.array_equal(db.get_many(keys[:2_000]), live_before)
         assert not db.get(int(keys[0]))     # the delete survived
         assert db.get_value(int(keys[1_000])) == b"payload-1000"

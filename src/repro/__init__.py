@@ -61,7 +61,7 @@ from repro.core import (
 from repro.lsm.filter_policy import SpecPolicy
 from repro.lsm.sharded import ShardedLsmDB
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "BloomRF",

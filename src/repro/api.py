@@ -658,9 +658,10 @@ def open_store(
     constructing the engines directly (asserted by the bench guard).
 
     With ``path`` the store is **persistent** (:mod:`repro.lsm.store`):
-    a directory of :mod:`repro.serial` frames — a versioned store
-    manifest plus one SST file per run, holding the run's data and its
-    filter block (per shard when ``shards>1``).  A path holding an
+    one directory of :mod:`repro.serial` frames — one versioned store
+    manifest for every shard, one write-ahead log per shard, and one SST
+    file per run, holding the run's data and its filter block.  A path
+    holding an
     existing store is *reopened* with its persisted spec/shards/geometry
     — runs are reconstructed and filter blocks deserialized (never
     rebuilt), so probe answers match
@@ -672,13 +673,14 @@ def open_store(
     the manifest whole in one atomic replace.  On-disk stores require a
     spec-driven
     ``filter`` (a :class:`FilterSpec`, a
-    :class:`~repro.lsm.filter_policy.SpecPolicy`, or None).
+    :class:`~repro.lsm.filter_policy.SpecPolicy`, or None), as every
+    store does; anything else raises :class:`TypeError`.
 
     A scalar ``put``/``delete`` is a one-key ``put_many``/``delete_many``,
     so every write validates its keys (integers in ``[0, 2**64)``) before
     anything is buffered or logged.  Persistent stores write every
-    ``put``/``delete`` to a per-directory
-    (per-shard) write-ahead log before the memtable mutates, so
+    ``put``/``delete`` to its shard's write-ahead log in the store
+    directory before the memtable mutates, so
     acknowledged writes survive ``kill -9`` and are replayed on reopen.
     ``wal_sync`` picks the fsync policy — ``"always"`` (every write call),
     ``"batch"`` (group commit: one fsync per ``wal_group_commit`` logged
@@ -720,6 +722,10 @@ def open_store(
         raise ValueError(
             f"wal_group_commit must be >= 1, got {wal_group_commit}"
         )
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    if shards == 1 and isinstance(filter, (list, tuple)):
+        raise ValueError("per-shard filter specs require shards > 1")
     from repro.lsm.compaction import coerce_compaction
 
     compaction_policy = coerce_compaction(compaction)  # fail fast on typos
@@ -747,14 +753,10 @@ def open_store(
             "compression and block_cache_bytes are disk read-tier options "
             "and require a persistent store (pass path=...)"
         )
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     from repro.lsm.db import LsmDB
     from repro.lsm.sharded import ShardedLsmDB
 
     if shards == 1:
-        if isinstance(filter, (list, tuple)):
-            raise ValueError("per-shard filter specs require shards > 1")
         return LsmDB(
             policy=filter,
             memtable_capacity=memtable_capacity,

@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     s_init.add_argument("--max-range", type=_int_ish, default=1 << 20)
     s_init.add_argument(
         "--shards", type=int, default=1,
-        help="partition the store over N per-shard sub-stores",
+        help="partition the store over N shards (one manifest and one "
+        "log per shard, in the store directory)",
     )
     s_init.add_argument(
         "--partition", choices=("hash", "range"), default="hash",
@@ -582,92 +583,62 @@ def _cmd_store_compact(args) -> int:
 
 
 def _cmd_store_inspect(args) -> int:
-    """Summarize a store from its manifests, run filters, and log stream.
+    """Summarize a store from its manifest, run filters, and logs.
 
-    Nothing here opens the store or decodes a key or value: the manifests
-    give the run layout, each run file gives up only its filter block
-    (:func:`~repro.lsm.store.read_run_filter`) for its bit count, and the
-    write-ahead logs are scanned record by record — so inspecting a
-    multi-GB store reads only its filters and logs.
+    Nothing here opens the store or decodes a key or value: the manifest
+    gives the run layout (:func:`~repro.lsm.store.read_store`), each run
+    file gives up only its filter block
+    (:func:`~repro.lsm.store.read_run_filter`) for its bit count, and each
+    shard's log is read against its manifest entry by the epoch rule
+    reopen applies — so inspecting a multi-GB store reads only its
+    filters and logs.
     """
-    from pathlib import Path
-
-    from repro.api import FilterSpec
     from repro.lsm.compaction import (
         SizeTieredPolicy,
         coerce_compaction,
         compaction_to_dict,
     )
-    from repro.lsm.store import (
-        MANIFEST_NAME,
-        _manifest_field,
-        _shard_dir_name,
-        read_run_filter,
-        read_store_manifest,
-    )
-    from repro.lsm.wal import WAL_NAME, read_wal
+    from repro.lsm.store import read_run_filter, read_store
     from repro.serial import FORMAT_VERSION, SerialError
 
-    root = Path(args.path)
     try:
-        manifest = read_store_manifest(root)
-        where = root / MANIFEST_NAME
-        engine = _manifest_field(manifest, "engine", where)
+        store = read_store(args.path)
+        specs = store.specs
+        num_shards = len(specs)
+        engine = "sharded-lsm" if num_shards > 1 else "lsm"
         print(f"engine: {engine} (store format v{FORMAT_VERSION})")
-        if engine == "sharded-lsm":
-            specs = [
-                FilterSpec.from_dict(d)
-                for d in _manifest_field(manifest, "specs", where)
-            ]
-            num_shards = int(_manifest_field(manifest, "num_shards", where))
-            partition = _manifest_field(manifest, "partition", where)
-            print(f"shards: {num_shards} ({partition} partition)")
-            if len({spec.to_json() for spec in specs}) == 1:
-                print(f"filter: {specs[0]!r}")
-            else:
-                for i, spec in enumerate(specs):
-                    print(f"filter[shard {i}]: {spec!r}")
-            shard_dirs = [root / _shard_dir_name(i) for i in range(num_shards)]
-            shard_manifests = [read_store_manifest(d) for d in shard_dirs]
+        if num_shards > 1:
+            print(f"shards: {num_shards} ({store.partition} partition)")
+        if len({spec.to_json() for spec in specs}) == 1:
+            print(f"filter: {specs[0]!r}")
         else:
-            spec = FilterSpec.from_dict(_manifest_field(manifest, "spec", where))
-            print(f"filter: {spec!r}")
-            shard_dirs = [root]
-            shard_manifests = [manifest]
-        geometry = _manifest_field(manifest, "geometry", where)
-        print("geometry: " + ", ".join(
-            f"{name}={_manifest_field(geometry, name, where)}"
-            for name in (
-                "memtable_capacity", "value_bytes", "block_bytes",
-                "store_values",
-            )
-        ))
-        compression = _manifest_field(geometry, "compression", where)
-        if compression:
-            print(f"compression: {compression['codec']} "
-                  f"(block_bytes={compression['block_bytes']})")
-        # Run layout straight from the manifests; filter bit counts come
+            for i, spec in enumerate(specs):
+                print(f"filter[shard {i}]: {spec!r}")
+        geometry = store.geometry
+        print(f"geometry: memtable_capacity={geometry.memtable_capacity}, "
+              f"value_bytes={geometry.value_bytes}, "
+              f"block_bytes={geometry.block_bytes}, "
+              f"store_values={geometry.store_values}")
+        if store.compression:
+            print(f"compression: {store.compression['codec']} "
+                  f"(block_bytes={store.compression['block_bytes']})")
+        # Run layout straight from the manifest; filter bit counts come
         # from the loaded filter blocks.
-        shard_run_keys = []
-        filter_bits = 0
-        for directory, shard_manifest in zip(shard_dirs, shard_manifests, strict=True):
-            run_keys = []
-            shard_where = directory / MANIFEST_NAME
-            for entry in _manifest_field(shard_manifest, "runs", shard_where):
-                name = _manifest_field(entry, "file", shard_where)
-                run_keys.append(
-                    int(_manifest_field(entry, "num_keys", shard_where))
-                )
-                filter_bits += read_run_filter(directory, name).size_bits
-            shard_run_keys.append(run_keys)
+        shard_run_keys = [
+            [run["num_keys"] for run in entry["runs"]]
+            for entry in store.committed
+        ]
+        filter_bits = sum(
+            read_run_filter(store.directory, run["file"]).size_bits
+            for entry in store.committed
+            for run in entry["runs"]
+        )
         total_runs = sum(len(keys) for keys in shard_run_keys)
         total_keys = sum(sum(keys) for keys in shard_run_keys)
         bits_per_key = filter_bits / total_keys if total_keys else 0.0
         print(f"runs: {total_runs}, keys: {total_keys}, "
               f"filter bits: {filter_bits} ({bits_per_key:.2f} bits/key)")
-        policy = coerce_compaction(
-            _manifest_field(geometry, "compaction", where)
-        )
+        policy = coerce_compaction(geometry.compaction)
         policy_dict = compaction_to_dict(policy)
         params = ", ".join(
             f"{k}={v}" for k, v in policy_dict["params"].items()
@@ -695,45 +666,29 @@ def _cmd_store_inspect(args) -> int:
         if pending:
             print("  pending: a merge window is eligible")
         if policy is not None:
-            # A background policy gets a scheduler on open: one worker
-            # for the flat engine, one per shard for the sharded one.
-            workers = len(shard_dirs) if engine == "sharded-lsm" else 1
-            print(f"  scheduler: {workers} worker(s), merges=0, "
+            # A background policy gets a scheduler on open with one
+            # worker per shard.
+            print(f"  scheduler: {num_shards} worker(s), merges=0, "
                   "in flight 0, pending 0")
-        # WAL state from the record stream, against each shard manifest's
-        # epoch: records at the manifest epoch replay on the next open,
+        # Records at a shard's manifest epoch replay on the next open;
         # older ones are already durable in runs and will be discarded.
-        epoch = 0
-        records = wal_bytes = replay_records = replay_ops = stale = 0
+        epoch = records = wal_bytes = replay_ops = stale = 0
         torn_any = False
-        for directory, shard_manifest in zip(shard_dirs, shard_manifests, strict=True):
-            wal_path = directory / WAL_NAME
-            if not wal_path.is_file():
-                raise SerialError(
-                    f"store at {directory} has no write-ahead log "
-                    f"({WAL_NAME} is missing)"
-                )
-            header, recs, valid_end, torn = read_wal(wal_path)
-            log_epoch = int(header.get("epoch", 0))
-            epoch = max(epoch, log_epoch)
-            wal_bytes += valid_end
-            torn_any = torn_any or torn
-            manifest_epoch = int(
-                _manifest_field(shard_manifest, "wal_epoch",
-                                directory / MANIFEST_NAME)
-            )
-            if log_epoch >= manifest_epoch:
-                records += len(recs)
-                replay_records += len(recs)
-                replay_ops += sum(int(rec.keys.size) for rec in recs)
+        for index in range(num_shards):
+            log = store.read_log(index)
+            epoch = max(epoch, log.epoch)
+            wal_bytes += log.valid_end
+            torn_any = torn_any or log.torn
+            if log.stale:
+                stale += len(log.records)
             else:
-                stale += len(recs)
-        wal_sync = _manifest_field(geometry, "wal_sync", where)
-        print(f"wal: sync={wal_sync}, epoch={epoch}, "
+                records += len(log.records)
+                replay_ops += sum(int(rec.keys.size) for rec in log.records)
+        print(f"wal: sync={geometry.wal_sync}, epoch={epoch}, "
               f"pending records: {records} ({wal_bytes} bytes)")
-        if replay_records or torn_any:
+        if records or torn_any:
             torn = " (torn tail truncated)" if torn_any else ""
-            print(f"wal replay on open: {replay_records} records"
+            print(f"wal replay on open: {records} records"
                   f" / {replay_ops} ops{torn}")
         if stale:
             print(f"wal: {stale} stale record(s) from an older epoch "

@@ -20,14 +20,13 @@ from repro.lsm.iostats import IOStats
 from repro.lsm.memtable import MemTable
 from repro.lsm.sharded import ShardedLsmDB
 from repro.lsm.sstable import SSTable
-from repro.lsm.store import PersistentLsmDB, PersistentShardedLsmDB
+from repro.lsm.store import PersistentLsmDB
 from repro.lsm.wal import WriteAheadLog
 
 __all__ = [
     "LsmDB",
     "ShardedLsmDB",
     "PersistentLsmDB",
-    "PersistentShardedLsmDB",
     "WriteAheadLog",
     "MemTable",
     "SSTable",

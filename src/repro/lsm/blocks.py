@@ -176,8 +176,8 @@ def compress_payload(
 class BlockCache:
     """Thread-safe, bytes-budgeted LRU of decompressed blocks.
 
-    One cache is shared per *store* (all shards of a
-    ``PersistentShardedLsmDB`` feed the same budget), keyed by
+    One cache is shared per *store* (all shards of an on-disk store
+    feed the same budget), keyed by
     ``(run file path, payload index, block index)``.  Uncompressed
     mmap'd payloads never enter it — the page cache already serves
     those for free.

@@ -181,6 +181,11 @@ class LsmDB:
         interface regardless of backing.
         """
 
+    def wal_info(self) -> dict:
+        """Write-ahead-log state: empty, as the in-memory store keeps no
+        log (:class:`~repro.lsm.store.PersistentLsmDB` reports its own)."""
+        return {}
+
     def __enter__(self) -> "LsmDB":
         return self
 

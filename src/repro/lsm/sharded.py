@@ -92,12 +92,22 @@ def _coerce_shard_policies(policy, num_shards: int) -> list:
     return [coerce_policy(policy)] * num_shards
 
 
+def shard_scheduler(compaction, num_shards: int) -> CompactionScheduler | None:
+    """The one background scheduler every shard of a store shares (None
+    for a manual policy): per-shard merges run on its workers, while each
+    shard's maintenance lock keeps its own run-set mutations serialized."""
+    if compaction is None:
+        return None
+    return CompactionScheduler(max_workers=num_shards, name="lsm-compaction")
+
+
 class ShardedLsmDB:
     """N per-shard :class:`LsmDB` engines behind the one-store batch API.
 
     ``policy`` accepts everything :class:`LsmDB` does — a policy object, a
     :class:`~repro.api.FilterSpec`, or None — plus a sequence of those
-    (one per shard) for per-shard filter sizing.
+    (one per shard) for per-shard filter sizing.  :meth:`of` puts shards
+    built elsewhere (the on-disk store's) behind the same API.
     """
 
     def __init__(
@@ -112,51 +122,64 @@ class ShardedLsmDB:
         domain_bits: int = 64,
         compaction=None,
     ) -> None:
-        self._partitioner = make_partitioner(partition, num_shards, domain_bits)
-        self.num_shards = num_shards
-        self.partition = partition
-        policies = _coerce_shard_policies(policy, num_shards)
-        self.store_values = store_values
-        # One shared scheduler for every shard: per-shard merges run on
-        # its background workers, while each shard's maintenance lock
-        # keeps its own run-set mutations serialized.  (The policy object
-        # is stateless, so sharing one instance across shards is safe.)
-        self.compaction = coerce_compaction(compaction)
-        self._scheduler = (
-            CompactionScheduler(max_workers=num_shards, name="lsm-compaction")
-            if self.compaction is not None
-            else None
-        )
+        compaction = coerce_compaction(compaction)
+        scheduler = shard_scheduler(compaction, num_shards)
         # ``memtable_capacity`` is per shard: each shard flushes after its
         # own ``capacity`` writes, so a sharded store builds N interleaved
         # sequences of same-size runs (each run's filter is sized for the
-        # keys it actually holds — per-shard sizing for free).
-        self.shards: list[LsmDB] = [
-            self._build_shard(
-                shard,
-                policies[shard],
-                memtable_capacity=memtable_capacity,
-                value_bytes=value_bytes,
-                block_bytes=block_bytes,
-                store_values=store_values,
-                compaction=self.compaction,
-                compaction_scheduler=self._scheduler,
-            )
-            for shard in range(num_shards)
-        ]
+        # keys it actually holds — per-shard sizing for free).  The policy
+        # objects are stateless, so shards may share one.
+        self._init(
+            [
+                LsmDB(
+                    policy=shard_policy,
+                    memtable_capacity=memtable_capacity,
+                    value_bytes=value_bytes,
+                    block_bytes=block_bytes,
+                    store_values=store_values,
+                    compaction=compaction,
+                    compaction_scheduler=scheduler,
+                )
+                for shard_policy in _coerce_shard_policies(policy, num_shards)
+            ],
+            partition,
+            domain_bits,
+        )
 
-    def _build_shard(self, index: int, policy, **kw) -> LsmDB:
-        """One per-shard engine (the persistent store overrides this to
-        back each shard with its own on-disk sub-store)."""
-        return LsmDB(policy=policy, **kw)
+    @classmethod
+    def of(
+        cls, shards: Sequence[LsmDB], partition: str = "hash", domain_bits: int = 64
+    ) -> "ShardedLsmDB":
+        """``shards`` behind the one-store API, routed by ``partition``.
+
+        The shards must share one compaction policy and
+        :func:`shard_scheduler`, which :meth:`close` then stops.
+        """
+        db = cls.__new__(cls)
+        db._init(list(shards), partition, domain_bits)
+        return db
+
+    def _init(self, shards: list[LsmDB], partition: str, domain_bits: int) -> None:
+        self._partitioner = make_partitioner(partition, len(shards), domain_bits)
+        self.num_shards = len(shards)
+        self.partition = partition
+        self.shards = shards
+        self.store_values = shards[0].store_values
+        self.compaction = shards[0].compaction
+        self._scheduler = shards[0]._scheduler
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drain background compaction and stop its workers (idempotent)."""
-        if self._scheduler is not None:
-            self._scheduler.close()
+        """Close every shard (an on-disk shard flushes and closes its
+        log), then drain background compaction and stop its workers
+        (idempotent)."""
+        try:
+            self._fan_out_all(lambda shard: shard.close())
+        finally:
+            if self._scheduler is not None:
+                self._scheduler.close()
 
     def __enter__(self) -> "ShardedLsmDB":
         return self
@@ -424,6 +447,32 @@ class ShardedLsmDB:
             sum(t[0] for t in totals),
             sum(t[1] for t in totals),
         )
+
+    def wal_info(self) -> dict:
+        """The shards' write-ahead-log state, counts summed (CLI, STATS);
+        empty for in-memory shards, which keep no log."""
+        infos = [shard.wal_info() for shard in self.shards]
+        if not infos[0]:
+            return {}
+        merged = {
+            "sync": infos[0]["sync"],
+            "group_commit": infos[0]["group_commit"],
+            "epoch": max(info["epoch"] for info in infos),
+            "recovered_torn_tail": any(
+                info["recovered_torn_tail"] for info in infos
+            ),
+        }
+        for field in (
+            "records",
+            "bytes",
+            "fsyncs",
+            "pending_ops",
+            "replayed_records",
+            "replayed_ops",
+            "discarded_stale_records",
+        ):
+            merged[field] = sum(info[field] for info in infos)
+        return merged
 
     def compaction_info(self) -> dict:
         """Aggregated per-shard compaction state: summed per-level run

@@ -7,22 +7,25 @@ This module makes the reproduction's engines durable: a
 whose runs, filter blocks, and configuration live in a directory and survive
 process restarts with bit-identical probe answers.
 
-On-disk layout (all frames are :mod:`repro.serial` ``BRF1`` frames)::
+One directory holds the whole store, sharded or not, described by one
+manifest — the way one RocksDB MANIFEST describes every column family's
+files (all frames are :mod:`repro.serial` ``BRF1`` frames)::
 
     <path>/
-      STORE.brf            # KIND_STORE manifest: engine, spec(s), geometry,
-                           #   run list (unsharded) or shard list (sharded)
-      sst-000000.sst       # KIND_SSTABLE frame, one per run: keys,
-                           #   tombstones, values, and the run's filter
-                           #   block, all under one payload CRC32
-      shard-0000/          # sharded engine: one self-contained sub-store
-        STORE.brf          #   per shard, laid out exactly like the above
-        sst-000000.sst
+      STORE.brf            # KIND_STORE manifest: geometry, partition,
+                           #   domain_bits, log seal, next file id, and
+                           #   one entry per shard: spec, run list, and
+                           #   log epoch
+      WAL-0000.brf         # shard 0's write-ahead log (one per shard,
+      WAL-0001.brf         #   repro.lsm.wal): every put/delete is
+                           #   appended here *before* the memtable mutates
+      sst-000000.sst       # KIND_SSTABLE frame, one per run of any shard:
+                           #   keys, tombstones, values, and the run's
+                           #   filter block, all under one payload CRC32
 
-On-disk layout, continued: each store directory (and each shard
-directory) also holds a ``WAL.brf`` write-ahead log (:mod:`repro.lsm.wal`)
-— every ``put``/``delete`` is appended there *before* the memtable
-mutates.
+:class:`_StoreDir` owns the directory and the manifest; each shard is a
+:class:`PersistentLsmDB` that logs to its own file and commits its run
+list through the store.  A store of one shard is that shard.
 
 Durability contract
 -------------------
@@ -37,11 +40,15 @@ Durability contract
   durable: each new run's ``.sst`` file is written, then the manifest
   is rewritten whole by one atomic write-temp + ``os.replace`` (the one
   way every manifest update is made, compaction commits included), then
-  the write-ahead log is rotated to a new epoch and unreferenced run
-  files are pruned.  When ``flush()`` returns, a reopen reproduces the
-  store exactly.
+  the shard's log is rotated to a new epoch and unreferenced run files
+  are pruned.  A shard's commit writes the other shards' *last committed*
+  entries, under one store lock, so no commit or prune ever sees another
+  shard's run that is not yet written.  When ``flush()`` returns, a
+  reopen reproduces the store exactly.
 * ``close()`` (and the context manager) — ``flush()`` + release resources.
-* Reopening after a crash replays the write-ahead log into the memtable:
+* Creation writes every log, then the manifest: a crash before the
+  manifest leaves a directory the next open initializes afresh.
+* Reopening after a crash replays each shard's log into its memtable:
   a torn record at the log's tail (the expected artifact of dying
   mid-append) is truncated silently, a log left behind by a crash between
   the manifest update and the log rotation (its records already live in
@@ -50,10 +57,10 @@ Durability contract
 
 Every reader-side failure — truncated or bit-flipped manifest, a
 manifest that is not exactly one frame, a missing manifest field, version
-skew, a missing shard directory or run file, a run file holding a frame
-of the wrong kind or lacking its filter block, a run whose contents
-contradict the manifest — raises :class:`~repro.serial.SerialError`
-naming the offending file; a damaged store never silently mis-answers.
+skew, a missing run file or log, a run file holding a frame of the wrong
+kind or lacking its filter block, a run whose contents contradict the
+manifest — raises :class:`~repro.serial.SerialError` naming the offending
+file; a damaged store never silently mis-answers.
 Every run reopens one way: its SST frame is mapped and its payload CRC —
 which covers the filter block too — checked, keys and tombstones decode
 into owned arrays while values stay lazy views over the mapping, and the
@@ -70,7 +77,7 @@ Durability contract (machine-checked by ``repro lint``): raw
 ``os.replace``/``os.write``/``open(..., "w")`` calls are confined to the
 approved helpers (``_atomic_write`` and the WAL append path), so every
 durable byte gets the fsync-before-replace ordering the crash suites
-verify (``durability-discipline``); in the ``Persistent*`` engines a
+verify (``durability-discipline``); in the ``Persistent*`` engine a
 memtable mutation must be preceded by a WAL append (``wal-ordering``).
 """
 
@@ -78,10 +85,11 @@ from __future__ import annotations
 
 import inspect
 import os
+import threading
 import time
 import zlib
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -100,14 +108,10 @@ from repro.lsm.blocks import (
 from repro.lsm.compaction import coerce_compaction, compaction_to_dict
 from repro.lsm.db import LsmDB
 from repro.lsm.filter_policy import SpecPolicy
-from repro.lsm.sharded import ShardedLsmDB
+from repro.lsm.sharded import ShardedLsmDB, _coerce_shard_policies, shard_scheduler
 from repro.lsm.sstable import SSTable
-from repro.lsm.wal import (
-    OP_DELETE,
-    WAL_NAME,
-    WriteAheadLog,
-    read_wal,
-)
+from repro.lsm.wal import OP_DELETE, WriteAheadLog, read_wal, wal_name
+from repro.parallel import make_partitioner
 from repro.serial import (
     FORMAT_VERSION,
     FORMAT_VERSION_BLOCKS,
@@ -122,9 +126,9 @@ from repro.serial import (
 __all__ = [
     "MANIFEST_NAME",
     "PersistentLsmDB",
-    "PersistentShardedLsmDB",
     "open_persistent_store",
     "read_run_filter",
+    "read_store",
     "read_store_manifest",
 ]
 
@@ -162,11 +166,12 @@ def read_store_manifest(directory: str | Path) -> dict:
     """The manifest header of the store at ``directory``.
 
     ``STORE.brf`` is exactly one frame: every update rewrites it whole
-    (:meth:`PersistentLsmDB.sync`).  Raises :class:`SerialError` naming
-    the manifest file when it is missing, truncated, bit-flipped, of a
-    stale format version, not a store-manifest frame at all, or followed
-    by any further bytes (such as a run-delta frame appended by release
-    1.13 or earlier).
+    (:meth:`_StoreDir.commit`).  Raises :class:`SerialError` naming the
+    manifest file when it is missing, truncated, bit-flipped, of a stale
+    format version, not a store-manifest frame at all, followed by any
+    further bytes (such as a run-delta frame appended by release 1.13 or
+    earlier), or written by release 1.20.0 or earlier (whose manifests
+    name an engine).
     """
     directory = Path(directory)
     path = directory / MANIFEST_NAME
@@ -182,6 +187,12 @@ def read_store_manifest(directory: str | Path) -> dict:
         raise SerialError(
             f"corrupt store manifest {path}: carries {len(payloads)} "
             "payloads, expected 0"
+        )
+    if "engine" in header:
+        raise SerialError(
+            f"store manifest {path} was written by release 1.20.0 or "
+            "earlier, which kept a sharded store in per-shard sub-stores; "
+            "this release keeps one manifest per store and cannot open it"
         )
     return header
 
@@ -203,7 +214,7 @@ def _manifest_field(mapping: dict, name: str, where) -> object:
 
 class _Geometry(NamedTuple):
     """The engine geometry a store manifest persists and a reopen restores
-    (the ``"geometry"`` entry of both engines' manifests)."""
+    (the manifest's ``"geometry"`` entry, shared by every shard)."""
 
     memtable_capacity: int
     value_bytes: int
@@ -510,209 +521,328 @@ def read_run_filter(directory: str | Path, name: str):
             ) from exc
 
 
-def _spec_of(filter) -> FilterSpec:
-    """The persistable :class:`FilterSpec` behind a filter argument.
+class _Log(NamedTuple):
+    """A shard's write-ahead log as read against its manifest entry."""
 
-    On-disk stores must rebuild their policy from the manifest alone, so
-    only spec-driven filters (a :class:`FilterSpec`, a
-    :class:`~repro.lsm.filter_policy.SpecPolicy`, or None) are accepted.
+    records: list
+    epoch: int
+    valid_end: int
+    torn: bool
+    stale: bool  # an older epoch: its records are already durable in runs
+
+
+class _StoreDir:
+    """The directory behind an on-disk store, and its one manifest.
+
+    Holds what ``STORE.brf`` records store-wide (the geometry, the routing
+    knobs, the log seal, the run-file counter) and per shard (its spec and
+    its *last committed* entry: run list and log epoch), the block cache
+    every shard shares, and :attr:`lock`, under which every commit writes
+    its run files, the manifest and the prune (:meth:`commit`).  Building
+    one writes nothing: :meth:`create` initializes a fresh directory.
     """
-    if filter is None:
-        return FilterSpec("none")
-    if isinstance(filter, FilterSpec):
-        return filter
-    spec = getattr(filter, "spec", None)
-    if isinstance(spec, FilterSpec):
-        return spec
-    raise ValueError(
-        "on-disk stores need a FilterSpec-driven filter (a FilterSpec, a "
-        f"SpecPolicy, or None) so reopening can rebuild the policy; got "
-        f"{type(filter).__name__}"
-    )
+
+    def __init__(
+        self, directory: Path, manifest: dict, block_cache_bytes: int | None
+    ) -> None:
+        where = directory / MANIFEST_NAME
+        shards = _manifest_field(manifest, "shards", where)
+        if not isinstance(shards, list) or not shards:
+            raise SerialError(f"corrupt store manifest {where}: lists no shards")
+        self.directory = directory
+        self.geometry = _Geometry.read(manifest, where)
+        self.partition = str(_manifest_field(manifest, "partition", where))
+        self.domain_bits = int(_manifest_field(manifest, "domain_bits", where))
+        self.seal = str(_manifest_field(manifest, "wal_seal", where))
+        self.next_file_id = int(_manifest_field(manifest, "next_file_id", where))
+        self.specs = [
+            _spec_from_manifest(_manifest_field(shard, "spec", where), where)
+            for shard in shards
+        ]
+        self.committed = [
+            {
+                "runs": [
+                    {
+                        "file": str(_manifest_field(run, "file", where)),
+                        "num_keys": int(_manifest_field(run, "num_keys", where)),
+                    }
+                    for run in _manifest_field(shard, "runs", where)
+                ],
+                "wal_epoch": int(_manifest_field(shard, "wal_epoch", where)),
+            }
+            for shard in shards
+        ]
+        self.compression = normalize_compression(self.geometry.compression)
+        self.block_cache = BlockCache(
+            DEFAULT_CACHE_BYTES if block_cache_bytes is None else block_cache_bytes
+        )
+        self.lock = threading.Lock()
+
+    @classmethod
+    def create(
+        cls,
+        directory: Path,
+        specs: list[FilterSpec],
+        geometry: _Geometry,
+        partition: str,
+        domain_bits: int,
+        block_cache_bytes: int | None,
+    ) -> "_StoreDir":
+        """Initialize an empty store: every shard's log first, the manifest
+        last.  A crash before the manifest leaves a directory the next open
+        initializes afresh; one after it leaves the empty store."""
+        if any(directory.glob("sst-*")):
+            raise SerialError(
+                f"{directory} holds run files but no store manifest "
+                f"({MANIFEST_NAME}); refusing to initialize a fresh store "
+                "over them — restore the manifest or move the files away"
+            )
+        store = cls(
+            directory,
+            {
+                "geometry": geometry.to_manifest(),
+                "partition": partition,
+                "domain_bits": domain_bits,
+                "wal_seal": os.urandom(12).hex(),
+                "next_file_id": 0,
+                "shards": [
+                    {"spec": spec.to_dict(), "runs": [], "wal_epoch": 0}
+                    for spec in specs
+                ],
+            },
+            block_cache_bytes,
+        )
+        if store.compression is not None:
+            # Fail before writing anything when the codec is absent (zstd
+            # without the optional zstandard package).
+            require_codec(store.compression["codec"])
+        directory.mkdir(parents=True, exist_ok=True)
+        for index in range(len(specs)):
+            WriteAheadLog.create(
+                store.wal_path(index), seal=store.shard_seal(index)
+            ).close()
+        store._write_manifest(store.committed)
+        return store
+
+    # ------------------------------------------------------------------
+    # the shards' logs
+    # ------------------------------------------------------------------
+    def wal_path(self, index: int) -> Path:
+        return self.directory / wal_name(index)
+
+    def shard_seal(self, index: int) -> str:
+        """Shard ``index``'s log seal: the store's, naming the shard, so a
+        log swapped between shards fails like one from another store."""
+        return f"{self.seal}.{index:04d}"
+
+    def read_log(self, index: int) -> _Log:
+        """Shard ``index``'s log, checked against its committed entry — the
+        one epoch rule of reopen (:meth:`PersistentLsmDB._recover_wal`) and
+        ``repro store inspect``.
+
+        A log at the entry's epoch holds writes acknowledged after the
+        shard's last flush.  A log at an *older* epoch is the crash window
+        between the manifest update and the log rotation: its records are
+        already durable in runs (``stale``).  A *newer* log means the
+        manifest is older than the log (restored or replaced after the
+        fact), a seal mismatch a log from another store or shard; both
+        raise, as does damage before a torn tail.
+        """
+        path = self.wal_path(index)
+        where = self.directory / MANIFEST_NAME
+        if not path.is_file():
+            raise SerialError(
+                f"store at {self.directory} is missing its write-ahead log "
+                f"({path.name}); acknowledged writes may be unrecoverable — "
+                "restore the log or accept the loss by recreating the store"
+            )
+        header, records, valid_end, torn = read_wal(path)
+        seal = header.get("seal")
+        epoch = header.get("epoch")
+        if not isinstance(seal, str) or not isinstance(epoch, int):
+            raise SerialError(
+                f"corrupt write-ahead log {path}: header is missing its "
+                "seal/epoch fields"
+            )
+        if seal != self.shard_seal(index):
+            raise SerialError(
+                f"write-ahead log {path} belongs to a different store or "
+                f"shard (log seal {seal!r} does not match the manifest's "
+                f"{self.shard_seal(index)!r}); the log files were swapped or "
+                "restored across stores"
+            )
+        committed = self.committed[index]["wal_epoch"]
+        if epoch > committed:
+            raise SerialError(
+                f"the store manifest {where} is stale or truncated: it "
+                f"records WAL epoch {committed} for {path.name} but the log "
+                f"is already at epoch {epoch}"
+            )
+        return _Log(records, epoch, valid_end, torn, epoch < committed)
+
+    # ------------------------------------------------------------------
+    # commits
+    # ------------------------------------------------------------------
+    def commit(
+        self,
+        index: int,
+        runs: list[SSTable],
+        files: dict[SSTable, str],
+        wal_epoch: int,
+    ) -> dict[SSTable, str]:
+        """Make shard ``index``'s run list and log epoch durable; returns
+        the run-to-file map of ``runs``.
+
+        Under :attr:`lock`, which a shard takes after its maintenance
+        lock: each run without a file in ``files`` gets its ``.sst`` file
+        first, then the manifest is rewritten whole by one atomic
+        write-temp + ``os.replace`` — from every other shard's *last
+        committed* entry, never from its run list in memory, which may
+        hold a run not written yet — then the run files no entry names
+        are pruned.  A crash at any point reopens to the old or the new
+        entry.  An unchanged entry writes nothing.
+        """
+        with self.lock:
+            files = {sst: files.get(sst) or self._write_run(sst) for sst in runs}
+            entry = {
+                "runs": [
+                    {"file": files[sst], "num_keys": sst.num_keys} for sst in runs
+                ],
+                "wal_epoch": wal_epoch,
+            }
+            if entry != self.committed[index]:
+                committed = list(self.committed)
+                committed[index] = entry
+                self._write_manifest(committed)
+                self.committed = committed
+                self._prune_orphans()
+            return files
+
+    def _write_run(self, sst: SSTable) -> str:
+        name = f"sst-{self.next_file_id:06d}"
+        self.next_file_id += 1
+        _atomic_write(
+            self.directory / (name + _SST_SUFFIX),
+            _pack_sstable(sst, self.compression),
+        )
+        return name
+
+    def _write_manifest(self, committed: list[dict]) -> None:
+        manifest = {
+            "geometry": self.geometry.to_manifest(),
+            "partition": self.partition,
+            "domain_bits": self.domain_bits,
+            "wal_seal": self.seal,
+            "next_file_id": self.next_file_id,
+            "shards": [
+                {"spec": spec.to_dict(), **entry}
+                for spec, entry in zip(self.specs, committed, strict=True)
+            ],
+        }
+        _atomic_write(
+            self.directory / MANIFEST_NAME, pack_frame(KIND_STORE, manifest)
+        )
+
+    def _prune_orphans(self) -> None:
+        # Unlinking is safe under live mmap views: POSIX keeps mapped
+        # pages of an unlinked file valid until the last view dies, and
+        # sealed runs are never rewritten in place — new data always gets
+        # a new file name.
+        live = {run["file"] for entry in self.committed for run in entry["runs"]}
+        for path in self.directory.glob("sst-*"):
+            if path.name.endswith(".tmp"):
+                path.unlink(missing_ok=True)
+            elif path.suffix == _SST_SUFFIX and path.stem not in live:
+                self.block_cache.drop_file(str(path))
+                path.unlink(missing_ok=True)
 
 
-def _shard_dir_name(index: int) -> str:
-    return f"shard-{index:04d}"
+def read_store(directory: str | Path) -> _StoreDir:
+    """The parsed manifest of the store at ``directory`` (nothing opened)."""
+    directory = Path(directory)
+    return _StoreDir(directory, read_store_manifest(directory), None)
 
 
 # ----------------------------------------------------------------------
-# the unsharded persistent engine
+# a shard of the store
 # ----------------------------------------------------------------------
 class PersistentLsmDB(LsmDB):
-    """An :class:`LsmDB` whose runs and filter blocks live in a directory.
+    """One shard of an on-disk store: a durable :class:`LsmDB`.
 
-    Opening a directory that already holds a store manifest *reopens* it —
-    the persisted spec and geometry win, runs are reconstructed from their
-    ``.sst`` frames, and filter blocks are deserialized (never rebuilt).
-    Otherwise the directory is initialized as a fresh store and the
-    manifest written immediately, so an empty store reopens too.
+    Every write is appended to the shard's own log before the memtable
+    mutates, and every change of its run list commits through the store
+    (:meth:`_StoreDir.commit`); the shard has no directory or manifest
+    of its own.  :func:`open_persistent_store` builds the shards: each
+    loads the runs its manifest entry names (filter blocks deserialized,
+    never rebuilt) and replays its log.
     """
 
     def __init__(
         self,
-        directory: str | Path,
-        spec: FilterSpec | None = None,
+        store: _StoreDir,
+        index: int,
         *,
-        memtable_capacity: int = 1 << 16,
-        value_bytes: int = 512,
-        block_bytes: int = 4096,
-        store_values: bool = False,
-        wal_sync: str = "batch",
         wal_group_commit: int = 1024,
-        compaction=None,
         compaction_scheduler=None,
-        compression=None,
-        block_cache_bytes: int | None = None,
-        _manifest: dict | None = None,
-        _block_cache: BlockCache | None = None,
     ) -> None:
-        directory = Path(directory)
-        manifest = _manifest
-        if manifest is None and (directory / MANIFEST_NAME).is_file():
-            manifest = read_store_manifest(directory)
-        if manifest is not None:
-            engine = manifest.get("engine")
-            if engine != "lsm":
-                raise SerialError(
-                    f"store at {directory} holds a {engine!r} engine, not "
-                    "an unsharded 'lsm' store"
-                )
-            where = directory / MANIFEST_NAME
-            stored_spec = _spec_from_manifest(
-                _manifest_field(manifest, "spec", where), where
-            )
-            if spec is not None and spec != stored_spec:
-                raise ValueError(
-                    f"store at {directory} was created with {stored_spec!r}; "
-                    f"reopening with {spec!r} would change probe answers"
-                )
-            spec = stored_spec
-            (
-                memtable_capacity,
-                value_bytes,
-                block_bytes,
-                store_values,
-                wal_sync,
-                compaction,
-                compression,
-            ) = _Geometry.read(manifest, where)
-            wal_seal = str(_manifest_field(manifest, "wal_seal", where))
-            wal_epoch = int(_manifest_field(manifest, "wal_epoch", where))
-        else:
-            if any(directory.glob("sst-*")):
-                raise SerialError(
-                    f"{directory} holds run files but no store manifest "
-                    f"({MANIFEST_NAME}); refusing to initialize a fresh "
-                    "store over them — restore the manifest or move the "
-                    "files away"
-                )
-            if spec is None:
-                spec = FilterSpec("none")
-            wal_seal = os.urandom(12).hex()
-            wal_epoch = 0
+        geometry = store.geometry
         super().__init__(
-            policy=SpecPolicy(spec),
-            memtable_capacity=memtable_capacity,
-            value_bytes=value_bytes,
-            block_bytes=block_bytes,
-            store_values=store_values,
-            compaction=compaction,
+            policy=SpecPolicy(store.specs[index]),
+            memtable_capacity=geometry.memtable_capacity,
+            value_bytes=geometry.value_bytes,
+            block_bytes=geometry.block_bytes,
+            store_values=geometry.store_values,
+            compaction=geometry.compaction,
             compaction_scheduler=compaction_scheduler,
         )
-        self.directory = directory
-        self.spec = spec
-        self._compression = normalize_compression(compression)
+        self.index = index
+        self.spec = store.specs[index]
+        self._store = store
+        self._compression = store.compression
         if self._compression is not None:
-            # Fail at open, not at first flush, when the codec is absent
-            # (zstd without the optional zstandard package).
+            # Fail at open, not at first flush, when the codec is absent.
             require_codec(self._compression["codec"])
-        self._block_cache = (
-            _block_cache
-            if _block_cache is not None
-            else BlockCache(
-                DEFAULT_CACHE_BYTES
-                if block_cache_bytes is None
-                else block_cache_bytes
-            )
-        )
         self._run_files: dict[SSTable, str] = {}
-        self._next_file_id = 0
-        # The run-name list the on-disk manifest currently records (None =
-        # no manifest yet): sync() short-circuits when it still matches.
-        self._synced_runs: list[str] | None = None
-        self._synced_epoch: int | None = None
         self._compacting = False
-        self._wal: WriteAheadLog | None = None
-        self._wal_seal = wal_seal
-        self._wal_epoch = wal_epoch
-        self._wal_sync = wal_sync
+        self._wal_epoch = store.committed[index]["wal_epoch"]
+        self._wal_sync = geometry.wal_sync
         self._wal_group_commit = wal_group_commit
-        self.last_recovery = {
-            "replayed_records": 0,
-            "replayed_ops": 0,
-            "discarded_stale_records": 0,
-            "recovered_torn_tail": False,
-        }
-        if manifest is not None:
-            self._load_runs(manifest)
-            self._synced_epoch = wal_epoch
-            self._recover_wal()
-        else:
-            directory.mkdir(parents=True, exist_ok=True)
-            # The log is created *before* the manifest: a crash between
-            # the two leaves a directory with no manifest, which the next
-            # open initializes freshly (replacing the orphan log); a
-            # manifest without its log, by contrast, reopens loudly.
-            self._wal = WriteAheadLog.create(
-                directory / WAL_NAME,
-                seal=wal_seal,
-                sync=wal_sync,
-                group_commit=wal_group_commit,
-            )
-            self.sync()
+        self._load_runs()
+        self._recover_wal()
 
     # ------------------------------------------------------------------
     # reopen path
     # ------------------------------------------------------------------
-    def _load_runs(self, manifest: dict) -> None:
-        where = self.directory / MANIFEST_NAME
-        self._next_file_id = int(_manifest_field(manifest, "next_file_id", where))
-        names = []
+    def _load_runs(self) -> None:
         runs = []
-        for entry in _manifest_field(manifest, "runs", where):
+        for entry in self._store.committed[self.index]["runs"]:
             sst = self._load_sstable(entry)
             runs.append(sst)
-            name = _manifest_field(entry, "file", where)
-            self._run_files[sst] = name
-            names.append(name)
+            self._run_files[sst] = entry["file"]
         # Swapped whole like every run-list update: readers cache their
         # run-set filter against the list's identity.
         with self._maintenance_lock:
             self.sstables = runs
-        self._synced_runs = names
 
     def _load_sstable(self, entry: dict) -> SSTable:
-        where = self.directory / MANIFEST_NAME
-        name = _manifest_field(entry, "file", where)
-        num_keys = int(_manifest_field(entry, "num_keys", where))
-        sst_path = self.directory / (name + _SST_SUFFIX)
+        directory = self._store.directory
+        sst_path = directory / (entry["file"] + _SST_SUFFIX)
         if not sst_path.is_file():
             raise SerialError(
-                f"store at {self.directory} is missing run file "
-                f"{sst_path.name}"
+                f"store at {directory} is missing run file {sst_path.name}"
             )
         codec = self._compression["codec"] if self._compression else None
         keys, values, tombstones, filter_block = _map_sstable(
             sst_path,
             str(sst_path),
             expected_codec=codec,
-            cache=self._block_cache,
+            cache=self._store.block_cache,
             stats=self.stats,
         )
-        if keys.size != num_keys:
+        if keys.size != entry["num_keys"]:
             raise SerialError(
                 f"corrupt SST file {sst_path}: holds {keys.size} keys but "
-                f"the store manifest records {num_keys}"
+                f"the store manifest records {entry['num_keys']}"
             )
         start = time.perf_counter()
         try:
@@ -739,84 +869,47 @@ class PersistentLsmDB(LsmDB):
             raise SerialError(f"corrupt SST file {sst_path}: {exc}") from exc
 
     def _recover_wal(self) -> None:
-        """Adopt the directory's write-ahead log on reopen.
+        """Adopt the shard's log (:meth:`_StoreDir.read_log`).
 
-        A log at the manifest's epoch holds writes acknowledged after the
-        last flush — replay them into the memtable (then flush if it
-        replays full).  A log at an *older* epoch is the crash window
-        between the manifest update and the log rotation: its records are
-        already durable in runs, so it is discarded (never resurrected).
-        A *newer* log means the manifest is older than the log (restored
-        or replaced after the fact) — raise.  Seal mismatches (a log from
-        another store or shard) and non-tail corruption raise; a torn tail
-        is truncated silently.
+        A log at the entry's epoch replays into the memtable (then
+        flushes if it replays full); a stale one is replaced by an empty
+        log at the entry's epoch, its records never resurrected.  A torn
+        tail is truncated silently.
         """
-        wal_path = self.directory / WAL_NAME
-        where = self.directory / MANIFEST_NAME
-        if not wal_path.is_file():
-            raise SerialError(
-                f"store at {self.directory} is missing its write-ahead log "
-                f"({WAL_NAME}); acknowledged writes may be unrecoverable — "
-                "restore the log or accept the loss by recreating the store"
-            )
-        header, records, valid_end, torn = read_wal(wal_path)
-        seal = header.get("seal")
-        epoch = header.get("epoch")
-        if not isinstance(seal, str) or not isinstance(epoch, int):
-            raise SerialError(
-                f"corrupt write-ahead log {wal_path}: header is missing "
-                "its seal/epoch fields"
-            )
-        if seal != self._wal_seal:
-            raise SerialError(
-                f"write-ahead log {wal_path} belongs to a different store "
-                f"(log seal {seal!r} does not match the manifest's "
-                f"{self._wal_seal!r}); the log files were swapped or "
-                "restored across stores"
-            )
-        if epoch > self._wal_epoch:
-            raise SerialError(
-                f"the store manifest {where} is stale or truncated: it "
-                f"records WAL epoch {self._wal_epoch} but the write-ahead "
-                f"log is already at epoch {epoch}"
-            )
-        if epoch < self._wal_epoch:
+        store = self._store
+        log = store.read_log(self.index)
+        path = store.wal_path(self.index)
+        ops = 0
+        if log.stale:
             self._wal = WriteAheadLog.create(
-                wal_path,
-                seal=self._wal_seal,
+                path,
+                seal=store.shard_seal(self.index),
                 epoch=self._wal_epoch,
                 sync=self._wal_sync,
                 group_commit=self._wal_group_commit,
             )
-            self.last_recovery = {
-                "replayed_records": 0,
-                "replayed_ops": 0,
-                "discarded_stale_records": len(records),
-                "recovered_torn_tail": torn,
-            }
-            return
-        ops = 0
-        for record in records:
-            if record.op == OP_DELETE:
-                self.memtable.delete_many(record.keys)  # repro-lint: ignore[wal-ordering] -- WAL replay: the record being applied IS the log entry
-            else:
-                self.memtable.put_many(record.keys, record.values)  # repro-lint: ignore[wal-ordering] -- WAL replay: the record being applied IS the log entry
-            ops += int(record.keys.size)
-        self._wal = WriteAheadLog.attach(
-            wal_path,
-            seal=self._wal_seal,
-            epoch=epoch,
-            valid_end=valid_end,
-            num_records=len(records),
-            torn=torn,
-            sync=self._wal_sync,
-            group_commit=self._wal_group_commit,
-        )
+        else:
+            for record in log.records:
+                if record.op == OP_DELETE:
+                    self.memtable.delete_many(record.keys)  # repro-lint: ignore[wal-ordering] -- WAL replay: the record being applied IS the log entry
+                else:
+                    self.memtable.put_many(record.keys, record.values)  # repro-lint: ignore[wal-ordering] -- WAL replay: the record being applied IS the log entry
+                ops += int(record.keys.size)
+            self._wal = WriteAheadLog.attach(
+                path,
+                seal=store.shard_seal(self.index),
+                epoch=log.epoch,
+                valid_end=log.valid_end,
+                num_records=len(log.records),
+                torn=log.torn,
+                sync=self._wal_sync,
+                group_commit=self._wal_group_commit,
+            )
         self.last_recovery = {
-            "replayed_records": len(records),
+            "replayed_records": 0 if log.stale else len(log.records),
             "replayed_ops": ops,
-            "discarded_stale_records": 0,
-            "recovered_torn_tail": torn,
+            "discarded_stale_records": len(log.records) if log.stale else 0,
+            "recovered_torn_tail": log.torn,
         }
         if len(self.memtable) >= self.memtable.capacity:
             self.flush()
@@ -867,82 +960,25 @@ class PersistentLsmDB(LsmDB):
         commit, after which the write survives power loss too.  The
         serving layer acks a whole write group behind one barrier call.
         """
-        if self._wal is not None:
-            self._wal.commit_barrier()
+        self._wal.commit_barrier()
 
     def sync(self) -> None:
-        """Make the current run set durable.
+        """Make the current run set durable (:meth:`_StoreDir.commit`).
 
-        Each unpersisted run gets its ``.sst`` file first, then the
-        manifest is rewritten whole by one atomic write-temp +
-        ``os.replace``, then run files no longer referenced (dropped by
-        compaction) are pruned — in that order, so a crash at any point
-        reopens to either the old or the new run set.  Flushes and
-        compaction commits persist the run set this one way.  When the run
-        set and WAL epoch already match the manifest (e.g. a read-only
-        open/close cycle) nothing is written at all, so pure reads never
-        touch the directory.
+        Flushes and compaction commits persist the run set this one way.
+        When the run set and log epoch already match the manifest (e.g. a
+        read-only open/close cycle) nothing is written at all, so pure
+        reads never touch the directory.
         """
         with self._maintenance_lock:
             self._sync_locked()
 
     def _sync_locked(self) -> None:
-        runs = []
-        for sst in self.sstables:
-            name = self._run_files.get(sst)
-            if name is None:
-                name = f"sst-{self._next_file_id:06d}"
-                self._next_file_id += 1
-                _atomic_write(
-                    self.directory / (name + _SST_SUFFIX),
-                    _pack_sstable(sst, self._compression),
-                )
-                self._run_files[sst] = name
-            runs.append({"file": name, "num_keys": sst.num_keys})
-        # Drop mappings for runs compaction removed (also releases the
+        # Also drops the file names of runs compaction removed (and the
         # strong references keeping their SSTable objects alive).
-        self._run_files = {
-            sst: self._run_files[sst] for sst in self.sstables
-        }
-        names = [run["file"] for run in runs]
-        if names == self._synced_runs and self._wal_epoch == self._synced_epoch:
-            return
-        blob = pack_frame(
-            KIND_STORE,
-            {
-                "engine": "lsm",
-                "spec": self.spec.to_dict(),
-                "geometry": _Geometry(
-                    self.memtable.capacity,
-                    self.value_bytes,
-                    self.block_bytes,
-                    self.store_values,
-                    self._wal_sync,
-                    self.compaction,
-                    self._compression,
-                ).to_manifest(),
-                "runs": runs,
-                "next_file_id": self._next_file_id,
-                "wal_seal": self._wal_seal,
-                "wal_epoch": self._wal_epoch,
-            },
+        self._run_files = self._store.commit(
+            self.index, self.sstables, self._run_files, self._wal_epoch
         )
-        _atomic_write(self.directory / MANIFEST_NAME, blob)
-        self._synced_runs = names
-        self._synced_epoch = self._wal_epoch
-        self._prune_orphans(set(names))
-
-    def _prune_orphans(self, live: set[str]) -> None:
-        # Unlinking is safe under live mmap views: POSIX keeps mapped
-        # pages of an unlinked file valid until the last view dies, and
-        # sealed runs are never rewritten in place — new data always gets
-        # a new file name.
-        for path in self.directory.glob("sst-*"):
-            if path.name.endswith(".tmp"):
-                path.unlink(missing_ok=True)
-            elif path.suffix == _SST_SUFFIX and path.stem not in live:
-                self._block_cache.drop_file(str(path))
-                path.unlink(missing_ok=True)
 
     def flush(self) -> None:
         """Drain the memtable into a new run and make the store durable.
@@ -967,15 +1003,10 @@ class PersistentLsmDB(LsmDB):
         discards it — the records are already in the just-persisted runs.
         """
         with self._maintenance_lock:
-            wal = self._wal
-            if (
-                wal is not None
-                and wal.num_records
-                and len(self.memtable) == 0
-            ):
+            if self._wal.num_records and len(self.memtable) == 0:
                 self._wal_epoch += 1
                 self._sync_locked()
-                wal.reset(self._wal_epoch)
+                self._wal.reset(self._wal_epoch)
             else:
                 self._sync_locked()
 
@@ -1012,234 +1043,29 @@ class PersistentLsmDB(LsmDB):
         self.sync()
 
     def wal_info(self) -> dict:
-        """Write-ahead-log state + last recovery outcome (CLI inspect)."""
-        info = dict(self.last_recovery)
-        if self._wal is not None:
-            info.update(self._wal.info())
-        info["seal"] = self._wal_seal
-        return info
+        """Write-ahead-log state + last recovery outcome (CLI, STATS)."""
+        return {
+            **self.last_recovery,
+            **self._wal.info(),
+            "seal": self._store.shard_seal(self.index),
+        }
 
     def close(self) -> None:
         """Flush (making the store durable) and release resources."""
         self.flush()
-        if self._wal is not None:
-            self._wal.close()
+        self._wal.close()
         super().close()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"PersistentLsmDB({str(self.directory)!r}, "
-            f"policy={self.policy.name}, sstables={len(self.sstables)}, "
-            f"keys={self.num_keys})"
+            f"PersistentLsmDB({str(self._store.directory)!r}, "
+            f"shard={self.index}, policy={self.policy.name}, "
+            f"sstables={len(self.sstables)}, keys={self.num_keys})"
         )
 
 
 # ----------------------------------------------------------------------
-# the sharded persistent engine
-# ----------------------------------------------------------------------
-class PersistentShardedLsmDB(ShardedLsmDB):
-    """A :class:`ShardedLsmDB` of per-shard :class:`PersistentLsmDB` engines.
-
-    The top-level manifest pins the partition scheme, the per-shard specs,
-    and the geometry; each ``shard-NNNN/`` directory is a self-contained
-    unsharded store (own manifest, runs, filter blocks), so the per-shard
-    independence of the partitioned layout extends to disk.
-    """
-
-    def __init__(
-        self,
-        directory: str | Path,
-        specs: "FilterSpec | Sequence[FilterSpec] | None" = None,
-        *,
-        num_shards: int = 4,
-        partition: str = "hash",
-        memtable_capacity: int = 1 << 16,
-        value_bytes: int = 512,
-        block_bytes: int = 4096,
-        store_values: bool = False,
-        domain_bits: int = 64,
-        wal_sync: str = "batch",
-        wal_group_commit: int = 1024,
-        compaction=None,
-        compression=None,
-        block_cache_bytes: int | None = None,
-        _manifest: dict | None = None,
-    ) -> None:
-        directory = Path(directory)
-        manifest = _manifest
-        if manifest is None and (directory / MANIFEST_NAME).is_file():
-            manifest = read_store_manifest(directory)
-        if manifest is not None:
-            engine = manifest.get("engine")
-            if engine != "sharded-lsm":
-                raise SerialError(
-                    f"store at {directory} holds a {engine!r} engine, not a "
-                    "'sharded-lsm' store"
-                )
-            where = directory / MANIFEST_NAME
-            specs = [
-                _spec_from_manifest(d, where)
-                for d in _manifest_field(manifest, "specs", where)
-            ]
-            num_shards = int(_manifest_field(manifest, "num_shards", where))
-            partition = _manifest_field(manifest, "partition", where)
-            domain_bits = int(_manifest_field(manifest, "domain_bits", where))
-            (
-                memtable_capacity,
-                value_bytes,
-                block_bytes,
-                store_values,
-                wal_sync,
-                compaction,
-                compression,
-            ) = _Geometry.read(manifest, where)
-            for index in range(num_shards):
-                shard_manifest = directory / _shard_dir_name(index) / MANIFEST_NAME
-                if not shard_manifest.is_file():
-                    raise SerialError(
-                        f"store at {directory} is missing shard directory "
-                        f"{_shard_dir_name(index)}"
-                    )
-        else:
-            if any(directory.glob("shard-*")) or any(directory.glob("sst-*")):
-                raise SerialError(
-                    f"{directory} holds shard/run data but no store "
-                    f"manifest ({MANIFEST_NAME}); refusing to initialize a "
-                    "fresh store over it — restore the manifest or move "
-                    "the data away"
-                )
-            if isinstance(specs, (list, tuple)):
-                if len(specs) != num_shards:
-                    raise ValueError(
-                        f"got {len(specs)} per-shard specs for "
-                        f"{num_shards} shards"
-                    )
-                specs = [_spec_of(s) for s in specs]
-            else:
-                specs = [_spec_of(specs)] * num_shards
-            directory.mkdir(parents=True, exist_ok=True)
-        self.directory = directory
-        self.specs: list[FilterSpec] = list(specs)
-        self._wal_sync = wal_sync
-        self._wal_group_commit = wal_group_commit
-        # Set before super().__init__ — it triggers _build_shard, which
-        # threads these into every per-shard sub-store.  One BlockCache is
-        # shared by all shards so the decompressed-block budget is
-        # per-store, not per-shard.
-        self._compression = normalize_compression(compression)
-        self._block_cache = BlockCache(
-            DEFAULT_CACHE_BYTES if block_cache_bytes is None else block_cache_bytes
-        )
-        if manifest is None:
-            # Top manifest *before* the per-shard sub-stores: a crash in
-            # that window then reopens loudly (missing shard directory)
-            # instead of silently re-initializing under a possibly
-            # different partition scheme over the old shard data.
-            self._write_manifest(
-                num_shards=num_shards,
-                partition=partition,
-                domain_bits=domain_bits,
-                geometry=_Geometry(
-                    memtable_capacity,
-                    value_bytes,
-                    block_bytes,
-                    store_values,
-                    wal_sync,
-                    compaction,
-                    self._compression,
-                ),
-            )
-        super().__init__(
-            policy=[SpecPolicy(spec) for spec in self.specs],
-            num_shards=num_shards,
-            partition=partition,
-            memtable_capacity=memtable_capacity,
-            value_bytes=value_bytes,
-            block_bytes=block_bytes,
-            store_values=store_values,
-            domain_bits=domain_bits,
-            compaction=compaction,
-        )
-
-    def _build_shard(self, index: int, policy, **kw) -> LsmDB:
-        """Each shard is a self-contained persistent sub-store with its
-        own write-ahead log (independent group commit per shard)."""
-        return PersistentLsmDB(
-            self.directory / _shard_dir_name(index),
-            policy.spec,
-            wal_sync=self._wal_sync,
-            wal_group_commit=self._wal_group_commit,
-            compression=self._compression,
-            _block_cache=self._block_cache,
-            **kw,
-        )
-
-    def _write_manifest(
-        self,
-        *,
-        num_shards: int,
-        partition: str,
-        domain_bits: int,
-        geometry: _Geometry,
-    ) -> None:
-        manifest = {
-            "engine": "sharded-lsm",
-            "specs": [spec.to_dict() for spec in self.specs],
-            "num_shards": num_shards,
-            "partition": partition,
-            "domain_bits": domain_bits,
-            "geometry": geometry.to_manifest(),
-            "shards": [
-                _shard_dir_name(index) for index in range(num_shards)
-            ],
-        }
-        _atomic_write(
-            self.directory / MANIFEST_NAME, pack_frame(KIND_STORE, manifest)
-        )
-
-    def wal_info(self) -> dict:
-        """Aggregated per-shard write-ahead-log state (CLI inspect)."""
-        infos = [shard.wal_info() for shard in self.shards]
-        merged = {
-            "sync": infos[0].get("sync", self._wal_sync),
-            "group_commit": infos[0].get(
-                "group_commit", self._wal_group_commit
-            ),
-            "epoch": max(int(i.get("epoch", 0)) for i in infos),
-            "recovered_torn_tail": any(
-                i.get("recovered_torn_tail") for i in infos
-            ),
-        }
-        for field in (
-            "records",
-            "bytes",
-            "fsyncs",
-            "replayed_records",
-            "replayed_ops",
-            "discarded_stale_records",
-        ):
-            merged[field] = sum(int(i.get(field, 0)) for i in infos)
-        return merged
-
-    def close(self) -> None:
-        """Flush every shard (making the store durable), then shut down."""
-        self.flush()
-        for shard in self.shards:
-            wal = getattr(shard, "_wal", None)
-            if wal is not None:
-                wal.close()
-        super().close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"PersistentShardedLsmDB({str(self.directory)!r}, "
-            f"shards={self.num_shards}, partition={self.partition!r}, "
-            f"keys={self.num_keys})"
-        )
-
-
-# ----------------------------------------------------------------------
-# the open_store(path=...) dispatch
+# the open_store(path=...) entry point
 # ----------------------------------------------------------------------
 def _open_store_defaults() -> dict:
     """``open_store``'s keyword defaults, read from its signature so the
@@ -1256,35 +1082,25 @@ def _open_store_defaults() -> dict:
 _CREATE_DEFAULTS = _open_store_defaults()
 
 
-def _check_reopen_args(manifest: dict, directory: Path, args: dict) -> None:
+def _check_reopen_args(store: _StoreDir, args: dict) -> None:
     """Reopening takes the persisted configuration; explicit arguments must
     agree with it.  Arguments still at their :func:`~repro.api.open_store`
     defaults are treated as "unspecified" (the manifest wins); anything
     explicitly different from both the default and the persisted value is
     a configuration conflict and raises :class:`ValueError`.
     """
-    where = directory / MANIFEST_NAME
-    sharded = manifest["engine"] == "sharded-lsm"
-    geometry = _Geometry.read(manifest, where)
+    directory = store.directory
+    geometry = store.geometry
     stored = {
-        "shards": (
-            int(_manifest_field(manifest, "num_shards", where))
-            if sharded
-            else 1
-        ),
+        "shards": len(store.specs),
+        "partition": store.partition,
+        "domain_bits": store.domain_bits,
         "memtable_capacity": geometry.memtable_capacity,
         "value_bytes": geometry.value_bytes,
         "block_bytes": geometry.block_bytes,
         "store_values": geometry.store_values,
         "wal_sync": geometry.wal_sync,
     }
-    if sharded:
-        # Routing knobs: an unsharded store ignores them at creation, so
-        # it does on reopen too.
-        stored["partition"] = _manifest_field(manifest, "partition", where)
-        stored["domain_bits"] = int(
-            _manifest_field(manifest, "domain_bits", where)
-        )
     for name, stored_value in stored.items():
         passed = args[name]
         if passed != _CREATE_DEFAULTS[name] and passed != stored_value:
@@ -1315,43 +1131,25 @@ def _check_reopen_args(manifest: dict, directory: Path, args: dict) -> None:
     # Compression compares in normalized dict form for the same reason.
     # (block_cache_bytes is a runtime knob, not persisted state, so it is
     # deliberately not conflict-checked.)
-    stored_compression = normalize_compression(geometry.compression)
     passed_compression = normalize_compression(args["compression"])
-    if passed_compression is not None and passed_compression != stored_compression:
+    if passed_compression is not None and passed_compression != store.compression:
         raise ValueError(
             f"store at {directory} was created with compression="
-            f"{stored_compression!r}; reopening with "
+            f"{store.compression!r}; reopening with "
             f"{passed_compression!r} conflicts (leave it at the default "
             "to use the persisted configuration)"
         )
-    filter = args["filter"]
-    if filter is None:
+    if args["filter"] is None:
         return
-    if sharded:
-        stored_specs = [
-            _spec_from_manifest(d, where)
-            for d in _manifest_field(manifest, "specs", where)
-        ]
-        passed_specs = (
-            [_spec_of(f) for f in filter]
-            if isinstance(filter, (list, tuple))
-            else [_spec_of(filter)] * len(stored_specs)
+    passed_specs = [
+        policy.spec
+        for policy in _coerce_shard_policies(args["filter"], len(store.specs))
+    ]
+    if passed_specs != store.specs:
+        raise ValueError(
+            f"store at {directory} was created with filter specs "
+            f"{store.specs!r}; reopening with {passed_specs!r} conflicts"
         )
-        if passed_specs != stored_specs:
-            raise ValueError(
-                f"store at {directory} was created with filter specs "
-                f"{stored_specs!r}; reopening with {passed_specs!r} "
-                "conflicts"
-            )
-    else:
-        stored_spec = _spec_from_manifest(
-            _manifest_field(manifest, "spec", where), where
-        )
-        if _spec_of(filter) != stored_spec:
-            raise ValueError(
-                f"store at {directory} was created with {stored_spec!r}; "
-                f"reopening with {_spec_of(filter)!r} conflicts"
-            )
 
 
 def open_persistent_store(
@@ -1373,24 +1171,19 @@ def open_persistent_store(
 ):
     """Create or reopen the on-disk store at ``path``.
 
-    The create/reopen dispatch behind ``open_store(path=...)``: a
-    directory holding a store manifest is reopened with its persisted
-    configuration (explicit arguments must agree — see
-    :func:`_check_reopen_args`); otherwise a fresh store is initialized
-    from the arguments, exactly mirroring the in-memory
-    :func:`~repro.api.open_store` semantics.
+    The create/reopen path behind ``open_store(path=...)``: a directory
+    holding a store manifest is reopened with its persisted configuration
+    (explicit arguments must agree — see :func:`_check_reopen_args`);
+    otherwise a fresh store is initialized from the arguments.  Either way
+    the manifest is read once and one :class:`PersistentLsmDB` is built
+    per shard: a one-shard store is that shard, several come back behind
+    a :class:`~repro.lsm.sharded.ShardedLsmDB`.
     """
     path = Path(path)
     if (path / MANIFEST_NAME).is_file():
-        manifest = read_store_manifest(path)
-        engine = manifest.get("engine")
-        if engine not in ("lsm", "sharded-lsm"):
-            raise SerialError(
-                f"store manifest at {path} names unknown engine {engine!r}"
-            )
+        store = _StoreDir(path, read_store_manifest(path), block_cache_bytes)
         _check_reopen_args(
-            manifest,
-            path,
+            store,
             {
                 "filter": filter,
                 "shards": shards,
@@ -1405,52 +1198,42 @@ def open_persistent_store(
                 "compression": compression,
             },
         )
-        # block_cache_bytes is a runtime knob: it passes through on
-        # reopen rather than persisting.
-        if engine == "lsm":
-            return PersistentLsmDB(
-                path,
-                wal_group_commit=wal_group_commit,
-                block_cache_bytes=block_cache_bytes,
-                _manifest=manifest,
-            )
-        return PersistentShardedLsmDB(
+    else:
+        # A routing no reopen could rebuild must fail before anything is
+        # written.
+        make_partitioner(partition, shards, domain_bits)
+        store = _StoreDir.create(
             path,
-            wal_group_commit=wal_group_commit,
-            block_cache_bytes=block_cache_bytes,
-            _manifest=manifest,
+            [policy.spec for policy in _coerce_shard_policies(filter, shards)],
+            _Geometry(
+                memtable_capacity,
+                value_bytes,
+                block_bytes,
+                store_values,
+                wal_sync,
+                compaction,
+                compression,
+            ),
+            partition,
+            domain_bits,
+            block_cache_bytes,
         )
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if shards == 1:
-        if isinstance(filter, (list, tuple)):
-            raise ValueError("per-shard filter specs require shards > 1")
-        return PersistentLsmDB(
-            path,
-            _spec_of(filter),
-            memtable_capacity=memtable_capacity,
-            value_bytes=value_bytes,
-            block_bytes=block_bytes,
-            store_values=store_values,
-            wal_sync=wal_sync,
-            wal_group_commit=wal_group_commit,
-            compaction=compaction,
-            compression=compression,
-            block_cache_bytes=block_cache_bytes,
-        )
-    return PersistentShardedLsmDB(
-        path,
-        filter,
-        num_shards=shards,
-        partition=partition,
-        memtable_capacity=memtable_capacity,
-        value_bytes=value_bytes,
-        block_bytes=block_bytes,
-        store_values=store_values,
-        domain_bits=domain_bits,
-        wal_sync=wal_sync,
-        wal_group_commit=wal_group_commit,
-        compaction=compaction,
-        compression=compression,
-        block_cache_bytes=block_cache_bytes,
+    num_shards = len(store.specs)
+    # One shard owns its scheduler (LsmDB makes it); several share one.
+    scheduler = (
+        shard_scheduler(coerce_compaction(store.geometry.compaction), num_shards)
+        if num_shards > 1
+        else None
     )
+    engines = [
+        PersistentLsmDB(
+            store,
+            index,
+            wal_group_commit=wal_group_commit,
+            compaction_scheduler=scheduler,
+        )
+        for index in range(num_shards)
+    ]
+    if num_shards == 1:
+        return engines[0]
+    return ShardedLsmDB.of(engines, store.partition, store.domain_bits)

@@ -7,7 +7,8 @@ mutates, so an acknowledged ``put``/``delete`` survives ``kill -9`` — on
 reopen the log is replayed into a fresh memtable and the store answers
 exactly as the never-killed store would.
 
-On-disk layout (``WAL.brf`` inside the store directory)::
+On-disk layout (``WAL-NNNN.brf`` in the store directory, one per shard;
+:func:`wal_name`)::
 
     +--------------------------------------------------+
     | KIND_WAL frame  {"seal": <hex>, "epoch": <int>}  |  header (atomic)
@@ -33,10 +34,10 @@ write is the expected crash artifact, a mid-file flip is corruption.
 
 Seal and epoch
 --------------
-Each store directory's log carries a random ``seal`` minted at creation and
-pinned in the store manifest — a log restored from a *different* store (or
-swapped between shard directories) fails the seal check loudly instead of
-replaying foreign keys.  The ``epoch`` orders the log against the manifest:
+Each shard's log carries a ``seal``: the random one minted at the store's
+creation and pinned in the store manifest, naming the shard — a log
+restored from a *different* store (or swapped between shards) fails the
+seal check loudly instead of replaying foreign keys.  The ``epoch`` orders the log against the manifest:
 ``flush()`` persists the drained memtable as a run, writes the manifest with
 ``epoch + 1``, then resets the log to the new epoch.  On reopen a log at the
 manifest's epoch replays; an *older* log is the crash window between those
@@ -88,9 +89,7 @@ import numpy.typing as npt
 
 from repro.serial import KIND_WAL, SerialError, pack_frame, unpack_frame_prefix
 
-__all__ = ["WAL_NAME", "WalRecord", "WriteAheadLog", "read_wal"]
-
-WAL_NAME = "WAL.brf"
+__all__ = ["WalRecord", "WriteAheadLog", "read_wal", "wal_name"]
 
 OP_PUT = 1
 OP_DELETE = 2
@@ -98,6 +97,11 @@ OP_PUT_EMPTY = 3
 
 _SYNC_MODES = ("always", "batch", "off")
 _RECORD_PREFIX = struct.Struct("<II")  # body length, body crc32
+
+
+def wal_name(shard: int) -> str:
+    """The file name of shard ``shard``'s log in the store directory."""
+    return f"WAL-{shard:04d}.brf"
 
 
 class WalRecord:
@@ -220,7 +224,7 @@ def read_wal(path: str | Path) -> tuple[dict[str, Any], list[WalRecord], int, bo
 
 
 class WriteAheadLog:
-    """Append-only operation log for one :class:`PersistentLsmDB` directory.
+    """Append-only operation log of one :class:`PersistentLsmDB` shard.
 
     Construct through :meth:`create` (fresh header-only log, atomic) or
     :meth:`attach` (an existing log after :func:`read_wal`, truncating a

@@ -8,7 +8,9 @@ The on-disk rungs of the exactness ladder:
   :class:`~repro.lsm.iostats.IOStats` counters match exactly, because
   filter blocks are deserialized (never rebuilt) and the run layout
   round-trips;
-* the same holds shard-by-shard for :class:`PersistentShardedLsmDB`;
+* the same holds shard by shard for a sharded store (a
+  :class:`~repro.lsm.sharded.ShardedLsmDB` of :class:`PersistentLsmDB`
+  shards);
 * a 1-shard on-disk store reproduces the unsharded on-disk store's
   answers and accounting exactly (the persistence layer extends the
   ladder pinned by ``tests/lsm/test_sharded_lsm.py``).
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.api import FilterSpec, open_store
-from repro.lsm import LsmDB, PersistentLsmDB, PersistentShardedLsmDB, SpecPolicy
+from repro.lsm import LsmDB, PersistentLsmDB, ShardedLsmDB, SpecPolicy
 from repro.lsm.blocks import SlicedValues
 
 SPEC = FilterSpec("bloomrf", {"bits_per_key": 16, "max_range": 1 << 16})
@@ -159,8 +161,6 @@ class TestShardedReopen:
         self, tmp_path, workload, partition
     ):
         keys, deleted, probes, bounds = workload
-        from repro.lsm import ShardedLsmDB
-
         with apply_workload(
             ShardedLsmDB(
                 policy=SpecPolicy(SPEC),
@@ -184,7 +184,11 @@ class TestShardedReopen:
             )
             disk.close()
             with open_store(path=tmp_path / "db") as reopened:
-                assert isinstance(reopened, PersistentShardedLsmDB)
+                assert isinstance(reopened, ShardedLsmDB)
+                assert all(
+                    isinstance(shard, PersistentLsmDB)
+                    for shard in reopened.shards
+                )
                 assert reopened.partition == partition
                 mem_got, mem_scanned, mem_counters = drive_reads(
                     memory, probes, bounds
@@ -241,7 +245,6 @@ class TestShardedReopen:
         ) as db:
             db.put_many(keys)
         with open_store(path=tmp_path / "db") as reopened:
-            assert reopened.specs == specs
             assert [shard.policy.spec for shard in reopened.shards] == specs
             assert reopened.get_many(keys).all()
 
@@ -275,12 +278,12 @@ class TestDurabilitySemantics:
         # No flush: the acknowledged writes live only in the memtable and
         # the write-ahead log.  A reopen from the current on-disk state
         # replays the log — nothing acknowledged is ever lost...
-        replayed = PersistentLsmDB(tmp_path / "db")
+        replayed = open_store(path=tmp_path / "db")
         assert replayed.get_many(np.arange(100, dtype=np.uint64)).all()
         assert replayed.last_recovery["replayed_ops"] == 100
         # ...and flush() migrates them into runs, truncating the log.
         db.flush()
-        reopened = PersistentLsmDB(tmp_path / "db")
+        reopened = open_store(path=tmp_path / "db")
         assert reopened.get_many(np.arange(100, dtype=np.uint64)).all()
         assert reopened.last_recovery["replayed_ops"] == 0
         assert reopened.wal_info()["records"] == 0
@@ -355,7 +358,7 @@ class TestDurabilitySemantics:
         import os
 
         from repro.lsm.store import MANIFEST_NAME
-        from repro.lsm.wal import WAL_NAME
+        from repro.lsm.wal import wal_name
 
         root = tmp_path / "db"
         db = open_store(path=root, filter=SPEC, memtable_capacity=1024)
@@ -371,9 +374,9 @@ class TestDurabilitySemantics:
         db.flush()
         monkeypatch.setattr(os, "replace", real_replace)
         run = "sst-000000.sst"
-        assert replaced == [run, MANIFEST_NAME, WAL_NAME]
+        assert replaced == [run, MANIFEST_NAME, wal_name(0)]
         assert sorted(p.name for p in root.iterdir()) == sorted(
-            [MANIFEST_NAME, WAL_NAME, run]
+            [MANIFEST_NAME, wal_name(0), run]
         )
         db.close()
 

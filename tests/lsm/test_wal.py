@@ -13,13 +13,15 @@ import pytest
 
 from repro.api import FilterSpec, open_store
 from repro.lsm.wal import (
-    WAL_NAME,
     WriteAheadLog,
     read_wal,
+    wal_name,
 )
 from repro.serial import SerialError
 
 SPEC = FilterSpec("bloomrf", {"bits_per_key": 14, "max_range": 1 << 12})
+# The log of an unsharded store: its one shard's.
+WAL_NAME = wal_name(0)
 
 
 def fresh_wal(tmp_path, **kw):
@@ -112,7 +114,7 @@ class TestTornTail:
         blob[hdr_len + 12] ^= 0x40  # inside the first record's body
         path.write_bytes(bytes(blob))
         # Non-tail corruption is loud and names both file and offset.
-        with pytest.raises(SerialError, match="WAL.brf"):
+        with pytest.raises(SerialError, match=WAL_NAME):
             read_wal(path)
         with pytest.raises(SerialError, match=f"byte offset {hdr_len}"):
             read_wal(path)

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from repro.api import FilterSpec, open_store
-from repro.lsm.wal import WAL_NAME, WriteAheadLog, read_wal
+from repro.lsm.wal import WriteAheadLog, read_wal, wal_name
 from repro.testing import FaultInjector, InjectedCrash
 
 SPEC = FilterSpec("bloomrf", {"bits_per_key": 14, "max_range": 1 << 12})
+WAL_NAME = wal_name(0)
 
 
 def fresh_wal(tmp_path, **kw):

@@ -63,7 +63,6 @@ LSM_ALL = [
     "LsmDB",
     "ShardedLsmDB",
     "PersistentLsmDB",
-    "PersistentShardedLsmDB",
     "WriteAheadLog",
     "MemTable",
     "SSTable",

@@ -345,11 +345,11 @@ class TestStoreCommands:
         assert "no store" in capsys.readouterr().out
 
     def test_store_recover_surfaces_corruption(self, tmp_path, capsys):
-        from repro.lsm.wal import WAL_NAME
+        from repro.lsm.wal import wal_name
 
         store = tmp_path / "db"
         assert main(["store", "init", str(store)]) == 0
-        (store / WAL_NAME).write_bytes(b"garbage not a log")
+        (store / wal_name(0)).write_bytes(b"garbage not a log")
         capsys.readouterr()
         assert main(["store", "recover", str(store)]) == 2
         assert "cannot recover store" in capsys.readouterr().out
@@ -441,7 +441,7 @@ class TestStoreCompactionCli:
 
     @pytest.mark.parametrize(
         "shards,section,field",
-        [(1, "geometry", "compaction"), (2, None, "num_shards"),
+        [(1, "geometry", "compaction"), (2, None, "shards"),
          (2, "geometry", "store_values")],
     )
     def test_inspect_handles_pre_compaction_manifest(

@@ -3,13 +3,12 @@
 Every damaged-store scenario must raise :class:`~repro.serial.SerialError`
 naming the offending file or kind — a persistent store never silently
 mis-answers.  Covered: truncated and bit-flipped manifests, stale format
-versions, missing shard directories and run files, run files holding a
-frame of the wrong kind, bit flips in a run's data or filter payload, runs
-from before the filter block moved into the SST frame, and run contents
-contradicting the manifest.
+versions, manifests of releases that nested per-shard sub-stores, missing
+run files and logs, run files holding a frame of the wrong kind, bit flips
+in a run's data or filter payload, runs from before the filter block moved
+into the SST frame, and run contents contradicting the manifest.
 """
 
-import shutil
 import zlib
 
 import numpy as np
@@ -18,15 +17,15 @@ import pytest
 from repro.api import FilterSpec, open_store
 from repro.lsm.store import (
     MANIFEST_NAME,
-    PersistentLsmDB,
-    PersistentShardedLsmDB,
     read_run_filter,
     read_store_manifest,
 )
-from repro.lsm.wal import WAL_NAME, read_wal
+from repro.lsm.wal import read_wal, wal_name
 from repro.serial import KIND_STORE, SerialError, pack_frame
 
 SPEC = FilterSpec("bloomrf", {"bits_per_key": 14, "max_range": 1 << 12})
+# The log of an unsharded store: its one shard's.
+WAL_NAME = wal_name(0)
 
 
 def make_store(path, shards=1):
@@ -84,12 +83,26 @@ class TestManifestCorruption:
         with pytest.raises(SerialError, match="'sstable'.*'store-manifest'"):
             open_store(path=store_dir)
 
-    def test_unknown_engine_raises(self, store_dir):
-        (store_dir / MANIFEST_NAME).write_bytes(
-            pack_frame(KIND_STORE, {"engine": "btree"})
-        )
-        with pytest.raises(SerialError, match="unknown engine 'btree'"):
-            open_store(path=store_dir)
+    @pytest.mark.parametrize("engine", ["lsm", "sharded-lsm", "btree"])
+    def test_manifest_of_release_1_20_or_earlier_is_refused(
+        self, store_dir, engine
+    ):
+        """Through release 1.20.0 a manifest named its engine, and a
+        sharded store nested one self-contained sub-store per shard.  Such
+        a store is refused, naming its manifest, with no upgrade path."""
+        header = {
+            "engine": engine,
+            "spec": SPEC.to_dict(),
+            "specs": [SPEC.to_dict()] * 2,
+            "num_shards": 2,
+            "shards": ["shard-0000", "shard-0001"],
+        }
+        (store_dir / MANIFEST_NAME).write_bytes(pack_frame(KIND_STORE, header))
+        for read in (read_store_manifest, lambda path: open_store(path=path)):
+            with pytest.raises(
+                SerialError, match=r"STORE\.brf was written by release 1\.20\.0"
+            ):
+                read(store_dir)
 
     def test_appended_run_delta_frame_raises(self, store_dir):
         """Releases up to 1.13 appended a run-delta frame on flush; the
@@ -100,9 +113,9 @@ class TestManifestCorruption:
             KIND_STORE,
             {
                 "delta": 1,
-                "new_runs": header["runs"][:1],
+                "new_runs": header["shards"][0]["runs"][:1],
                 "next_file_id": header["next_file_id"],
-                "wal_epoch": header["wal_epoch"] + 1,
+                "wal_epoch": header["shards"][0]["wal_epoch"] + 1,
             },
         )
         manifest.write_bytes(manifest.read_bytes() + delta)
@@ -120,12 +133,6 @@ class TestManifestCorruption:
             match=r"STORE\.brf: trailing garbage after store-manifest frame \(5 bytes\)",
         ):
             read_store_manifest(store_dir)
-
-    def test_engine_mismatch_raises(self, store_dir, sharded_dir):
-        with pytest.raises(SerialError, match="not a 'sharded-lsm' store"):
-            PersistentShardedLsmDB(store_dir)
-        with pytest.raises(SerialError, match="not an unsharded 'lsm' store"):
-            PersistentLsmDB(sharded_dir)
 
 
 class TestRunFileCorruption:
@@ -207,7 +214,7 @@ class TestRunFileCorruption:
     def test_swapped_sst_files_raise(self, store_dir):
         """A run file from a different run contradicts the manifest."""
         manifest = read_store_manifest(store_dir)
-        runs = manifest["runs"]
+        runs = manifest["shards"][0]["runs"]
         assert len(runs) >= 2, "fixture must produce multiple runs"
         a, b = (
             store_dir / (runs[0]["file"] + ".sst"),
@@ -251,7 +258,7 @@ class TestWalCorruption:
         _, _, header_end = unpack_frame_prefix(bytes(blob))
         blob[header_end + 8 + 2] ^= 0x10
         wal.write_bytes(bytes(blob))
-        with pytest.raises(SerialError, match="WAL.brf") as excinfo:
+        with pytest.raises(SerialError, match=WAL_NAME) as excinfo:
             open_store(path=root)
         assert "byte offset" in str(excinfo.value)
 
@@ -276,8 +283,8 @@ class TestWalCorruption:
         )
         db.put_many(np.arange(300, dtype=np.uint64))
         del db  # crash-drop: per-shard WALs keep their unflushed records
-        a = tmp_path / "db" / "shard-0000" / WAL_NAME
-        b = tmp_path / "db" / "shard-0001" / WAL_NAME
+        a = tmp_path / "db" / wal_name(0)
+        b = tmp_path / "db" / wal_name(1)
         blob_a, blob_b = a.read_bytes(), b.read_bytes()
         a.write_bytes(blob_b)
         b.write_bytes(blob_a)
@@ -313,22 +320,41 @@ class TestWalCorruption:
                 assert db2.get_value(int(k)) == b"old-%d" % k
 
 
+    def test_stale_wal_is_discarded_per_shard(self, tmp_path):
+        """Each shard reads its own log against its own manifest entry:
+        a stale log restored under shard 0 is discarded while shard 1's
+        live log replays."""
+        root = tmp_path / "db"
+        db = open_store(path=root, filter=SPEC, shards=2, memtable_capacity=1024)
+        keys = np.arange(100, dtype=np.uint64)
+        db.put_many(keys)
+        stale = (root / wal_name(0)).read_bytes()  # epoch 0, holds its puts
+        db.flush()  # both shards: records into runs, logs at epoch 1
+        db.delete_many(keys[:50])
+        db.flush()  # tombstones into runs, epoch 2
+        db.put_many(keys + np.uint64(1000))  # acked, only in the logs
+        del db
+        (root / wal_name(0)).write_bytes(stale)  # simulated bad restore
+        with open_store(path=root) as back:
+            zero, one = (shard.wal_info() for shard in back.shards)
+            assert zero["discarded_stale_records"] == 1
+            assert zero["replayed_records"] == 0
+            assert one["discarded_stale_records"] == 0
+            assert one["replayed_records"] == 1
+            answers = back.get_many(keys)
+            assert not answers[:50].any(), "stale WAL resurrected deletes"
+            assert answers[50:].all()
+            # Shard 0's unflushed puts went with its log; shard 1's replay.
+            owner = back.shard_of_many(keys + np.uint64(1000))
+            assert (owner == 0).any() and (owner == 1).any()
+            fresh = back.get_many(keys + np.uint64(1000))
+            assert fresh[owner == 1].all()
+            assert not fresh[owner == 0].any()
+
+
 class TestShardCorruption:
-    def test_missing_shard_directory_raises(self, sharded_dir):
-        shutil.rmtree(sharded_dir / "shard-0002")
-        with pytest.raises(
-            SerialError, match="missing shard directory shard-0002"
-        ):
-            open_store(path=sharded_dir)
-
-    def test_corrupt_shard_manifest_raises(self, sharded_dir):
-        victim = sharded_dir / "shard-0001" / MANIFEST_NAME
-        victim.write_bytes(victim.read_bytes()[:16])
-        with pytest.raises(SerialError, match="shard-0001"):
-            open_store(path=sharded_dir)
-
     def test_corrupt_shard_run_raises(self, sharded_dir):
-        victim = next((sharded_dir / "shard-0000").glob("sst-*.sst"))
+        victim = next(sharded_dir.glob("sst-*.sst"))
         victim.write_bytes(b"XXXX" + victim.read_bytes()[4:])
         with pytest.raises(SerialError, match="bad magic"):
             open_store(path=sharded_dir)
@@ -349,7 +375,7 @@ class TestCreateSafety:
     def test_lost_top_manifest_of_sharded_store_refuses_init(
         self, sharded_dir
     ):
-        """Re-creating over leftover shard directories could silently
+        """Re-creating over a sharded store's leftover runs could silently
         change the routing config over the old data — refuse instead."""
         (sharded_dir / MANIFEST_NAME).unlink()
         with pytest.raises(SerialError, match="refusing to initialize"):
@@ -364,7 +390,7 @@ class TestCreateSafety:
 
         header = read_store_manifest(store_dir)
         header = json.loads(json.dumps(header))
-        del header["spec"]
+        del header["shards"][0]["spec"]
         (store_dir / MANIFEST_NAME).write_bytes(
             pack_frame(KIND_STORE, header)
         )
@@ -375,7 +401,7 @@ class TestCreateSafety:
     def test_manifest_missing_geometry_field_raises_serial_error(
         self, tmp_path, shards
     ):
-        """Both engines read the geometry through one reader, which names
+        """Every store reads the geometry through one reader, which names
         the lost field."""
         import json
 
@@ -410,8 +436,9 @@ class TestCreateSafety:
         class OpaquePolicy:
             name = "opaque"
 
-        with pytest.raises(ValueError, match="FilterSpec-driven"):
+        with pytest.raises(TypeError, match="policy must be a SpecPolicy"):
             open_store(path=tmp_path / "db", filter=OpaquePolicy())
+        assert not (tmp_path / "db").exists()
 
     def test_cli_init_refuses_existing_store(self, store_dir, capsys):
         from repro.cli import main
