@@ -7,20 +7,29 @@ every SST's filter block and fence pointers and charging a fixed
 simulated latency per block read.  All probe outcomes
 and time buckets land in :class:`~repro.lsm.iostats.IOStats`.
 
-Reads make one filter pass per request, not one per run: a
+Reads ask the filter first, once per request, not once per run: a
 :class:`~repro.lsm.filter_policy.RunSetFilter` over the run list answers
-a runs x keys (or runs x rows) "maybe" matrix, and a per-run
-``searchsorted`` gives the matching truth matrix.  ``get_many``,
-``get_value`` and ``may_contain_many`` are reductions of the point pair
-(one hash per key and hash function for all same-config runs), and they
-charge ``IOStats`` exactly the probes, outcomes and block reads of the
-newest-first walk that stops at a key's newest version.
-``scan_nonempty_many``, ``scan`` and ``scan_may_contain`` are reductions
-of the range pair (:meth:`LsmDB._range_pass`): every cell is charged in
-one ``record_probes`` call, then one fence lookup per positive cell,
-exactly what a loop of per-run range probes charges.  A row's versions
-then reconcile over the runs its truth column names: the memtable's and
-those runs' ``searchsorted`` slices, newest first, go through the one
+"maybe" for runs x keys (or runs x rows), and only the "maybe" cells are
+searched (``searchsorted``); a run whose filter says no is never
+searched, so the engine trusts its filters to have no false negative
+(the per-run walk of :class:`~repro.lsm.sstable.SSTable`, which the
+tests compare against, still checks it on every cell).  ``get_many``
+and ``get_value`` share the point walk (:meth:`LsmDB._newest_versions`):
+the filter's config groups are probed in the order of their newest run
+(one hash per key and hash function for all same-config runs), each for
+the keys no newer run holds, and each key's "maybe" runs are searched
+newest first down to its holder, whose slot gives the tombstone flag
+and the value.  They charge ``IOStats`` exactly the probes, outcomes and
+block reads of the newest-first walk that stops at a key's newest
+version: a negative cell is a true negative, a "maybe" cell learns TP or
+FP from its search.  ``may_contain_many`` probes and charges every cell
+and searches its "maybe" cells alone.
+``scan_nonempty_many``, ``scan`` and ``scan_may_contain`` share the
+range pass (:meth:`LsmDB._range_pass`): every cell is charged in one
+``record_probes`` call, then one fence lookup per positive cell, exactly
+what a loop of per-run range probes charges.  A row's versions then
+reconcile over the runs whose search found a key in range: the
+memtable's and those runs' slices, newest first, go through the one
 newest-wins pass compaction uses too (:func:`_newest_wins`), and values
 are read only for the entries a ``scan`` returns.  The run-set filter is
 cached against the identity of the copy-on-write run list, together with
@@ -486,22 +495,19 @@ class LsmDB:
     def get_value(self, key: int) -> bytes | None:
         """Newest live value of ``key``, or None (absent or deleted).
 
-        The memtable answers first; otherwise one filter pass over every
-        run (a one-key :meth:`_newest_versions`) finds the newest run
-        holding the key, and only that run's value is fetched.
+        The memtable answers first; otherwise a one-key
+        :meth:`_newest_versions` finds the newest run holding the key and
+        its slot there, and only that run's value is fetched.
         """
         row = one_row(key)
         buffered = self.memtable.get(int(row[0]))
         if buffered is not None:
             return None if buffered is TOMBSTONE else buffered
-        runs, holder = self._newest_versions(row)
-        if holder[0] < 0:
+        runs, holder, slot, live = self._newest_versions(row)
+        if not live[0]:
             return None
-        sst = runs[holder[0]]
-        slot = int(sst.keys.searchsorted(row[0]))
-        if sst.tombstones[slot]:
-            return None
-        return sst.values[slot] if sst.values is not None else b""
+        values = runs[holder[0]].values
+        return values[int(slot[0])] if values is not None else b""
 
     @staticmethod
     def _validated_keys(keys: np.ndarray) -> np.ndarray:
@@ -521,10 +527,10 @@ class LsmDB:
     def get_many(self, keys: np.ndarray) -> np.ndarray:
         """Batched :meth:`get`: one boolean per key (newest version live?).
 
-        The memtable settles what it holds; the other keys take one filter
-        pass over every run (:meth:`_newest_versions`), and each key's
-        answer is its newest run version's tombstone flag.  Answers and
-        ``IOStats.counters()`` equal those of a newest-first walk of
+        The memtable settles what it holds; the other keys take one
+        filter-first walk of the runs (:meth:`_newest_versions`), and each
+        key's answer is its newest run version's tombstone flag.  Answers
+        and ``IOStats.counters()`` equal those of a newest-first walk of
         one-key probes per run (asserted by the tests).
         """
         keys = self._validated_keys(keys)
@@ -540,56 +546,82 @@ class LsmDB:
             pending = pending[~known[pending]]
             if pending.size == 0:
                 return result
-        runs, holder = self._newest_versions(keys[pending])
-        for run in set(holder[holder >= 0].tolist()):
-            mine = pending[holder == run]
-            sst = runs[run]
-            result[mine] = ~sst.tombstones[sst.keys.searchsorted(keys[mine])]
+        result[pending] = self._newest_versions(keys[pending])[3]
         return result
 
     def _newest_versions(
         self, keys: np.ndarray
-    ) -> tuple[tuple[SSTable, ...], np.ndarray]:
-        """Find each key's newest run version with one filter pass.
+    ) -> tuple[tuple[SSTable, ...], np.ndarray, np.ndarray, np.ndarray]:
+        """Find each key's newest run version, asking the filter first.
 
-        Returns ``(runs, holder)``: ``runs[holder[i]]`` is the newest run
-        holding ``keys[i]`` (``holder[i]`` is -1 when none does).  The
-        truth comes first (:meth:`_presence`); the filter pass then probes
-        each key in the runs down to its holder (all of them when it has
-        none), which are the cells the newest-first walk probes.
-        ``IOStats`` is charged for those cells and for the block reads of
-        their positives: a present key's fence always holds it, so each
-        true positive reads one block, and a false positive reads one when
-        a fence spans the key.
+        Returns ``(runs, holder, slot, live)``: ``runs[holder[i]]`` is the
+        newest run holding ``keys[i]`` (``holder[i]`` is ``len(runs)``
+        when none does), ``slot[i]`` its index there and ``live[i]``
+        whether that version exists and is no tombstone.  The run-set
+        filter's config groups are probed in the order of their newest
+        run, each only for the keys no newer run holds, which is no more
+        than the cells the newest-first walk probes.  Then only the
+        "maybe" cells are searched, newest run first, skipping a key a
+        newer run holds.
+
+        ``IOStats`` is charged for the cells of the newest-first walk, each
+        key's runs down to its holder (all of them when it has none): a
+        negative cell as a true negative, with no search; a "maybe" cell
+        as a true positive at the holder and a false positive above it.
+        A present key's fence always holds it, so each true positive reads
+        one block, and a false positive reads one when a fence spans the
+        key.
         """
         run_set = self._current_run_set()
         runs = run_set.runs
-        if not runs:
-            return runs, np.full(keys.size, -1)
-        found = self._presence(runs, keys)
-        held = found.any(axis=0)
-        holder = np.where(held, found.argmax(axis=0), -1)
-        depth = np.where(held, holder + 1, len(runs))
-        maybe = self._filter_pass(run_set.filters.probe_point_many, keys, depth)
-        probed = np.arange(len(runs))[:, None] < depth
-        self._record(maybe[probed], found[probed])
-        blocks = int(np.count_nonzero(held))
-        rows, cols = np.nonzero(maybe & probed & ~found)
-        for row, key in zip(rows.tolist(), keys[cols].tolist(), strict=True):
-            blocks += len(runs[row].fences.blocks_for_point(key))
+        none = len(runs)
+        holder = np.full(keys.size, none)
+        slot = np.zeros(keys.size, dtype=np.intp)
+        live = np.zeros(keys.size, dtype=bool)
+        missed = []  # (row, key indexes) of the searches that found nothing
+        for group, rows in enumerate(run_set.filters.group_rows):
+            cols = np.nonzero(holder >= rows[0])[0]
+            if cols.size == 0:
+                break  # holders only get newer, and later groups start older
+            answer = self._filter_pass(run_set.filters.probe_group, group, keys[cols])
+            for i in np.nonzero(answer.any(axis=1))[0].tolist():  # newest first
+                row = rows[i]
+                mine = cols[answer[i]]
+                mine = mine[holder[mine] > row]
+                if mine.size == 0:
+                    continue
+                sst = runs[row]
+                hit, at = self._find(sst, keys[mine])
+                if not hit.all():
+                    missed.append((row, mine[~hit]))
+                    mine, at = mine[hit], at[hit]
+                holder[mine] = row
+                slot[mine] = at
+                live[mine] = ~sst.tombstones[at]
+        true_positives = int(np.count_nonzero(holder < none))
+        blocks = true_positives
+        false_positives = 0
+        for row, mine in missed:
+            # A miss in a run older than the key's holder lies past the
+            # walk, so it is not charged.
+            for key in keys[mine[row < holder[mine]]].tolist():
+                false_positives += 1
+                blocks += len(runs[row].fences.blocks_for_point(key))
+        # The walk probes a key in every run down to its holder: holder + 1
+        # runs when one holds it, all ``none`` runs otherwise.
+        probes = int(holder.sum()) + true_positives
+        self.stats.record_counts(probes, true_positives, false_positives)
         self.stats.blocks_read += blocks
         self.stats.io_wait_s += blocks * BLOCK_READ_LATENCY_S
-        return runs, holder
+        return runs, holder, slot, live
 
     @staticmethod
-    def _presence(runs: tuple[SSTable, ...], keys: np.ndarray) -> np.ndarray:
-        """``(runs, keys)``: does the run hold the key? (a ``searchsorted``
-        per run)."""
+    def _find(sst: SSTable, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(hit, at)``: does ``sst`` hold each of ``keys``, and at which
+        index (one ``searchsorted``)."""
+        at = sst.keys.searchsorted(keys)
         # Past the end, the clipped index holds the largest key: never equal.
-        return np.array(
-            [sst.keys.take(sst.keys.searchsorted(keys), mode="clip") == keys for sst in runs],
-            dtype=bool,
-        ).reshape(len(runs), keys.size)
+        return sst.keys.take(at, mode="clip") == keys, at
 
     def _current_run_set(self) -> _RunSet:
         """The run-set filter of the current run list, rebuilt after a swap."""
@@ -607,18 +639,14 @@ class LsmDB:
         self.stats.filter_cpu_s += time.perf_counter() - start
         return maybe
 
-    def _record(self, maybe: np.ndarray, found: np.ndarray) -> None:
-        """Record probe outcomes against the truth; a filter never misses."""
-        missed = self.stats.record_probes(maybe, found)
-        assert not missed, "filter produced a false negative"
-
     def may_contain_many(self, keys: np.ndarray) -> np.ndarray:
         """Batched filter-level membership probe: may ``key`` be present?
 
         The point counterpart of :meth:`scan_may_contain`: one filter pass
-        probes every key in every run (all cells are charged, against a
-        ``searchsorted`` per run), then the memtable is consulted.  Pure
-        filter CPU — no fence lookups and no block reads are charged, and
+        probes every key in every run and all cells are charged; only the
+        "maybe" cells are searched, to tell a true positive from a false
+        one.  Then the memtable is consulted.  No fence lookups and no
+        block reads are charged, and
         tombstones are *not* resolved (a filter cannot un-insert).  A True
         is a *may-contain* — resolve with :meth:`get_many` when the exact
         answer matters.
@@ -630,7 +658,11 @@ class LsmDB:
         ordered = keys[order]
         run_set = self._current_run_set()
         maybe = self._filter_pass(run_set.filters.probe_point_many, ordered)
-        self._record(maybe, self._presence(run_set.runs, ordered))
+        found = np.zeros_like(maybe)
+        for row in np.nonzero(maybe.any(axis=1))[0].tolist():
+            cols = np.nonzero(maybe[row])[0]
+            found[row, cols] = self._find(run_set.runs[row], ordered[cols])[0]
+        self.stats.record_probes(maybe, found)
         result = np.empty(keys.size, dtype=bool)
         result[order] = maybe.any(axis=0)
         if len(self.memtable):
@@ -684,9 +716,10 @@ class LsmDB:
         """Batched filter-level emptiness probe: may ``[lo, hi]`` be non-empty?
 
         One boolean per ``(lo, hi)`` row: one range filter pass over every
-        run (:meth:`_range_pass`, all cells charged), OR-ed per row, then
-        the memtable.  Pure filter CPU — no fence lookups and no block
-        reads are charged.
+        run (:meth:`_range_pass`: all cells charged, the "maybe" cells
+        searched to tell true positives from false ones), OR-ed per row,
+        then the memtable.  No fence lookups and no block reads are
+        charged.
         A True is a *may-contain* — resolve with :meth:`scan_nonempty_many`
         or :meth:`scan` when the exact answer matters.
         """
@@ -702,13 +735,14 @@ class LsmDB:
     def scan_nonempty_many(self, bounds: np.ndarray) -> np.ndarray:
         """Does each ``(lo, hi)`` row hold any live key? One boolean per row.
 
-        One range filter pass probes every run for every row
-        (:meth:`_range_pass`; the paper's workloads are empty — the worst
-        case — and real scans must merge all overlapping runs).  The
-        memtable settles a row it holds a live key for; any other row
-        whose truth column names a run reconciles its versions over those
-        runs only (:meth:`_range_versions`) and asks whether any newest
-        version is live — no value is read.
+        One range filter pass probes every run for every row, and only its
+        "maybe" cells are searched (:meth:`_range_pass`; the paper's
+        workloads are empty — the worst case — and real scans must merge
+        all overlapping runs).  The memtable settles a row it holds a live
+        key for; any other row whose search found a run holding a key in
+        range reconciles its versions over those runs only
+        (:meth:`_range_versions`) and asks whether any newest version is
+        live — no value is read.
         """
         bounds = self._validated_bounds(bounds)
         if bounds.size == 0:
@@ -717,7 +751,7 @@ class LsmDB:
         out = self.memtable.contains_range_many(bounds)
         for i in np.nonzero(~out & present.any(axis=0))[0].tolist():
             lo, hi = bounds[i].tolist()
-            _, dead, _ = self._range_versions(lo, hi, runs, first, present, i)
+            _, dead, _ = self._range_versions(lo, hi, runs, first[:, i], present[:, i])
             out[i] = not dead.all()
         return out
 
@@ -726,9 +760,10 @@ class LsmDB:
 
         Returns ``[(key, value), ...]``, at most ``limit`` of them (a
         non-negative integer or None).  A one-row :meth:`_range_pass`
-        charges every run's filter, the runs that hold an entry in range
-        are reconciled (:meth:`_range_versions`), and values are read only
-        for the entries returned.
+        charges every run's filter and searches the runs it says "maybe"
+        for, the runs that hold an entry in range are reconciled
+        (:meth:`_range_versions`), and values are read only for the
+        entries returned.
         """
         limit = self._validated_limit(limit)
         keys, at, value_of = self._scan_keys(l_key, r_key, limit)
@@ -745,68 +780,62 @@ class LsmDB:
         bounds = self._validated_bounds(one_row(l_key, r_key))
         runs, first, present, _ = self._range_pass(bounds, read_blocks=True)
         keys, dead, value_of = self._range_versions(
-            l_key, r_key, runs, first, present, 0
+            l_key, r_key, runs, first[:, 0], present[:, 0]
         )
         live = np.nonzero(~dead)[0][:limit]
         return keys[live], live, value_of
 
     def _range_pass(
         self, bounds: np.ndarray, *, read_blocks: bool
-    ) -> tuple[tuple[SSTable, ...], list[np.ndarray], np.ndarray, np.ndarray]:
-        """One range filter pass over every run: ``(runs, first, present,
-        maybe)``.
+    ) -> tuple[tuple[SSTable, ...], np.ndarray, np.ndarray, np.ndarray]:
+        """One range filter pass over every run, then a search of its
+        "maybe" cells: ``(runs, first, present, maybe)``, each matrix
+        ``(runs, rows)``.
 
-        ``first`` and ``present`` come from :meth:`_range_presence`;
-        ``present`` and ``maybe`` (the
+        ``maybe`` is the
         :class:`RunSetFilter <repro.lsm.filter_policy.RunSetFilter>`'s
-        answer) are ``(runs, rows)``.  Every cell is one filter probe,
-        recorded against ``present`` in one call; with ``read_blocks``,
-        each positive cell also charges the blocks its run's fences
-        overlap — exactly what a loop of
+        answer.  Only a "maybe" cell is searched (one ``searchsorted`` per
+        run over its "maybe" rows): ``present`` says whether the run holds
+        a key in ``[lo, hi]``, and ``first`` indexes its first key >=
+        ``lo``; a negative cell is neither (``first`` 0).  Every cell is
+        one filter probe, recorded against ``present`` in one call, a
+        negative cell as a true negative; with ``read_blocks``, each
+        positive cell also charges the blocks its run's fences overlap —
+        exactly what a loop of
         :meth:`SSTable.scan_many <repro.lsm.sstable.SSTable.scan_many>`
         over the runs charges (asserted by the tests).
         """
         run_set = self._current_run_set()
         runs = run_set.runs
-        if not runs:
-            empty = np.zeros((0, bounds.shape[0]), dtype=bool)
-            return runs, [], empty, empty
-        first, present = self._range_presence(runs, bounds)
         maybe = self._filter_pass(run_set.filters.probe_range_many, bounds)
-        self._record(maybe, present)
-        if read_blocks:
-            blocks = 0
-            rows, cols = np.nonzero(maybe)
-            for row, (lo, hi) in zip(rows.tolist(), bounds[cols].tolist(), strict=True):
-                blocks += len(runs[row].fences.blocks_for_range(lo, hi))
-            self.stats.blocks_read += blocks
-            self.stats.io_wait_s += blocks * BLOCK_READ_LATENCY_S
+        present = np.zeros_like(maybe)
+        first = np.zeros(maybe.shape, dtype=np.intp)
+        blocks = 0
+        for run in np.nonzero(maybe.any(axis=1))[0].tolist():
+            sst = runs[run]
+            rows = np.nonzero(maybe[run])[0]
+            lo, hi = bounds[rows, 0], bounds[rows, 1]
+            at = sst.keys.searchsorted(lo)
+            # Past the end the clipped index holds the largest key, which
+            # is < lo and so never in range.
+            key = sst.keys.take(at, mode="clip")
+            present[run, rows] = (key >= lo) & (key <= hi)
+            first[run, rows] = at
+            if read_blocks:
+                for l_key, r_key in zip(lo.tolist(), hi.tolist(), strict=True):
+                    blocks += len(sst.fences.blocks_for_range(l_key, r_key))
+        self.stats.record_probes(maybe, present)
+        self.stats.blocks_read += blocks
+        self.stats.io_wait_s += blocks * BLOCK_READ_LATENCY_S
         return runs, first, present, maybe
 
-    @staticmethod
-    def _range_presence(
-        runs: tuple[SSTable, ...], bounds: np.ndarray
-    ) -> tuple[list[np.ndarray], np.ndarray]:
-        """``(first, present)``: ``first[run][row]`` indexes the run's
-        first key >= the row's ``lo``, and ``present`` (``(runs, rows)``)
-        says whether the run holds a key in ``[lo, hi]`` (one
-        ``searchsorted`` per run over every row)."""
-        lo, hi = bounds[:, 0], bounds[:, 1]
-        first = [sst.keys.searchsorted(lo) for sst in runs]
-        # Past the end the clipped index holds the largest key, which is
-        # < lo and so never in range.
-        at = np.array(
-            [sst.keys.take(idx, mode="clip") for sst, idx in zip(runs, first, strict=True)],
-            dtype=np.uint64,
-        ).reshape(len(runs), lo.size)
-        return first, (at >= lo) & (at <= hi)
-
-    def _range_versions(self, l_key, r_key, runs, first, present, row):
-        """Newest-wins reconciliation of ``[l_key, r_key]``, the bounds of
-        row ``row`` of a :meth:`_range_pass`: the memtable's slice first,
-        then the slices of the runs whose ``present`` cell is set, newest
-        first, in one :func:`_newest_wins` pass.  A slice starts at the
-        run's ``first`` index for the row, so only its end is searched.
+    def _range_versions(self, l_key, r_key, runs, first, present):
+        """Newest-wins reconciliation of ``[l_key, r_key]``, one row of a
+        :meth:`_range_pass` (``first`` and ``present`` are its columns):
+        the memtable's slice first, then the slices of the runs whose
+        ``present`` cell is set, newest first, in one :func:`_newest_wins`
+        pass.  A slice starts at the run's ``first`` index for the row, so
+        only its end is searched.
 
         Returns ``(keys, dead, value_of)``: every key in range, ascending,
         whether its newest version is a tombstone, and ``value_of(i)``,
@@ -817,9 +846,9 @@ class LsmDB:
         slices, flags = [keys], [tombstones]
         sources = [(values, 0)]  # each slice's values, and its first slot
         hi = np.uint64(r_key)
-        for run in np.nonzero(present[:, row])[0].tolist():  # newest first
+        for run in np.nonzero(present)[0].tolist():  # newest first
             sst = runs[run]
-            start = int(first[run][row])
+            start = int(first[run])
             stop = int(sst.keys.searchsorted(hi, side="right"))
             slices.append(sst.keys[start:stop])
             flags.append(sst.tombstones[start:stop])

@@ -102,7 +102,7 @@ class RunSetFilter:
     probe instead (see :meth:`probe_range_many` for ranges).
     """
 
-    __slots__ = ("_num_runs", "_groups")
+    __slots__ = ("_num_runs", "_groups", "group_rows")
 
     def __init__(self, filters, previous: "RunSetFilter | None" = None) -> None:
         groups: dict = {}
@@ -120,29 +120,35 @@ class RunSetFilter:
             if isinstance(group[0], BloomRF):
                 stack = built.get(group) or BloomRFStack(group)
             self._groups.append((list(rows), group, stack))
+        #: Each group's rows, ascending; the groups in the order of their
+        #: newest (first) row, so a newest-first walk meets them in turn.
+        self.group_rows = [rows for rows, _, _ in self._groups]
 
-    def probe_point_many(
-        self, keys: np.ndarray, depth: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``(runs, keys)`` "maybe" matrix: row ``i`` equals
-        ``filters[i].contains_point_many(keys)``.
+    def probe_group(self, group: int, keys: np.ndarray) -> np.ndarray:
+        """``(rows, keys)`` "maybe" block of config group ``group``: row
+        ``i`` equals ``filters[group_rows[group][i]].contains_point_many(keys)``.
 
-        With ``depth``, key ``j`` needs only its first ``depth[j]`` rows
-        (a newest-first walk that stops at the key's newest version), and
-        only those cells are answered: a group skips the keys none of its
-        rows needs, and the other cells hold no meaning.
+        Below :data:`VECTOR_MIN_BATCH` keys x rows the group loops its
+        filters' scalar probe; otherwise a bloomRF group gathers from its
+        stack and any other filter runs its own vectorized probe.
         """
-        out = np.zeros((self._num_runs, keys.size), dtype=bool)
-        every = np.arange(keys.size)
-        for rows, filters, stack in self._groups:
-            cols = every if depth is None else np.nonzero(depth > rows[0])[0]
-            if cols.size * len(rows) < VECTOR_MIN_BATCH:
-                for row, filt in zip(rows, filters, strict=True):
-                    out[row, cols] = bulk_point_eval(filt.contains_point, keys[cols])
-            elif stack is None:
-                out[rows[0], cols] = filters[0].contains_point_many(keys[cols])
-            else:
-                out[np.ix_(rows, cols)] = stack.contains_point_many(keys[cols])
+        rows, filters, stack = self._groups[group]
+        if keys.size * len(rows) < VECTOR_MIN_BATCH:
+            return np.array(
+                [bulk_point_eval(filt.contains_point, keys) for filt in filters],
+                dtype=bool,
+            ).reshape(len(rows), keys.size)
+        if stack is None:
+            return filters[0].contains_point_many(keys)[None]
+        return stack.contains_point_many(keys)
+
+    def probe_point_many(self, keys: np.ndarray) -> np.ndarray:
+        """``(runs, keys)`` "maybe" matrix: row ``i`` equals
+        ``filters[i].contains_point_many(keys)`` (every group probed for
+        every key)."""
+        out = np.empty((self._num_runs, keys.size), dtype=bool)
+        for group, rows in enumerate(self.group_rows):
+            out[rows] = self.probe_group(group, keys)
         return out
 
     def probe_range_many(self, bounds: np.ndarray) -> np.ndarray:

@@ -83,8 +83,10 @@ class IOStats:
         really present).
 
         Returns the number of false negatives (a truly present key the
-        filter rejected): every filter in this package guarantees none, and
-        the caller asserts it.
+        filter rejected): every filter in this package guarantees none,
+        and the per-run walk of :class:`~repro.lsm.sstable.SSTable`
+        asserts it.  The store's filter-first reads never search a
+        negative cell, so they pass only searched truths and see none.
         """
         positives = np.asarray(positives, dtype=bool)
         truths = np.asarray(truths, dtype=bool)
@@ -97,6 +99,17 @@ class IOStats:
         self.filter_false_positives += n_pos - n_tp
         self.filter_true_negatives += positives.size - n_pos - missed
         return missed
+
+    def record_counts(
+        self, probes: int, true_positives: int, false_positives: int
+    ) -> None:
+        """Classify ``probes`` filter probes whose positives are already
+        told apart; every other probe was a true negative."""
+        self.filter_probes += probes
+        self.filter_positives += true_positives + false_positives
+        self.filter_true_positives += true_positives
+        self.filter_false_positives += false_positives
+        self.filter_true_negatives += probes - true_positives - false_positives
 
     @property
     def fpr(self) -> float:

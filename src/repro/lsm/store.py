@@ -590,7 +590,8 @@ class _StoreDir:
     ) -> "_StoreDir":
         """Initialize an empty store: every shard's log first, the manifest
         last.  A crash before the manifest leaves a directory the next open
-        initializes afresh; one after it leaves the empty store."""
+        initializes afresh, removing any log this store does not have; one
+        after it leaves the empty store."""
         if any(directory.glob("sst-*")):
             raise SerialError(
                 f"{directory} holds run files but no store manifest "
@@ -617,6 +618,14 @@ class _StoreDir:
             # without the optional zstandard package).
             require_codec(store.compression["codec"])
         directory.mkdir(parents=True, exist_ok=True)
+        # An earlier creation that crashed may have left the logs of other
+        # shards, or temporaries.  No manifest exists, so none of them
+        # holds an acknowledged write; this store's own logs are rewritten
+        # below.
+        logs = {wal_name(index) for index in range(len(specs))}
+        for path in directory.glob("WAL-*"):
+            if path.name not in logs:
+                path.unlink()
         for index in range(len(specs)):
             WriteAheadLog.create(
                 store.wal_path(index), seal=store.shard_seal(index)

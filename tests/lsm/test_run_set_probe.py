@@ -232,9 +232,8 @@ def test_stacked_kernel_equals_each_filters_own_probes():
         )
         want = np.array([f.contains_point_many(probe) for f in filters]).reshape(5, n)
         assert np.array_equal(run_set.probe_point_many(probe), want)
-        depth = rng.integers(0, 6, n)  # a walk probes key j in rows < depth[j]
-        needed = np.arange(5)[:, None] < depth
-        assert np.array_equal(run_set.probe_point_many(probe, depth)[needed], want[needed])
+        for group, rows in enumerate(run_set.group_rows):  # the walk's probes
+            assert np.array_equal(run_set.probe_group(group, probe), want[rows])
 
 
 @pytest.mark.parametrize("guard", [False, True], ids=["plain", "guard"])
@@ -275,6 +274,75 @@ def test_one_filter_stack_is_a_view():
     assert np.shares_memory(stack._sliced, filt.pmhf_bits.words)
     with pytest.raises(ValueError, match="one config"):
         BloomRFStack([filt, SpecPolicy(SPEC).build(np.arange(10, dtype=np.uint64))])
+
+
+class _Planted:
+    """A run's filter block replaced for a test: it answers like ``real``
+    (or "no" to everything when ``real`` is None) and records every key
+    it is asked about."""
+
+    def __init__(self, real=None):
+        self.real = real
+        self.asked = []
+
+    def contains_point(self, key):
+        self.asked.append(key)
+        return self.real is not None and self.real.contains_point(key)
+
+    def contains_point_many(self, keys):
+        self.asked.extend(keys.tolist())
+        if self.real is None:
+            return np.zeros(keys.size, dtype=bool)
+        return self.real.contains_point_many(keys)
+
+
+def test_a_run_whose_filter_says_no_is_never_searched():
+    """Key 7 is live in run 1 and deleted in run 0, whose planted filter
+    wrongly answers "no": the reads return the stale run-1 version, so
+    run 0 was never searched, while the per-run reference walk on the
+    same store still catches the false negative."""
+    db = LsmDB(policy=SpecPolicy(SPEC), store_values=True, memtable_capacity=64)
+    db.put_many(np.arange(0, 40, dtype=np.uint64), [_value(k) for k in range(40)])
+    db.flush()
+    db.delete_many(np.array([7], dtype=np.uint64))
+    db.flush()
+    assert [sst.num_keys for sst in db.sstables] == [1, 40]
+    assert db.sstables[0].tombstones.all()
+    db.sstables[0].filter = _Planted()
+    assert db.get_many(np.array([7, 8], dtype=np.uint64)).tolist() == [True, True]
+    assert db.get_value(7) == _value(7)
+    counters = db.reset_stats().counters()
+    # Run 0 said no three times (charged as true negatives, unsearched);
+    # run 1 held each key.
+    assert counters["filter_true_negatives"] == counters["filter_true_positives"] == 3
+    with pytest.raises(AssertionError, match="filter produced a false negative"):
+        reference_get_value(db, 7, IOStats())
+
+
+def test_an_older_config_group_skips_keys_a_newer_run_holds():
+    """Filter work stays within the newest-first walk: a key held by the
+    newest run is never probed in an older run, and with one run per
+    group every probed cell is a charged one."""
+    db = LsmDB(policy=SpecPolicy(SPEC), store_values=True, memtable_capacity=256)
+    keys = np.arange(1, 769, dtype=np.uint64) * np.uint64(7_919)
+    db.put_many(keys, [_value(k) for k in keys])
+    assert len(db.sstables) == 3
+    planted = [_Planted(sst.filter) for sst in db.sstables]
+    for sst, filt in zip(db.sstables, planted, strict=True):
+        sst.filter = filt
+    newest = db.sstables[0].keys
+    absent = keys[:20] + np.uint64(1)
+    probe = np.concatenate([newest[:20], absent])
+    db.reset_stats()
+    assert db.get_many(probe).tolist() == [True] * 20 + [False] * 20
+    assert sorted(planted[0].asked) == sorted(probe.tolist())
+    for filt in planted[1:]:
+        assert sorted(filt.asked) == sorted(absent.tolist())
+    assert db.stats.filter_probes == sum(len(filt.asked) for filt in planted)
+    for filt in planted:
+        filt.asked.clear()
+    assert db.get_value(int(newest[5])) == _value(newest[5])
+    assert [len(filt.asked) for filt in planted] == [1, 0, 0]
 
 
 def test_large_batch_peak_memory_is_bounded():

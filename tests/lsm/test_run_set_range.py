@@ -29,7 +29,7 @@ from repro.api import FilterSpec, available_kinds, open_store, standard_spec
 from repro.core import bloomrf
 from repro.core.bloomrf import BloomRF, BloomRFStack
 from repro.core.config import BloomRFConfig
-from repro.lsm import IOStats, MemTable, SpecPolicy, filter_policy
+from repro.lsm import IOStats, LsmDB, MemTable, SpecPolicy, filter_policy
 from repro.lsm.filter_policy import STACKED_MIN_RUNS, VECTOR_MIN_ROWS, RunSetFilter
 from repro.lsm.memtable import TOMBSTONE
 
@@ -244,6 +244,39 @@ def test_every_filter_kind_equals_the_per_run_walk(kind, monkeypatch):
         _fill_memtable(db)
         assert len(db.sstables) == 5
         _check_range_ladder(db)
+
+
+class _SaysNo:
+    """A planted filter block that wrongly answers "no" to every range."""
+
+    def contains_range(self, lo, hi):
+        return False
+
+    def contains_range_many(self, bounds):
+        return np.zeros(bounds.shape[0], dtype=bool)
+
+
+@pytest.mark.parametrize("rows", [1, R], ids=["scalar", "vector"])
+def test_a_run_whose_filter_says_no_is_never_searched(rows):
+    """Key 7 is live in run 1 and deleted in run 0, whose planted filter
+    wrongly answers "no": the scans return the stale run-1 version, so
+    run 0 was never searched, while the per-run reference walk on the
+    same store still catches the false negative."""
+    db = LsmDB(policy=SpecPolicy(SPEC), store_values=True, memtable_capacity=64)
+    db.put_many(np.arange(0, 40, dtype=np.uint64), [_value(k) for k in range(40)])
+    db.flush()
+    db.delete_many(np.array([7], dtype=np.uint64))
+    db.flush()
+    assert [sst.num_keys for sst in db.sstables] == [1, 40]
+    assert db.sstables[0].tombstones.all()
+    db.sstables[0].filter = _SaysNo()
+    bounds = np.array([[7, 7]] * rows, dtype=np.uint64)
+    assert db.scan_nonempty_many(bounds).all()
+    assert db.scan(5, 8) == [(k, _value(k)) for k in (5, 6, 7, 8)]
+    counters = db.reset_stats().counters()
+    assert counters["filter_true_negatives"] == counters["filter_true_positives"] == rows + 1
+    with pytest.raises(AssertionError, match="filter produced a false negative"):
+        reference_range_walk(db, bounds, IOStats())
 
 
 # ----------------------------------------------------------------------

@@ -53,6 +53,24 @@ def test_crash_during_creation_never_bricks_the_path(tmp_path, shards):
             assert db.num_keys == keys.size
 
 
+@pytest.mark.parametrize("crash_at", [10, 12])
+def test_recreation_removes_the_logs_of_a_crashed_creation(tmp_path, crash_at):
+    """A crashed 3-shard creation leaves a third log behind (a temporary
+    at the 10th syscall, a whole ``WAL-0002.brf`` at the 12th); no
+    manifest names it, so re-creating the path with 2 shards removes it."""
+    root = tmp_path / "db"
+    with pytest.raises(InjectedCrash):
+        with FaultInjector(root, crash_at=crash_at):
+            _create(root, 3)
+    assert any(p.name.startswith("WAL-0002") for p in root.iterdir())
+    _create(root, 2).close()
+    assert sorted(p.name for p in root.iterdir()) == [
+        "STORE.brf",
+        "WAL-0000.brf",
+        "WAL-0001.brf",
+    ]
+
+
 def test_a_commit_writes_only_the_committed_entries_of_other_shards(tmp_path):
     root = tmp_path / "db"
     keys = np.arange(200, dtype=np.uint64)
